@@ -41,16 +41,13 @@ def _parse_synth(text: str) -> tuple:
     return (n, d, seed)
 
 
-_STEP_FAMILIES = {"constant", "epochbb", "m1", "m2", "m3"}
+class _RemovedStepFlag(argparse.Action):
+    """``run --step`` was removed: it applied every value to every method,
+    whatever family it named."""
 
-
-def _parse_step(token: str) -> tuple[str, float]:
-    fam, _, val = token.partition(":")
-    fam = fam.lower()
-    if fam not in _STEP_FAMILIES or not val:
-        raise argparse.ArgumentTypeError(
-            "--step expects constant:ETA | epochbb:ETA0 | m1:C1 | m2:C1 | m3:C1")
-    return fam, float(val)
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error("--step was removed; pin step parameters with --grid "
+                     "(e.g. --grid 0.1); they apply to every method")
 
 
 def read_spec_file(path) -> dict:
@@ -85,8 +82,6 @@ def _spec_from_args(args) -> ExperimentSpec:
     methods = pick(args.methods, "methods", ("SVRG",),
                    lambda s: tuple(tok.strip() for tok in s.split(",") if tok.strip()))
     grid = pick(args.grid, "grid", DEFAULT_GRID, _parse_floats)
-    if args.step:
-        grid = tuple(val for _, val in args.step)
 
     return ExperimentSpec(
         data_path=data_path,
@@ -167,9 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--m", help="inner length (integer or '2n')")
     run_p.add_argument("--seeds", type=lambda s: tuple(int(t) for t in s.split(",")))
     run_p.add_argument("--grid", type=_parse_floats, help="step-parameter grid")
-    run_p.add_argument("--step", action="append", type=_parse_step,
-                       help="pin a single step parameter, e.g. constant:0.1, "
-                            "epochbb:0.1, m1:0.01 (repeatable)")
+    run_p.add_argument("--step", nargs="?", action=_RemovedStepFlag,
+                       default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     run_p.add_argument("--out", help="output directory")
     run_p.add_argument("--scale", action="store_true",
                        help="per-feature max-abs scaling")

@@ -12,9 +12,23 @@ operator ``apply_sample`` with E_i[apply_sample(i, u)] == apply_mean(u):
 
 The BB scalar is floored at delta > 0 as a non-convexity remedy; the floor
 applies to the mean scalar only, never to the per-sample scalars.
+
+An operator is one epoch's data.  Besides the pair it holds the n-vectors
+the inner steps read, each computed at most once per epoch, on first use:
+the anchor products ``X @ z`` and ``X @ g_anchor``, the anchor's margin
+coefficients c_i(z) (grad f_i(z) = c_i(z) a_i + lam z), the full-Hessian
+curvature coefficients, and for ``bb_scalar`` the per-sample scalars
+
+    kappa_i = (c_i(z) - c_i(z_prev)) (a_i^T s) / ||s||^2,
+
+so that A_i = (lam + kappa_i) I.  The dense inner step reads only the
+curvature coefficients and keeps ``apply_sample``'s arithmetic; the
+O(nnz_i) inner step of :mod:`vrgrad.optimizer` reads the rest.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -33,17 +47,19 @@ def default_delta_floor(model: LossModel) -> float:
 
 
 class CorrectionOperator:
-    """Immutable (A, A_i) pair anchored at a snapshot point.
+    """Immutable (A, A_i) pair anchored at a snapshot point, with the
+    epoch's per-sample data.
 
     Built via :func:`build_correction`; ``apply_*`` are pure.
     """
 
-    def __init__(self, variant, model, anchor, *, anchor_prev=None,
+    def __init__(self, variant, model, anchor, g_anchor, *, anchor_prev=None,
                  bb_raw=None, bb_scalar=None, s=None, s_sqnorm=None,
                  diag_mean=None, delta_floor=0.0):
         self.variant = variant
         self.model = model
         self.anchor = anchor
+        self.g_anchor = g_anchor
         self.anchor_prev = anchor_prev
         self.bb_raw = bb_raw          # unfloored secant ratio
         self.bb_scalar = bb_scalar    # floored; used by apply_mean
@@ -51,6 +67,35 @@ class CorrectionOperator:
         self._s = s
         self._s_sqnorm = s_sqnorm
         self._diag_mean = diag_mean
+
+    # -- per-epoch data, computed on first use --------------------------------
+
+    @cached_property
+    def anchor_dots(self) -> np.ndarray:
+        """X @ anchor."""
+        return self.model.dataset.features @ self.anchor
+
+    @cached_property
+    def grad_dots(self) -> np.ndarray:
+        """X @ g_anchor."""
+        return self.model.dataset.features @ self.g_anchor
+
+    @cached_property
+    def anchor_coefs(self) -> np.ndarray:
+        """c_i(anchor), with grad f_i(anchor) = c_i a_i + lam * anchor."""
+        return self.model.margin_coefs(self.anchor_dots)
+
+    @cached_property
+    def curvature_coefs(self) -> np.ndarray:
+        """The mean Hessian's per-sample coefficients at the anchor."""
+        return self.model.curvature_coefs(self.anchor_dots)
+
+    @cached_property
+    def sample_scalars(self) -> np.ndarray:
+        """kappa_i (``bb_scalar`` only): A_i = (lam + kappa_i) I."""
+        X = self.model.dataset.features
+        change = self.anchor_coefs - self.model.margin_coefs(X @ self.anchor_prev)
+        return change * (X @ self._s) / self._s_sqnorm
 
     def apply_sample(self, i: int, u: np.ndarray) -> np.ndarray:
         """A_i @ u for sample i."""
@@ -64,7 +109,8 @@ class CorrectionOperator:
         if self.variant == "diag_hessian":
             return self.model.hess_diag_sample(i, self.anchor) * u
         # bb_scalar: two sparse gradient evaluations, recomputed on demand
-        # (memory parity with plain SVRG; the per-sample scalar is not floored)
+        # (the per-sample scalar is not floored).  This keeps the dense step's
+        # arithmetic; lam + sample_scalars[i] is the same value up to rounding.
         diff = self.model.grad_sample_delta(i, self.anchor, self.anchor_prev)
         scalar_i = float(self._s @ diff) / self._s_sqnorm
         return scalar_i * u
@@ -77,7 +123,7 @@ class CorrectionOperator:
         if self.variant == "none":
             return np.zeros_like(u)
         if self.variant == "full_hessian":
-            return self.model.mean_hess_vec(self.anchor, u)
+            return self.model.mean_hess_vec_from(self.curvature_coefs, u)
         if self.variant == "diag_hessian":
             return self._diag_mean * u
         return self.bb_scalar * u
@@ -95,11 +141,13 @@ def build_correction(variant: str, model: LossModel, w_curr: np.ndarray,
                      g_prev: np.ndarray | None = None) -> CorrectionOperator:
     """Build the epoch's correction operator anchored at ``w_curr``.
 
+    ``g_curr`` is the full gradient at ``w_curr`` (computed when omitted);
+    the operator's per-epoch data is taken at (``w_curr``, ``g_curr``).
     With no previous anchor (``w_prev is None``, the first epoch) every
     variant degrades to the zero operator.  For ``bb_scalar`` the mean
     scalar is s^T y / ||s||^2 with s = w_curr - w_prev and
-    y = grad F(w_curr) - grad F(w_prev) (supply ``g_curr``/``g_prev`` to
-    reuse cached full gradients), floored at ``delta_floor``.
+    y = grad F(w_curr) - grad F(w_prev) (supply ``g_prev`` to reuse a cached
+    full gradient), floored at ``delta_floor``.
 
     Raises
     ------
@@ -110,29 +158,29 @@ def build_correction(variant: str, model: LossModel, w_curr: np.ndarray,
     if variant not in VARIANTS:
         raise ValueError(f"unknown correction variant {variant!r}")
     w_curr = np.asarray(w_curr, dtype=np.float64)
+    if g_curr is None:
+        g_curr = model.grad_full(w_curr)
     if w_prev is None or variant == "none":
-        return CorrectionOperator("none", model, w_curr)
+        return CorrectionOperator("none", model, w_curr, g_curr)
     w_prev = np.asarray(w_prev, dtype=np.float64)
 
     if variant == "full_hessian":
-        return CorrectionOperator("full_hessian", model, w_curr)
+        return CorrectionOperator("full_hessian", model, w_curr, g_curr)
 
     if variant == "diag_hessian":
-        return CorrectionOperator("diag_hessian", model, w_curr,
+        return CorrectionOperator("diag_hessian", model, w_curr, g_curr,
                                   diag_mean=model.mean_hess_diag(w_curr))
 
     s = w_curr - w_prev
     s_sqnorm = float(s @ s)
     if s_sqnorm == 0.0:
         raise DegenerateAnchorError("anchor displacement is zero; no BB scalar")
-    if g_curr is None:
-        g_curr = model.grad_full(w_curr)
     if g_prev is None:
         g_prev = model.grad_full(w_prev)
     raw = float(s @ (g_curr - g_prev)) / s_sqnorm
     if delta_floor is None:
         delta_floor = default_delta_floor(model)
-    return CorrectionOperator("bb_scalar", model, w_curr, anchor_prev=w_prev,
+    return CorrectionOperator("bb_scalar", model, w_curr, g_curr, anchor_prev=w_prev,
                               bb_raw=raw, bb_scalar=max(raw, delta_floor),
                               s=s, s_sqnorm=s_sqnorm, delta_floor=delta_floor)
 

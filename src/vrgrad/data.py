@@ -72,7 +72,9 @@ class SparseDataset:
 
     def __init__(self, features: sp.csr_matrix, labels: np.ndarray):
         features = sp.csr_matrix(features, dtype=np.float64, copy=True)
-        features.sort_indices()
+        # sorted, unique column indices per row: the oracles write a row's
+        # columns with one fancy-indexed update
+        features.sum_duplicates()
         features.eliminate_zeros()
         labels = np.array(labels, dtype=np.float64)
         if labels.ndim != 1 or features.shape[0] != labels.shape[0]:
@@ -160,7 +162,8 @@ def parse_libsvm(source, label_map: dict | None = None, dim: int | None = None) 
     dim : force the ambient dimension (train/test splits must agree);
         defaults to the max observed index.
 
-    Duplicate or non-increasing indices within a line are a parse error.
+    Duplicate or non-increasing indices within a line, and non-finite
+    labels or values (``inf``, ``nan``), are a parse error.
     """
     if isinstance(source, str):
         lines = io.StringIO(source)
@@ -170,6 +173,7 @@ def parse_libsvm(source, label_map: dict | None = None, dim: int | None = None) 
         lines = iter(source)
 
     labels: list[float] = []
+    line_nos: list[int] = []
     rows_idx: list[np.ndarray] = []
     rows_val: list[np.ndarray] = []
     max_index = -1
@@ -211,6 +215,7 @@ def parse_libsvm(source, label_map: dict | None = None, dim: int | None = None) 
                 raise LibsvmParseError(f"index {int(idx[-1]) + 1} exceeds forced dim {dim}", line_no)
 
         labels.append(label)
+        line_nos.append(line_no)
         rows_idx.append(idx)
         rows_val.append(val)
 
@@ -221,8 +226,17 @@ def parse_libsvm(source, label_map: dict | None = None, dim: int | None = None) 
         indptr[i + 1] = indptr[i] + idx.size
     indices = np.concatenate(rows_idx) if rows_idx else np.zeros(0, dtype=np.int64)
     values = np.concatenate(rows_val) if rows_val else np.zeros(0)
+    labels = np.asarray(labels)
+    # one pass over the assembled arrays rather than a check per token
+    if not np.isfinite(labels).all():
+        row = int(np.argmin(np.isfinite(labels)))
+        raise LibsvmParseError(f"non-finite label {float(labels[row])!r}", line_nos[row])
+    if not np.isfinite(values).all():
+        k = int(np.argmin(np.isfinite(values)))
+        row = int(np.searchsorted(indptr, k, side="right")) - 1
+        raise LibsvmParseError(f"non-finite value {float(values[k])!r}", line_nos[row])
     X = sp.csr_matrix((values, indices, indptr), shape=(n, d))
-    return SparseDataset(X, np.asarray(labels))
+    return SparseDataset(X, labels)
 
 
 def _fmt_number(x: float) -> str:

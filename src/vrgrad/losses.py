@@ -42,7 +42,7 @@ class LossModel:
         self._indptr = X.indptr
         self._indices = X.indices
         self._data = X.data
-        self._row_sq_norms = np.asarray(X.multiply(X).sum(axis=1)).ravel()
+        self.row_sq_norms = np.asarray(X.multiply(X).sum(axis=1)).ravel()
 
     # -- shapes ------------------------------------------------------------
 
@@ -89,15 +89,25 @@ class LossModel:
 
     # -- gradients ----------------------------------------------------------
 
-    def _margin_coef(self, i: int, w: np.ndarray) -> float:
-        """d f_i / d margin evaluated through the label, i.e. the scalar c
-        with grad f_i = c * a_i + lam * w."""
+    def margin_coef_at(self, i: int, dot: float) -> float:
+        """The scalar c with grad f_i(w) = c * a_i + lam * w, given a_i^T w."""
         b = self.dataset.labels[i]
-        idx, vals = self._row(i)
-        m = b * float(vals @ w[idx])
+        m = b * dot
         if self.kind == "logistic":
             return float(-b * expit(-m))
         return float(-b * max(0.0, 1.0 - m))
+
+    def margin_coefs(self, dots: np.ndarray) -> np.ndarray:
+        """:meth:`margin_coef_at` for every sample, given ``X @ w``."""
+        b = self.dataset.labels
+        margins = b * dots
+        if self.kind == "logistic":
+            return -b * expit(-margins)
+        return -b * np.maximum(0.0, 1.0 - margins)
+
+    def _margin_coef(self, i: int, w: np.ndarray) -> float:
+        idx, vals = self._row(i)
+        return self.margin_coef_at(i, float(vals @ w[idx]))
 
     def grad_sample(self, i: int, w: np.ndarray) -> np.ndarray:
         w = self._check_dim(w)
@@ -118,12 +128,7 @@ class LossModel:
     def grad_full(self, w: np.ndarray) -> np.ndarray:
         """(1/n) sum_i grad f_i(w), computed in one dataset pass."""
         w = self._check_dim(w)
-        b = self.dataset.labels
-        margins = b * (self.dataset.features @ w)
-        if self.kind == "logistic":
-            coefs = -b * expit(-margins)
-        else:
-            coefs = -b * np.maximum(0.0, 1.0 - margins)
+        coefs = self.margin_coefs(self.dataset.features @ w)
         return self.dataset.features.T @ coefs / self.n + self.lam * w
 
     # -- curvature ----------------------------------------------------------
@@ -159,29 +164,31 @@ class LossModel:
             out[idx] += c * vals * vals
         return out
 
+    def curvature_coefs(self, dots: np.ndarray) -> np.ndarray:
+        """The scalars c_i with hess f_i(w) = c_i * a_i a_i^T + lam * I,
+        given ``X @ w``."""
+        margins = self.dataset.labels * dots
+        if self.kind == "logistic":
+            s = expit(margins)
+            return s * (1.0 - s)
+        return ((1.0 - margins) > 0.0).astype(np.float64)
+
     def mean_hess_vec(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         """(1/n) sum_i hess f_i(w) @ v via two sparse matvecs (no Hessian formed)."""
         w = self._check_dim(w)
+        return self.mean_hess_vec_from(self.curvature_coefs(self.dataset.features @ w), v)
+
+    def mean_hess_vec_from(self, coefs: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """:meth:`mean_hess_vec` from the point's :meth:`curvature_coefs`."""
         v = self._check_dim(v, "v")
         X = self.dataset.features
-        margins = self.dataset.labels * (X @ w)
-        if self.kind == "logistic":
-            s = expit(margins)
-            coefs = s * (1.0 - s)
-        else:
-            coefs = ((1.0 - margins) > 0.0).astype(np.float64)
         return X.T @ (coefs * (X @ v)) / self.n + self.lam * v
 
     def mean_hess_diag(self, w: np.ndarray) -> np.ndarray:
         """Diagonal of the mean Hessian at w."""
         w = self._check_dim(w)
         X = self.dataset.features
-        margins = self.dataset.labels * (X @ w)
-        if self.kind == "logistic":
-            s = expit(margins)
-            coefs = s * (1.0 - s)
-        else:
-            coefs = ((1.0 - margins) > 0.0).astype(np.float64)
+        coefs = self.curvature_coefs(X @ w)
         diag = X.multiply(X).T @ coefs / self.n
         return np.asarray(diag).ravel() + self.lam
 
@@ -190,7 +197,7 @@ class LossModel:
     def per_sample_smoothness(self) -> np.ndarray:
         """L_i: 0.25 ||a_i||^2 + lam (logistic) or ||a_i||^2 + lam (hinge)."""
         scale = 0.25 if self.kind == "logistic" else 1.0
-        return scale * self._row_sq_norms + self.lam
+        return scale * self.row_sq_norms + self.lam
 
     def smoothness(self) -> float:
         """L = max_i L_i."""

@@ -1,8 +1,9 @@
 """The epoch/inner-loop optimizer with variance-corrected search directions.
 
 One run executes K epochs.  Each epoch snapshots the full gradient at the
-anchor, builds the method's correction operator from the current and
-previous anchors, then takes m stochastic inner steps
+anchor, builds the method's correction operator -- the epoch's per-sample
+data, see :mod:`vrgrad.correction` -- from the current and previous
+anchors, then takes m stochastic inner steps
 
     w_t = w_{t-1} - eta * v_t,
     v_t = grad f_i(w_{t-1}) - grad f_i(anchor) + g_anchor
@@ -17,6 +18,22 @@ uniformly random one (option 2) to the next anchor.  Method names:
     SVRG2BB       BB-scalar correction, constant step
     SVRGBB        no correction, per-epoch BB step
     SVRG2BBS-M1/2/3  BB-scalar correction, generalized BB step presets
+
+An inner step takes one of two forms:
+
+* the dense step keeps w as a vector and costs O(d) per step;
+* the affine step, for the ``none`` and ``bb_scalar`` corrections (so also
+  the first, uncorrected epoch of SVRG2 and SVRG2D), costs O(nnz_i).  Both corrections make every dense term of v_t a scalar times
+  u = w - anchor or times g_anchor:  v_t = k_i u + (c_i(w) - c_i(z)) a_i + g
+  with k_i = lam (``none``) or bb_scalar - kappa_i (``bb_scalar``).  So the
+  step holds u = sigma * y + rho * g_anchor, rescales the two scalars and
+  writes y only on the row's support, takes margins from the epoch's
+  ``X @ anchor`` and ``X @ g_anchor``, and tracks ||w||^2 for the divergence
+  guard from ||y||^2, y.anchor and y.g_anchor.
+
+The affine step runs when rows are short: the mean row has at most d/4
+nonzeros.  Elsewhere the dense step runs; its arithmetic is the plain
+formula above.  The two agree up to rounding.
 
 Reproducibility: the draw order per epoch is (option-2 anchor index if
 applicable, then the m sample indices in one block), all from the run's
@@ -117,7 +134,8 @@ class EpochRecord:
     epoch: int
     fval: float
     gap: float          # fval - f_star; nan when no reference supplied
-    wall_time: float    # cumulative seconds spent in inner loops only
+    wall_time: float    # cumulative seconds in full-gradient passes,
+                        # correction builds and inner loops (no telemetry)
     variance: float     # ||v - grad F||^2 at the measure point; nan when off
     step_size: float    # step used at the final inner iteration
     grad_evals: int     # cumulative per-sample gradient evaluations
@@ -157,6 +175,103 @@ def _direction_gevals(correction) -> int:
     return 2
 
 
+def affine_step_applies(model: LossModel, correction) -> bool:
+    """Whether the epoch takes the O(nnz_i) affine step: the correction is
+    ``none`` or ``bb_scalar`` and the mean row has at most d/4 nonzeros."""
+    return (correction is not None
+            and correction.variant in ("none", "bb_scalar")
+            and 4 * model.dataset.features.nnz <= model.n * model.d)
+
+
+class _DenseIterate:
+    """The inner iterate as a dense vector; a step costs O(d)."""
+
+    def __init__(self, model, correction, w_anchor, g_anchor):
+        self.model, self.correction = model, correction
+        self.w_anchor, self.g_anchor = w_anchor, g_anchor
+        self.w = w_anchor.copy()
+        self.v = None
+
+    def current(self) -> np.ndarray:
+        return self.w.copy()
+
+    def step(self, i: int, eta: float, limit: float) -> bool:
+        """w -= eta * v_t(i); False when w is non-finite or ||w||^2 > limit."""
+        w = self.w
+        # v lives until the next step replaces it.  Freed at once, the step's
+        # O(d) temporaries all return to the top of the heap, glibc trims it,
+        # and the next step faults the pages in again.
+        self.v = direction(self.model, self.correction, w, self.w_anchor,
+                           self.g_anchor, i)
+        w -= eta * self.v
+        return bool(np.isfinite(w).all()) and float(w @ w) <= limit
+
+
+class _AffineIterate:
+    """The inner iterate as w = z + sigma * y + rho * g, with z the anchor and
+    g its full gradient; a step costs O(nnz_i) (module docstring)."""
+
+    # sigma is folded into y when |sigma| leaves this range (or gamma = 0)
+    SIGMA_RANGE = (1e-100, 1e100)
+
+    def __init__(self, model, correction, w_anchor, g_anchor):
+        X = model.dataset.features
+        self.indptr, self.indices, self.data = X.indptr, X.indices, X.data
+        self.margin_coef_at = model.margin_coef_at
+        self.z, self.g = w_anchor, g_anchor
+        # per-sample epoch data as Python floats, for scalar arithmetic
+        self.z_dots = correction.anchor_dots.tolist()
+        self.g_dots = correction.grad_dots.tolist()
+        self.z_coefs = correction.anchor_coefs.tolist()
+        self.row_sq = model.row_sq_norms.tolist()
+        if correction.variant == "bb_scalar":
+            self.k = (correction.bb_scalar - correction.sample_scalars).tolist()
+        else:
+            self.k = [model.lam] * model.n
+        self.y = np.zeros(model.d)
+        self.sigma, self.rho = 1.0, 0.0
+        self.yy = self.yz = self.yg = 0.0       # y.y, y.z, y.g
+        self.zz = float(w_anchor @ w_anchor)
+        self.zg = float(w_anchor @ g_anchor)
+        self.gg = float(g_anchor @ g_anchor)
+
+    def current(self) -> np.ndarray:
+        return self.z + self.sigma * self.y + self.rho * self.g
+
+    def _fold(self) -> None:
+        y = self.y
+        y *= self.sigma
+        self.sigma = 1.0
+        self.yy, self.yz, self.yg = float(y @ y), float(y @ self.z), float(y @ self.g)
+
+    def step(self, i: int, eta: float, limit: float) -> bool:
+        """w -= eta * v_t(i); False when ||w||^2 is non-finite or > limit."""
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        cols, vals = self.indices[lo:hi], self.data[lo:hi]
+        y = self.y
+        ay = float(vals @ y[cols])
+        z_dot, g_dot = self.z_dots[i], self.g_dots[i]
+        dc = self.margin_coef_at(i, z_dot + self.sigma * ay + self.rho * g_dot) \
+            - self.z_coefs[i]
+        # u <- gamma * u - eta * g - eta * dc * a_i
+        gamma = 1.0 - eta * self.k[i]
+        self.sigma *= gamma
+        self.rho = gamma * self.rho - eta
+        if not self.SIGMA_RANGE[0] <= abs(self.sigma) <= self.SIGMA_RANGE[1]:
+            ay *= self.sigma
+            self._fold()
+        sigma, rho = self.sigma, self.rho
+        if dc != 0.0:
+            alpha = -eta * dc / sigma
+            y[cols] += alpha * vals
+            self.yy += alpha * (2.0 * ay + alpha * self.row_sq[i])
+            self.yz += alpha * z_dot
+            self.yg += alpha * g_dot
+        ww = (self.zz + sigma * sigma * self.yy + rho * rho * self.gg
+              + 2.0 * (sigma * self.yz + rho * self.zg + sigma * rho * self.yg))
+        return ww <= limit
+
+
 def run_epoch(model: LossModel, config: RunConfig, correction,
               schedule_anchors: EpochAnchors | None, epoch: int,
               w_anchor: np.ndarray, g_anchor: np.ndarray,
@@ -164,13 +279,17 @@ def run_epoch(model: LossModel, config: RunConfig, correction,
               norm_guard: float, last_bb_step: float | None = None) -> InnerSummary:
     """Run the m inner iterations of one (0-based) epoch.
 
-    Raises :class:`DivergenceError` when an iterate exceeds the norm guard
-    or turns non-finite.  Curvature failures in BB schedules fall back to
-    the last valid BB step, else the schedule's eta0.
+    ``correction`` must be built at (``w_anchor``, ``g_anchor``).  The step
+    form follows :func:`affine_step_applies`.  Raises
+    :class:`DivergenceError` when an iterate exceeds the norm guard or turns
+    non-finite.  Curvature failures in BB schedules fall back to the last
+    valid BB step, else the schedule's eta0.
     """
-    w = w_anchor.copy()
+    iterate_cls = _AffineIterate if affine_step_applies(model, correction) else _DenseIterate
+    iterate = iterate_cls(model, correction, w_anchor, g_anchor)
     option2_t = int(rng.integers(m)) if config.anchor_option == 2 else None
-    idx = rng.integers(0, model.n, size=m)
+    idx = rng.integers(0, model.n, size=m).tolist()
+    limit = norm_guard * norm_guard
     snapshot = None
     gevals = 0
     fallbacks = 0
@@ -178,8 +297,8 @@ def run_epoch(model: LossModel, config: RunConfig, correction,
     per_direction = _direction_gevals(correction)
 
     for t in range(m):
-        if option2_t is not None and t == option2_t:
-            snapshot = w.copy()
+        if t == option2_t:
+            snapshot = iterate.current()
         try:
             eta = schedule_step(config.schedule, schedule_anchors, epoch, t, m)
         except CurvatureError:
@@ -192,14 +311,13 @@ def run_epoch(model: LossModel, config: RunConfig, correction,
                 raise
         if config.schedule.kind != "constant":
             last_bb_step = eta
-        v = direction(model, correction, w, w_anchor, g_anchor, int(idx[t]))
         gevals += per_direction
-        w -= eta * v
-        if not np.isfinite(w).all() or float(w @ w) > norm_guard * norm_guard:
+        if not iterate.step(idx[t], eta, limit):
             raise DivergenceError(
                 f"iterate diverged at epoch {epoch + 1}, inner step {t + 1}",
                 epoch + 1, t + 1)
 
+    w = iterate.current()
     next_anchor = snapshot if option2_t is not None else w
     return InnerSummary(final_iterate=w, next_anchor=next_anchor.copy(),
                         last_step=eta, grad_evals=gevals,
@@ -250,8 +368,9 @@ def optimize(model: LossModel, config: RunConfig, w0: np.ndarray,
 
     Per epoch: one full-gradient snapshot, the correction build from the
     (current, previous) anchor pair, m inner steps, then the anchor update.
-    Wall-time telemetry covers the inner loops only; variance telemetry is
-    enumerated outside the timer.  Gradient-evaluation accounting per epoch:
+    Wall-time telemetry covers the whole epoch -- the full-gradient pass,
+    the correction build with its per-epoch data, and the inner loop; the
+    variance and objective telemetry are computed outside the timer.  Gradient-evaluation accounting per epoch:
     n + 2m for plain directions, n + 4m when the BB per-sample scalar is
     active (its two extra anchor gradients per step), and the first epoch
     of every correction method runs uncorrected (no previous anchor).
@@ -281,6 +400,7 @@ def optimize(model: LossModel, config: RunConfig, w0: np.ndarray,
     last_bb_step = None
 
     for epoch in range(config.epochs):
+        tic = time.perf_counter()
         g_anchor = model.grad_full(anchor)
         cum_gevals += n
 
@@ -289,12 +409,11 @@ def optimize(model: LossModel, config: RunConfig, w0: np.ndarray,
                                     delta_floor=config.delta_floor,
                                     g_curr=g_anchor, g_prev=g_prev)
         except DegenerateAnchorError:
-            corr = build_correction("none", model, anchor)
+            corr = build_correction("none", model, anchor, g_curr=g_anchor)
         sched_anchors = None
         if anchor_prev is not None:
             sched_anchors = EpochAnchors(anchor_prev, anchor, g_prev, g_anchor)
 
-        tic = time.perf_counter()
         try:
             summary = run_epoch(model, config, corr, sched_anchors, epoch,
                                 anchor, g_anchor, rng, m, norm_guard,

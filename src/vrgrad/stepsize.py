@@ -17,6 +17,7 @@ never the epoch length m.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -122,14 +123,19 @@ class EpochAnchors:
     g_prev2: np.ndarray
     g_prev1: np.ndarray
 
-    def bb_ratio(self) -> float:
-        """||dw||^2 / (dw^T dg); raises on non-positive curvature."""
+    @cached_property
+    def _secant(self) -> tuple[float, float]:
+        # (||dw||^2, dw^T dg), computed once per epoch rather than per step
         dw = self.w_prev1 - self.w_prev2
         dg = self.g_prev1 - self.g_prev2
-        denom = float(dw @ dg)
+        return float(dw @ dw), float(dw @ dg)
+
+    def bb_ratio(self) -> float:
+        """||dw||^2 / (dw^T dg); raises on non-positive curvature, on every call."""
+        sq, denom = self._secant
         if denom <= 0.0:
             raise CurvatureError(f"non-positive anchor curvature {denom:g}")
-        return float(dw @ dw) / denom
+        return sq / denom
 
 
 def step(schedule: StepSizeSchedule, anchors: EpochAnchors | None,

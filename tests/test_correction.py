@@ -122,6 +122,38 @@ def test_bb_mean_is_scalar_multiple(model, anchors):
     np.testing.assert_array_equal(op.apply_mean(u), op.bb_scalar * u)
 
 
+# -- per-epoch data ---------------------------------------------------------
+
+
+def test_epoch_data_matches_per_sample_oracles(model, anchors):
+    w_curr, w_prev = anchors
+    g = model.grad_full(w_curr)
+    X = model.dataset.features.toarray()
+    for variant, op in _build_all(model, w_curr, w_prev).items():
+        np.testing.assert_allclose(op.anchor_dots, X @ w_curr, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(op.grad_dots, X @ g, rtol=1e-12, atol=1e-15)
+        for i in range(model.n):
+            # grad f_i(z) = c_i(z) a_i + lam z
+            np.testing.assert_allclose(
+                op.anchor_coefs[i] * X[i] + model.lam * w_curr,
+                model.grad_sample(i, w_curr), rtol=1e-12, atol=1e-15, err_msg=variant)
+
+
+def test_bb_sample_scalars_give_the_per_sample_operator(model, anchors):
+    op = build_correction("bb_scalar", model, *anchors)
+    u = np.ones(model.d)
+    for i in range(model.n):
+        np.testing.assert_allclose(op.apply_sample(i, u),
+                                   (model.lam + op.sample_scalars[i]) * u, rtol=1e-12)
+
+
+def test_full_hessian_mean_uses_the_epoch_coefficients(model, anchors):
+    # the coefficients are cached for the epoch; the product keeps its bits
+    op = build_correction("full_hessian", model, *anchors)
+    u = np.arange(1.0, model.d + 1)
+    np.testing.assert_array_equal(op.apply_mean(u), model.mean_hess_vec(anchors[0], u))
+
+
 def test_full_hessian_matches_dense_assembly():
     # dense-assembly oracle on a d=5 logistic instance
     ds = synth_binary(30, 5, seed=24)

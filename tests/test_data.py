@@ -70,6 +70,20 @@ class TestParse:
         with pytest.raises(LibsvmParseError):
             parse_libsvm("+1 11:1.0", dim=10)
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_value_carries_line_number(self, token):
+        # line 3 is blank, so the bad value is on line 5 but in row 4
+        text = f"+1 1:0.5\n-1 2:1.0\n\n+1 1:2.0\n-1 1:1.0 3:{token}\n+1 2:1.0\n"
+        with pytest.raises(LibsvmParseError) as err:
+            parse_libsvm(text)
+        assert err.value.line_no == 5
+        assert "non-finite" in str(err.value)
+
+    def test_non_finite_label_carries_line_number(self):
+        with pytest.raises(LibsvmParseError) as err:
+            parse_libsvm("+1 1:0.5\nnan 2:1.0\n")
+        assert err.value.line_no == 2
+
     def test_labels_stored_as_reals(self):
         # the parser accepts any numeric label; models enforce {-1,+1}
         ds = parse_libsvm("2.5 1:1.0")
@@ -113,6 +127,13 @@ class TestSparseTypes:
     def test_no_stored_zeros(self):
         with pytest.raises(ValueError):
             SparseVector(np.array([0]), np.array([0.0]), 2)
+
+    def test_dataset_sums_duplicate_entries(self):
+        import scipy.sparse as sp
+        X = sp.csr_matrix(([1.0, 2.0, 3.0], [2, 0, 2], [0, 3]), shape=(1, 4))
+        ds = SparseDataset(X, [1.0])
+        assert list(ds.sample(0).indices) == [0, 2]
+        assert list(ds.sample(0).values) == [2.0, 4.0]
 
     def test_dataset_strips_explicit_zeros(self):
         import scipy.sparse as sp

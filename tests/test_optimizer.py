@@ -255,6 +255,34 @@ def test_wall_time_nondecreasing(small):
     assert all(a <= b for a, b in zip(times, times[1:]))
 
 
+def test_wall_time_covers_the_full_gradient_pass(small, monkeypatch):
+    # a slow grad_full shows in wall_time; slow variance telemetry does not
+    import time
+
+    import vrgrad.optimizer as optimizer
+    from vrgrad.losses import LossModel
+
+    model, _ = small
+    real_grad_full = LossModel.grad_full
+
+    def slow_grad_full(self, w):
+        time.sleep(0.05)
+        return real_grad_full(self, w)
+
+    def slow_variance(*args, **kwargs):
+        time.sleep(0.5)
+        return 0.0
+
+    monkeypatch.setattr(LossModel, "grad_full", slow_grad_full)
+    monkeypatch.setattr(optimizer, "measure_variance", slow_variance)
+    cfg = RunConfig(method="SVRG", schedule=constant(0.3), epochs=3, m=5, seed=0,
+                    variance_mode="last")
+    _, recs = optimize(model, cfg, np.zeros(model.d))
+    steps = np.diff([0.0] + [r.wall_time for r in recs])
+    assert np.all(steps >= 0.05)
+    assert np.all(steps < 0.5)
+
+
 # -- gradient-evaluation accounting ------------------------------------------------
 
 

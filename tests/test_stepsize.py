@@ -131,6 +131,24 @@ def test_curvature_error():
         step(sched, anchors, 1, 0, m=10)
 
 
+def test_curvature_error_on_every_call():
+    # the secant products are computed once per epoch; the error is not
+    sched = epoch_bb(0.3)
+    anchors = _anchors(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
+    for t in range(3):
+        with pytest.raises(CurvatureError):
+            step(sched, anchors, 1, t, m=10)
+
+
+def test_bb_ratio_matches_the_formula():
+    rng = np.random.default_rng(34)
+    w2, w1, g2, g1 = rng.standard_normal((4, 6))
+    anchors = EpochAnchors(w2, w1, g2, g1 + 10.0 * (w1 - w2))
+    dw, dg = w1 - w2, anchors.g_prev1 - g2
+    assert anchors.bb_ratio() == float(dw @ dw) / float(dw @ dg)
+    assert anchors.bb_ratio() == anchors.bb_ratio()
+
+
 def test_steps_positive_and_finite():
     rng = np.random.default_rng(31)
     sched = generalized_bb(7, XiSchedule("decay", 0.9, 0.05), eta0=0.5)
