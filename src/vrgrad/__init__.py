@@ -7,8 +7,7 @@ BB step-size schedules, closed-form convergence-rate constants, a reference
 solver, and a grid-search experiment harness.
 """
 
-from .correction import (CorrectionOperator, DegenerateAnchorError,
-                         bb_scalar_alternative, build_correction)
+from .correction import CorrectionOperator, DegenerateAnchorError, build_correction
 from .data import (LabelError, LibsvmParseError, SparseDataset, SparseVector,
                    parse_libsvm, synth_binary, write_libsvm)
 from .losses import LossModel
@@ -27,9 +26,9 @@ from .theory import (ProblemConstants, RateEstimate, alpha_bb_diag,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorrectionOperator", "DegenerateAnchorError", "bb_scalar_alternative",
-    "build_correction", "LabelError", "LibsvmParseError", "SparseDataset",
-    "SparseVector", "parse_libsvm", "synth_binary", "write_libsvm",
+    "CorrectionOperator", "DegenerateAnchorError", "build_correction",
+    "LabelError", "LibsvmParseError", "SparseDataset", "SparseVector",
+    "parse_libsvm", "synth_binary", "write_libsvm",
     "LossModel", "METHODS", "DivergenceError", "EpochRecord", "RunConfig",
     "direction", "expected_grad_evals", "measure_variance", "optimize",
     "run_epoch", "ReferenceSolution", "cached_reference", "solve_reference",

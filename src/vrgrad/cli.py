@@ -1,6 +1,6 @@
 """Command-line front end: ``run``, ``plot`` and ``reference`` subcommands.
 
-Exit codes: 0 success, 2 usage error (argparse), 3 data error,
+Exit codes: 0 success, 2 usage error (a bad flag or spec-file value), 3 data error,
 4 reference-solver failure, 5 divergence, 1 anything else.  The reference
 cache directory comes from --cache-dir or the VRGRAD_CACHE_DIR env var.
 
@@ -39,6 +39,16 @@ def _parse_synth(text: str) -> tuple:
     if len(parts) == 4:
         return (n, d, seed, float(parts[3]))
     return (n, d, seed)
+
+
+def _parse_m(text: str) -> int | None:
+    """Inner length: '2n' (or empty) is None, else an integer >= 1."""
+    if text.strip() in ("2n", ""):
+        return None
+    m = int(text)
+    if m < 1:
+        raise argparse.ArgumentTypeError(f"inner length m must be >= 1 or '2n', got {m}")
+    return m
 
 
 class _RemovedStepFlag(argparse.Action):
@@ -91,7 +101,7 @@ def _spec_from_args(args) -> ExperimentSpec:
         methods=methods,
         grid=grid,
         epochs=pick(args.epochs, "epochs", 30, int),
-        m=pick(args.m, "m", None, lambda s: None if s.strip() in ("2n", "") else int(s)),
+        m=pick(args.m, "m", None, _parse_m),
         seeds=pick(args.seeds, "seeds", (0,), lambda s: tuple(int(t) for t in s.split(","))),
         out_dir=pick(args.out, "out", "results"),
         scale_features=bool(pick(None, "scale", False, lambda s: s.lower() in ("1", "true", "yes"))
@@ -159,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--methods", type=lambda s: tuple(s.split(",")),
                        help=f"comma-separated from {', '.join(METHODS)}")
     run_p.add_argument("--epochs", type=int)
-    run_p.add_argument("--m", help="inner length (integer or '2n')")
+    run_p.add_argument("--m", type=_parse_m, help="inner length (integer or '2n')")
     run_p.add_argument("--seeds", type=lambda s: tuple(int(t) for t in s.split(",")))
     run_p.add_argument("--grid", type=_parse_floats, help="step-parameter grid")
     run_p.add_argument("--step", nargs="?", action=_RemovedStepFlag,
@@ -179,8 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     plot_p.set_defaults(func=cmd_plot)
 
     ref_p = sub.add_parser("reference", help="solve one reference minimizer")
-    ref_p.add_argument("--data", help="LIBSVM text file")
-    ref_p.add_argument("--synth", type=_parse_synth, help="n,d,seed[,separability]")
+    source = ref_p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", help="LIBSVM text file")
+    source.add_argument("--synth", type=_parse_synth, help="n,d,seed[,separability]")
     ref_p.add_argument("--model", choices=("logistic", "svm"), default="logistic")
     ref_p.add_argument("--lambda", dest="lam", type=float, required=True)
     ref_p.add_argument("--tol", type=float, default=1e-10)
@@ -195,6 +206,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except argparse.ArgumentTypeError as err:   # a bad value in a --spec file
+        parser.error(str(err))
     except (LibsvmParseError, LabelError, DataSourceError, FileNotFoundError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA

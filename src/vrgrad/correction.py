@@ -24,6 +24,13 @@ curvature coefficients, and for ``bb_scalar`` the per-sample scalars
 so that A_i = (lam + kappa_i) I.  The dense inner step reads only the
 curvature coefficients and keeps ``apply_sample``'s arithmetic; the
 O(nnz_i) inner step of :mod:`vrgrad.optimizer` reads the rest.
+
+From the same data, ``sample_parts`` gives every A_i at once as n-vectors
+(p, q, h), A_i u = p_i u + q_i a_i + h_i (a_i o a_i o u) with o the
+element-wise product: ``none`` (0, 0, -), ``bb_scalar`` (lam + kappa_i, 0, -),
+``full_hessian`` (lam, c_i a_i^T u, -), ``diag_hessian`` (lam, 0, c_i), with
+c_i the curvature coefficients.  :func:`residual_sqnorms` turns them into
+every per-sample squared residual norm in a few sparse matvecs.
 """
 
 from __future__ import annotations
@@ -96,6 +103,18 @@ class CorrectionOperator:
         X = self.model.dataset.features
         change = self.anchor_coefs - self.model.margin_coefs(X @ self.anchor_prev)
         return change * (X @ self._s) / self._s_sqnorm
+
+    def sample_parts(self, u_dots: np.ndarray):
+        """(p, q, h) with A_i u = p_i u + q_i a_i + h_i (a_i o a_i o u) for
+        every i, given ``u_dots`` = X @ u; h is None unless ``diag_hessian``."""
+        n, lam = self.model.n, self.model.lam
+        if self.variant == "none":
+            return np.zeros(n), np.zeros(n), None
+        if self.variant == "bb_scalar":
+            return lam + self.sample_scalars, np.zeros(n), None
+        if self.variant == "full_hessian":
+            return np.full(n, lam), self.curvature_coefs * u_dots, None
+        return np.full(n, lam), np.zeros(n), self.curvature_coefs
 
     def apply_sample(self, i: int, u: np.ndarray) -> np.ndarray:
         """A_i @ u for sample i."""
@@ -185,15 +204,21 @@ def build_correction(variant: str, model: LossModel, w_curr: np.ndarray,
                               s=s, s_sqnorm=s_sqnorm, delta_floor=delta_floor)
 
 
-def bb_scalar_alternative(s: np.ndarray, y: np.ndarray) -> float:
-    """The second secant pairing s^T y / ||y||^2.
-
-    Exposed for completeness; the operators above use the
-    s^T y / ||s||^2 form, which pairs with the convergence analysis.
+def residual_sqnorms(model: LossModel, x: np.ndarray, u: np.ndarray,
+                     u_dots: np.ndarray, gamma, beta, h=None) -> np.ndarray:
+    """||x + gamma_i u + beta_i a_i - h_i (a_i o a_i o u)||^2 for every i,
+    in O(nnz + d), given ``u_dots`` = X @ u (gamma, beta, h: n-vectors or
+    scalars).  The expansion reads ``X @ x``, ``u_dots`` and the row norms;
+    the diagonal term (``h`` given) adds products with X^2, X^3 and X^4.
+    Values are clamped at 0, which the expansion can round just below.
     """
-    s = np.asarray(s, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    y_sq = float(y @ y)
-    if y_sq == 0.0:
-        raise ValueError("y must be nonzero")
-    return float(s @ y) / y_sq
+    X = model.dataset.features
+    out = (float(x @ x) + gamma * gamma * float(u @ u)
+           + beta * beta * model.row_sq_norms + 2.0 * gamma * float(x @ u)
+           + 2.0 * beta * (X @ x) + 2.0 * gamma * beta * u_dots)
+    if h is not None:
+        X2 = X.power(2)
+        uu = u * u
+        out = out + h * (h * (X.power(4) @ uu) - 2.0 * (X2 @ (x * u))
+                         - 2.0 * gamma * (X2 @ uu) - 2.0 * beta * (X.power(3) @ u))
+    return np.maximum(out, 0.0)

@@ -162,8 +162,6 @@ def run_experiment(spec: ExperimentSpec, cache_dir=None) -> ResultTable:
         "methods": list(spec.methods),
         "lambdas": [float(l) for l in spec.lambdas],
         "variance_mode": spec.variance_mode,
-        "variance_enum_cap": 5000,
-        "variance_samples": 1024,
         "generalized_bb_eta0": "1/L",
         "decay_c2": "c1*lambda",
     })

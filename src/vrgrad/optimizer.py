@@ -35,6 +35,10 @@ The affine step runs when rows are short: the mean row has at most d/4
 nonzeros.  Elsewhere the dense step runs; its arithmetic is the plain
 formula above.  The two agree up to rounding.
 
+Variance telemetry (``variance_mode="last"``) is exact at any n and costs a
+few sparse matvecs per epoch (:func:`measure_variance`); it draws no
+random number and leaves the trajectory unchanged.
+
 Reproducibility: the draw order per epoch is (option-2 anchor index if
 applicable, then the m sample indices in one block), all from the run's
 single seeded generator, so (seed, config, dataset) fully determine the
@@ -48,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correction import DegenerateAnchorError, build_correction
+from .correction import DegenerateAnchorError, build_correction, residual_sqnorms
 from .losses import LossModel
 from .stepsize import CurvatureError, EpochAnchors, StepSizeSchedule
 from .stepsize import step as schedule_step
@@ -102,9 +106,7 @@ class RunConfig:
     anchor_option: int = 1
     seed: int = 0
     delta_floor: float | None = None
-    variance_mode: str = "last"   # "last" | "anchor" | "none"
-    variance_enum_cap: int = 5000
-    variance_samples: int = 1024
+    variance_mode: str = "last"   # "last" (exact, at the epoch's last iterate) | "none"
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -115,7 +117,7 @@ class RunConfig:
             raise ValueError("inner length m must be >= 1")
         if self.anchor_option not in (1, 2):
             raise ValueError("anchor_option must be 1 or 2")
-        if self.variance_mode not in ("last", "anchor", "none"):
+        if self.variance_mode not in ("last", "none"):
             raise ValueError(f"unknown variance mode {self.variance_mode!r}")
         want = _SCHEDULE_KIND_FOR[self.method]
         if self.schedule.kind != want:
@@ -136,7 +138,7 @@ class EpochRecord:
     gap: float          # fval - f_star; nan when no reference supplied
     wall_time: float    # cumulative seconds in full-gradient passes,
                         # correction builds and inner loops (no telemetry)
-    variance: float     # ||v - grad F||^2 at the measure point; nan when off
+    variance: float     # mean_i ||v_t(i) - grad F||^2 at the last iterate; nan when off
     step_size: float    # step used at the final inner iteration
     grad_evals: int     # cumulative per-sample gradient evaluations
 
@@ -156,7 +158,9 @@ def direction(model: LossModel, correction, w_curr: np.ndarray,
 
     With the zero correction this is the plain variance-reduced gradient
     grad f_i(w) - grad f_i(anchor) + g_anchor; the correction adds
-    (A - A_i)(w - anchor).  E_i[v_t] = grad F(w_curr) for every variant.
+    (A - A_i)(w - anchor).  E_i[v_t] = grad F(w_curr), except that
+    ``bb_scalar`` floors its mean scalar only, which adds
+    (bb_scalar - bb_raw)(w_curr - anchor) when the floor is active.
     """
     v = model.grad_sample_delta(i, w_curr, w_anchor)
     v += g_anchor
@@ -324,42 +328,21 @@ def run_epoch(model: LossModel, config: RunConfig, correction,
                         curvature_fallbacks=fallbacks)
 
 
-def measure_variance(model: LossModel, correction, w_curr: np.ndarray,
-                     w_anchor: np.ndarray, g_anchor: np.ndarray, *,
-                     enum_cap: int = 5000, n_samples: int = 1024,
-                     rng: np.random.Generator | None = None) -> float:
-    """(1/n) sum_i ||v_t(i) - grad F(w_curr)||^2.
+def measure_variance(model: LossModel, correction, w: np.ndarray) -> float:
+    """mean_i ||v_t(i) - grad F(w)||^2, exactly, in O(nnz + d).
 
-    Exact enumeration over all samples when n <= enum_cap, otherwise an
-    unbiased estimate from ``n_samples`` uniform draws.  The mean-operator
-    and full-gradient terms are shared across i, so they are hoisted out of
-    the per-sample loop.
+    With u = w - anchor and the correction's ``sample_parts`` (p, q, h),
+    v_t(i) - grad F(w) = x + (lam - p_i) u + beta_i a_i - h_i (a_i o a_i o u),
+    x = g_anchor - grad F(w) + A u, beta_i = c_i(w) - c_i(anchor) - q_i.
+    (lam - p_i cancels lam u in the coefficient rather than in the sum.)
     """
-    g_full = model.grad_full(w_curr)
-    common = g_anchor - g_full
-    u = None
-    if correction is not None and correction.variant != "none":
-        u = w_curr - w_anchor
-        common = common + correction.apply_mean(u)
-
-    n = model.n
-    if n <= enum_cap:
-        indices = range(n)
-        count = n
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        indices = rng.integers(0, n, size=n_samples)
-        count = n_samples
-
-    acc = 0.0
-    for i in indices:
-        r = model.grad_sample_delta(int(i), w_curr, w_anchor)
-        r += common
-        if u is not None:
-            r -= correction.apply_sample(int(i), u)
-        acc += float(r @ r)
-    return acc / count
+    X = model.dataset.features
+    u = w - correction.anchor
+    u_dots = X @ u
+    p, q, h = correction.sample_parts(u_dots)
+    x = correction.g_anchor - model.grad_full(w) + correction.apply_mean(u)
+    beta = model.margin_coefs(X @ w) - correction.anchor_coefs - q
+    return float(np.mean(residual_sqnorms(model, x, u, u_dots, model.lam - p, beta, h)))
 
 
 def optimize(model: LossModel, config: RunConfig, w0: np.ndarray,
@@ -426,18 +409,9 @@ def optimize(model: LossModel, config: RunConfig, w0: np.ndarray,
         if config.schedule.kind != "constant" and np.isfinite(summary.last_step):
             last_bb_step = summary.last_step
 
+        var = float("nan")
         if config.variance_mode == "last":
-            var = measure_variance(model, corr, summary.final_iterate, anchor,
-                                   g_anchor, enum_cap=config.variance_enum_cap,
-                                   n_samples=config.variance_samples,
-                                   rng=np.random.default_rng((config.seed, epoch)))
-        elif config.variance_mode == "anchor":
-            var = measure_variance(model, corr, anchor, anchor, g_anchor,
-                                   enum_cap=config.variance_enum_cap,
-                                   n_samples=config.variance_samples,
-                                   rng=np.random.default_rng((config.seed, epoch)))
-        else:
-            var = float("nan")
+            var = measure_variance(model, corr, summary.final_iterate)
 
         anchor_prev, g_prev = anchor, g_anchor
         anchor = summary.next_anchor

@@ -16,7 +16,7 @@ never the epoch length m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -80,9 +80,6 @@ class StepSizeSchedule:
                 raise ValueError("eta0 must be > 0 when given")
         else:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-
-    def with_eta0(self, eta0: float) -> "StepSizeSchedule":
-        return replace(self, eta0=eta0)
 
 
 def constant(eta: float) -> StepSizeSchedule:

@@ -13,7 +13,7 @@ on the squared anchor displacement along a trajectory.  From these:
   follow in closed form, each with an explicit feasibility region.
 
 ``estimate_alpha_empirical`` certifies the residual-ratio bound on actual
-trajectory points by enumeration.
+trajectory points, exactly over all samples.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correction import residual_sqnorms
 from .losses import LossModel
 
 
@@ -39,11 +40,6 @@ class ProblemConstants:
             raise ValueError("L_tilde and M must be >= 0")
 
 
-def constants_for(model: LossModel, L_tilde: float = 0.0, M: float = 0.0) -> ProblemConstants:
-    return ProblemConstants(mu=model.strong_convexity(), L=model.smoothness(),
-                            L_tilde=L_tilde, M=M)
-
-
 @dataclass(frozen=True)
 class RateEstimate:
     value: float
@@ -56,10 +52,6 @@ def alpha_full_hessian(constants: ProblemConstants) -> float:
     """Residual-ratio constant for the exact-Hessian correction:
     L_tilde^2 * M / (4 mu^2)."""
     return constants.L_tilde ** 2 * constants.M / (4.0 * constants.mu ** 2)
-
-
-# the name under which the harness reports it
-alpha_svrg2 = alpha_full_hessian
 
 
 def alpha_bb_diag(constants: ProblemConstants) -> float:
@@ -137,25 +129,24 @@ def estimate_alpha_empirical(model: LossModel, correction, points) -> float:
         mean_i ||grad f_i(w) - grad f_i(anchor) - A_i u||^2
         / mean_i ||grad f_i(w) - grad f_i(anchor)||^2
 
-    is enumerated exactly; the max over points is returned.  Points with a
-    zero denominator are skipped.
+    is computed exactly (``residual_sqnorms`` of the correction's
+    ``sample_parts``); the max over points is returned.  Points with a zero
+    denominator are skipped.
     """
-    anchor = correction.anchor
+    X = model.dataset.features
+    zero = np.zeros(model.d)
     best = None
     for w in points:
         w = np.asarray(w, dtype=np.float64)
-        u = w - anchor
-        lhs = 0.0
-        rhs = 0.0
-        for i in range(model.n):
-            delta = model.grad_sample_delta(i, w, anchor)
-            rhs += float(delta @ delta)
-            r = delta - correction.apply_sample(i, u)
-            lhs += float(r @ r)
+        u = w - correction.anchor
+        u_dots = X @ u
+        p, q, h = correction.sample_parts(u_dots)
+        dc = model.margin_coefs(X @ w) - correction.anchor_coefs
+        rhs = float(np.mean(residual_sqnorms(model, zero, u, u_dots, model.lam, dc)))
         if rhs == 0.0:
             continue
-        ratio = lhs / rhs
-        best = ratio if best is None else max(best, ratio)
+        lhs = float(np.mean(residual_sqnorms(model, zero, u, u_dots, model.lam - p, dc - q, h)))
+        best = lhs / rhs if best is None else max(best, lhs / rhs)
     if best is None:
         raise ValueError("no usable points: every denominator was zero")
     return best

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from vrgrad.correction import (DegenerateAnchorError, bb_scalar_alternative,
-                               build_correction, default_delta_floor)
+from vrgrad.correction import (DegenerateAnchorError, build_correction,
+                               default_delta_floor)
 from vrgrad.data import synth_binary
 from vrgrad.losses import LossModel
 
@@ -208,39 +208,6 @@ def test_bb_scalar_within_curvature_bounds():
         w_curr = w_prev - 0.3 * model.grad_full(w_prev)
         op = build_correction("bb_scalar", model, w_curr, w_prev)
         assert lam - 1e-10 <= op.bb_raw <= model.smoothness() + 1e-10
-
-
-# -- the alternative secant pairing -------------------------------------------
-
-
-def test_alternative_identity():
-    s = np.array([2.0, -1.0])
-    assert bb_scalar_alternative(s, s.copy()) == pytest.approx(1.0)
-
-
-def test_alternative_diagonal_quadratic():
-    # diag(1, 4), s = (1, 1): y = (1, 4), s.y = 5, ||y||^2 = 17 -> 5/17
-    assert bb_scalar_alternative(np.array([1.0, 1.0]), np.array([1.0, 4.0])) \
-        == pytest.approx(5.0 / 17.0, rel=1e-15)
-
-
-def test_alternative_zero_y():
-    with pytest.raises(ValueError):
-        bb_scalar_alternative(np.ones(2), np.zeros(2))
-
-
-def test_pairing_order_on_random_spd_quadratics():
-    # s^T y/||y||^2 <= ||s||^2/(s^T y): the two secant steps bracket each other
-    rng = np.random.default_rng(28)
-    for _ in range(50):
-        d = int(rng.integers(2, 8))
-        A = rng.standard_normal((d, d))
-        H = A @ A.T + 0.1 * np.eye(d)
-        s = rng.standard_normal(d)
-        y = H @ s
-        alt_step = bb_scalar_alternative(s, y)
-        main_scalar = float(s @ y) / float(s @ s)
-        assert alt_step <= 1.0 / main_scalar + 1e-12
 
 
 # -- second-order residual (Taylor remainder) ---------------------------------

@@ -249,12 +249,11 @@ def test_variance_envelope_holds_along_trajectory():
     rng = np.random.default_rng(73)
     w_prev = rng.standard_normal(6)
     w_anchor = w_prev - 0.4 * model.grad_full(w_prev)
-    g_anchor = model.grad_full(w_anchor)
     for variant in ("bb_scalar", "diag_hessian"):
         corr = build_correction(variant, model, w_anchor, w_prev)
         for _ in range(5):
             w = w_anchor + 0.3 * rng.standard_normal(6)
-            var = measure_variance(model, corr, w, w_anchor, g_anchor)
+            var = measure_variance(model, corr, w)
             bound = empirical_variance_bound(model.lam, L, alpha,
                                              model.value(w), model.value(w_anchor),
                                              sol.f_star)
