@@ -8,8 +8,8 @@ solver, and a grid-search experiment harness.
 """
 
 from .correction import CorrectionOperator, DegenerateAnchorError, build_correction
-from .data import (LabelError, LibsvmParseError, SparseDataset, SparseVector,
-                   parse_libsvm, synth_binary, write_libsvm)
+from .data import (LabelError, LibsvmParseError, SparseDataset, parse_libsvm,
+                   synth_binary, write_libsvm)
 from .losses import LossModel
 from .optimizer import (METHODS, DivergenceError, EpochRecord, RunConfig,
                         direction, expected_grad_evals, measure_variance,
@@ -27,8 +27,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CorrectionOperator", "DegenerateAnchorError", "build_correction",
-    "LabelError", "LibsvmParseError", "SparseDataset", "SparseVector",
-    "parse_libsvm", "synth_binary", "write_libsvm",
+    "LabelError", "LibsvmParseError", "SparseDataset", "parse_libsvm",
+    "synth_binary", "write_libsvm",
     "LossModel", "METHODS", "DivergenceError", "EpochRecord", "RunConfig",
     "direction", "expected_grad_evals", "measure_variance", "optimize",
     "run_epoch", "ReferenceSolution", "cached_reference", "solve_reference",

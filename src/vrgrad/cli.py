@@ -5,7 +5,9 @@ Exit codes: 0 success, 2 usage error (a bad flag or spec-file value), 3 data err
 cache directory comes from --cache-dir or the VRGRAD_CACHE_DIR env var.
 
 Config files for ``run --spec`` are flat ``key = value`` text; list values
-are comma-separated.  Precedence: CLI flag > spec file > defaults.
+are comma-separated.  A flag and its spec key share one converter.
+Precedence: CLI flag > spec file > :class:`~vrgrad.harness.ExperimentSpec`'s
+defaults.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ import sys
 from pathlib import Path
 
 from .data import LabelError, LibsvmParseError, parse_libsvm, synth_binary
-from .harness import (DEFAULT_GRID, DEFAULT_LAMBDAS, DataSourceError,
-                      ExperimentSpec, ReferenceError, emit_csv, emit_plots,
-                      load_table, run_experiment)
+from .harness import (DataSourceError, ExperimentSpec, ReferenceError,
+                      emit_csv, emit_plots, load_table, run_experiment)
 from .losses import LossModel
 from .optimizer import METHODS, DivergenceError
-from .reference import solve_reference
+from .reference import save_reference, solve_reference
 
 EXIT_DATA = 3
 EXIT_REFERENCE = 4
@@ -29,6 +30,20 @@ EXIT_DIVERGENCE = 5
 
 def _parse_floats(text: str) -> tuple:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+def _parse_ints(text: str) -> tuple:
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+def _parse_methods(text: str) -> tuple:
+    """Comma-separated names; blanks around a name and empty items are dropped."""
+    methods = tuple(tok.strip() for tok in text.split(",") if tok.strip())
+    for name in methods or ("",):
+        if name not in METHODS:
+            raise argparse.ArgumentTypeError(
+                f"unknown method {name!r}; choose from {', '.join(METHODS)}")
+    return methods
 
 
 def _parse_synth(text: str) -> tuple:
@@ -74,40 +89,37 @@ def read_spec_file(path) -> dict:
     return values
 
 
+# ExperimentSpec field -> (spec-file key and ``run`` flag dest, converter of
+# the key's text); the flag parses with the same converter (--scale is a switch)
+_RUN_FIELDS = {
+    "data_path": ("data", str),
+    "synth": ("synth", _parse_synth),
+    "model": ("model", str),
+    "lambdas": ("lambda", _parse_floats),
+    "methods": ("methods", _parse_methods),
+    "grid": ("grid", _parse_floats),
+    "epochs": ("epochs", int),
+    "m": ("m", _parse_m),
+    "seeds": ("seeds", _parse_ints),
+    "out_dir": ("out", str),
+    "scale_features": ("scale", lambda s: s.lower() in ("1", "true", "yes")),
+    "subsample": ("subsample", int),
+}
+
+
 def _spec_from_args(args) -> ExperimentSpec:
+    """The flags and spec-file keys given; ExperimentSpec has the defaults."""
     file_vals = read_spec_file(args.spec) if args.spec else {}
-
-    def pick(cli_val, key, default, convert=lambda x: x):
-        if cli_val is not None:
-            return cli_val
-        if key in file_vals:
-            return convert(file_vals[key])
-        return default
-
-    synth = pick(args.synth, "synth", None, _parse_synth)
-    data_path = pick(args.data, "data", None)
-    if synth is None and data_path is None:
-        synth = (1000, 20, 0)
-
-    methods = pick(args.methods, "methods", ("SVRG",),
-                   lambda s: tuple(tok.strip() for tok in s.split(",") if tok.strip()))
-    grid = pick(args.grid, "grid", DEFAULT_GRID, _parse_floats)
-
-    return ExperimentSpec(
-        data_path=data_path,
-        synth=synth,
-        model=pick(args.model, "model", "logistic"),
-        lambdas=pick(args.lambdas, "lambda", DEFAULT_LAMBDAS, _parse_floats),
-        methods=methods,
-        grid=grid,
-        epochs=pick(args.epochs, "epochs", 30, int),
-        m=pick(args.m, "m", None, _parse_m),
-        seeds=pick(args.seeds, "seeds", (0,), lambda s: tuple(int(t) for t in s.split(","))),
-        out_dir=pick(args.out, "out", "results"),
-        scale_features=bool(pick(None, "scale", False, lambda s: s.lower() in ("1", "true", "yes"))
-                            or args.scale),
-        subsample=pick(args.subsample, "subsample", None, int),
-    )
+    given = {}
+    for field, (key, convert) in _RUN_FIELDS.items():
+        if hasattr(args, key):
+            given[field] = getattr(args, key)
+        elif key in file_vals:
+            try:
+                given[field] = convert(file_vals[key])
+            except ValueError as err:
+                raise argparse.ArgumentTypeError(f"spec file {key}: {err}") from None
+    return ExperimentSpec(**given)
 
 
 def cmd_run(args) -> int:
@@ -147,7 +159,6 @@ def cmd_reference(args) -> int:
     print(f"f_star={sol.f_star!r} ||grad||={sol.grad_norm:.3e} "
           f"iterations={sol.iterations}")
     if args.out:
-        from .reference import save_reference
         save_reference(args.out, sol)
         print(f"saved to {args.out}")
     return 0
@@ -159,27 +170,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Variance-reduced stochastic gradient experiment driver")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run a grid-search experiment")
-    run_p.add_argument("--spec", help="flat key=value spec file")
+    # a flag of _RUN_FIELDS is in the namespace only when given
+    run_p = sub.add_parser("run", help="run a grid-search experiment",
+                           argument_default=argparse.SUPPRESS)
+    run_p.add_argument("--spec", default=None, help="flat key=value spec file")
     run_p.add_argument("--data", help="LIBSVM text file")
     run_p.add_argument("--synth", type=_parse_synth, help="n,d,seed[,separability]")
     run_p.add_argument("--model", choices=("logistic", "svm"))
-    run_p.add_argument("--lambda", dest="lambdas", type=_parse_floats,
+    run_p.add_argument("--lambda", type=_parse_floats,
                        help="comma-separated regularization weights")
-    run_p.add_argument("--methods", type=lambda s: tuple(s.split(",")),
+    run_p.add_argument("--methods", type=_parse_methods,
                        help=f"comma-separated from {', '.join(METHODS)}")
     run_p.add_argument("--epochs", type=int)
     run_p.add_argument("--m", type=_parse_m, help="inner length (integer or '2n')")
-    run_p.add_argument("--seeds", type=lambda s: tuple(int(t) for t in s.split(",")))
+    run_p.add_argument("--seeds", type=_parse_ints)
     run_p.add_argument("--grid", type=_parse_floats, help="step-parameter grid")
     run_p.add_argument("--step", nargs="?", action=_RemovedStepFlag,
-                       default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+                       help=argparse.SUPPRESS)
     run_p.add_argument("--out", help="output directory")
     run_p.add_argument("--scale", action="store_true",
                        help="per-feature max-abs scaling")
     run_p.add_argument("--subsample", type=int, help="random subsample size")
-    run_p.add_argument("--plots", action="store_true", help="also write SVG figures")
-    run_p.add_argument("--cache-dir", help="reference cache directory")
+    run_p.add_argument("--plots", action="store_true", default=False,
+                       help="also write SVG figures")
+    run_p.add_argument("--cache-dir", default=None, help="reference cache directory")
     run_p.set_defaults(func=cmd_run)
 
     plot_p = sub.add_parser("plot", help="regenerate figures from emitted CSVs")

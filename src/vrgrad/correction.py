@@ -62,7 +62,7 @@ class CorrectionOperator:
 
     def __init__(self, variant, model, anchor, g_anchor, *, anchor_prev=None,
                  bb_raw=None, bb_scalar=None, s=None, s_sqnorm=None,
-                 diag_mean=None, delta_floor=0.0):
+                 diag_mean=None):
         self.variant = variant
         self.model = model
         self.anchor = anchor
@@ -70,7 +70,6 @@ class CorrectionOperator:
         self.anchor_prev = anchor_prev
         self.bb_raw = bb_raw          # unfloored secant ratio
         self.bb_scalar = bb_scalar    # floored; used by apply_mean
-        self.delta_floor = delta_floor
         self._s = s
         self._s_sqnorm = s_sqnorm
         self._diag_mean = diag_mean
@@ -118,9 +117,7 @@ class CorrectionOperator:
 
     def apply_sample(self, i: int, u: np.ndarray) -> np.ndarray:
         """A_i @ u for sample i."""
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != (self.model.d,):
-            raise ValueError(f"u has shape {u.shape}, expected ({self.model.d},)")
+        u = self.model._check_dim(u, "u")
         if self.variant == "none":
             return np.zeros_like(u)
         if self.variant == "full_hessian":
@@ -136,9 +133,7 @@ class CorrectionOperator:
 
     def apply_mean(self, u: np.ndarray) -> np.ndarray:
         """A @ u."""
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != (self.model.d,):
-            raise ValueError(f"u has shape {u.shape}, expected ({self.model.d},)")
+        u = self.model._check_dim(u, "u")
         if self.variant == "none":
             return np.zeros_like(u)
         if self.variant == "full_hessian":
@@ -155,7 +150,6 @@ class CorrectionOperator:
 
 def build_correction(variant: str, model: LossModel, w_curr: np.ndarray,
                      w_prev: np.ndarray | None = None,
-                     delta_floor: float | None = None,
                      g_curr: np.ndarray | None = None,
                      g_prev: np.ndarray | None = None) -> CorrectionOperator:
     """Build the epoch's correction operator anchored at ``w_curr``.
@@ -166,7 +160,7 @@ def build_correction(variant: str, model: LossModel, w_curr: np.ndarray,
     variant degrades to the zero operator.  For ``bb_scalar`` the mean
     scalar is s^T y / ||s||^2 with s = w_curr - w_prev and
     y = grad F(w_curr) - grad F(w_prev) (supply ``g_prev`` to reuse a cached
-    full gradient), floored at ``delta_floor``.
+    full gradient), floored at :func:`default_delta_floor`.
 
     Raises
     ------
@@ -197,11 +191,9 @@ def build_correction(variant: str, model: LossModel, w_curr: np.ndarray,
     if g_prev is None:
         g_prev = model.grad_full(w_prev)
     raw = float(s @ (g_curr - g_prev)) / s_sqnorm
-    if delta_floor is None:
-        delta_floor = default_delta_floor(model)
     return CorrectionOperator("bb_scalar", model, w_curr, g_curr, anchor_prev=w_prev,
-                              bb_raw=raw, bb_scalar=max(raw, delta_floor),
-                              s=s, s_sqnorm=s_sqnorm, delta_floor=delta_floor)
+                              bb_raw=raw, bb_scalar=max(raw, default_delta_floor(model)),
+                              s=s, s_sqnorm=s_sqnorm)
 
 
 def residual_sqnorms(model: LossModel, x: np.ndarray, u: np.ndarray,

@@ -8,7 +8,6 @@ shared freely between concurrent solver runs.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,43 +23,6 @@ class LibsvmParseError(ValueError):
 
 class LabelError(ValueError):
     """A label fell outside the supplied normalization rule."""
-
-
-@dataclass(frozen=True)
-class SparseVector:
-    """One sample: strictly increasing 0-based indices, no stored zeros."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=np.float64)
-        if idx.shape != val.shape or idx.ndim != 1:
-            raise ValueError("indices and values must be 1-d arrays of equal length")
-        if idx.size and (np.any(np.diff(idx) <= 0)):
-            raise ValueError("indices must be strictly increasing")
-        if idx.size and (idx[0] < 0 or idx[-1] >= self.dim):
-            raise ValueError(f"index out of range for dim={self.dim}")
-        if np.any(val == 0.0):
-            raise ValueError("zero values must not be stored")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[self.indices] = self.values
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseVector):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
-        )
 
 
 class SparseDataset:
@@ -86,20 +48,6 @@ class SparseDataset:
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def from_samples(cls, samples: list[SparseVector], labels, dim: int | None = None) -> "SparseDataset":
-        if dim is None:
-            dim = max((s.dim for s in samples), default=0)
-        indptr = np.zeros(len(samples) + 1, dtype=np.int64)
-        for i, s in enumerate(samples):
-            if s.dim > dim:
-                raise ValueError(f"sample {i} has dim {s.dim} > dataset dim {dim}")
-            indptr[i + 1] = indptr[i] + s.indices.size
-        indices = np.concatenate([s.indices for s in samples]) if samples else np.zeros(0, dtype=np.int64)
-        values = np.concatenate([s.values for s in samples]) if samples else np.zeros(0)
-        X = sp.csr_matrix((values, indices, indptr), shape=(len(samples), dim))
-        return cls(X, labels)
-
-    @classmethod
     def from_dense(cls, X: np.ndarray, labels) -> "SparseDataset":
         return cls(sp.csr_matrix(np.asarray(X, dtype=np.float64)), labels)
 
@@ -120,10 +68,6 @@ class SparseDataset:
     @property
     def labels(self) -> np.ndarray:
         return self._labels
-
-    def sample(self, i: int) -> SparseVector:
-        sl = slice(self._X.indptr[i], self._X.indptr[i + 1])
-        return SparseVector(self._X.indices[sl].astype(np.int64), self._X.data[sl].copy(), self.d)
 
     def subsample(self, indices) -> "SparseDataset":
         indices = np.asarray(indices, dtype=np.int64)
@@ -150,7 +94,7 @@ class SparseDataset:
         return f"SparseDataset(n={self.n}, d={self.d}, nnz={self._X.nnz})"
 
 
-def parse_libsvm(source, label_map: dict | None = None, dim: int | None = None) -> SparseDataset:
+def parse_libsvm(source, label_map: dict | None = None) -> SparseDataset:
     """Parse LIBSVM text (``label idx:val idx:val ...``, 1-based indices).
 
     Parameters
@@ -159,11 +103,10 @@ def parse_libsvm(source, label_map: dict | None = None, dim: int | None = None) 
     label_map : optional mapping applied to each parsed label, e.g.
         ``{3.0: -1.0, 8.0: +1.0}``; a label missing from the map raises
         :class:`LabelError`.
-    dim : force the ambient dimension (train/test splits must agree);
-        defaults to the max observed index.
 
-    Duplicate or non-increasing indices within a line, and non-finite
-    labels or values (``inf``, ``nan``), are a parse error.
+    The dimension d is the largest index seen.  Duplicate or non-increasing
+    indices within a line, and non-finite labels or values (``inf``,
+    ``nan``), are a parse error.
     """
     if isinstance(source, str):
         lines = io.StringIO(source)
@@ -211,15 +154,13 @@ def parse_libsvm(source, label_map: dict | None = None, dim: int | None = None) 
             val[j] = v
         if idx.size:
             max_index = max(max_index, int(idx[-1]))
-            if dim is not None and idx[-1] >= dim:
-                raise LibsvmParseError(f"index {int(idx[-1]) + 1} exceeds forced dim {dim}", line_no)
 
         labels.append(label)
         line_nos.append(line_no)
         rows_idx.append(idx)
         rows_val.append(val)
 
-    d = dim if dim is not None else max_index + 1
+    d = max_index + 1
     n = len(labels)
     indptr = np.zeros(n + 1, dtype=np.int64)
     for i, idx in enumerate(rows_idx):

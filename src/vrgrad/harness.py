@@ -30,6 +30,7 @@ from .stepsize import StepSizeSchedule
 
 DEFAULT_GRID = (1e0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 DEFAULT_LAMBDAS = (1e-3, 1e-4, 1e-5)
+DEFAULT_SYNTH = (1000, 20, 0)
 
 
 class DataSourceError(RuntimeError):
@@ -71,7 +72,7 @@ class ExperimentSpec:
             if meth not in METHODS:
                 raise ValueError(f"unknown method {meth!r}")
         if self.data_path is None and self.synth is None:
-            raise ValueError("either data_path or synth must be given")
+            self.synth = DEFAULT_SYNTH
 
 
 @dataclass
@@ -218,7 +219,9 @@ def _fmt_float(x: float) -> str:
 
 
 def _param_token(x: float) -> str:
-    return f"{x:.6g}".replace("+", "")
+    """x in 6 significant digits, or in full when those name another float."""
+    token = f"{x:.6g}"
+    return (token if float(token) == x else repr(float(x))).replace("+", "")
 
 
 def run_filename(model: str, lam: float, method: str, step_param: float, seed: int) -> str:

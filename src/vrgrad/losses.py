@@ -1,24 +1,59 @@
 """Finite-sum loss models with per-sample derivative oracles.
 
-Two model families over a :class:`~vrgrad.data.SparseDataset`:
+Both kinds are margin losses over a :class:`~vrgrad.data.SparseDataset`:
+f_i(w) = phi(m_i) + (lam/2) ||w||^2 with the margin m_i = b_i a_i^T w, so
+that F(w) = (1/n) sum_i f_i(w) carries the l2 term exactly once.
 
-* ``"logistic"``:      f_i(w) = log(1 + exp(-b_i a_i^T w)) + (lam/2) ||w||^2
-* ``"squared_hinge"``: f_i(w) = (1/2) max(0, 1 - b_i a_i^T w)^2 + (lam/2) ||w||^2
+* ``"logistic"``:      phi(m) = log(1 + exp(-m)),       sup phi'' = 1/4
+* ``"squared_hinge"``: phi(m) = (1/2) max(0, 1 - m)^2,  sup phi'' = 1
 
-so that F(w) = (1/n) sum_i f_i(w) carries the l2 term exactly once.  At the
-hinge kink (margin exactly 0) the curvature oracles use the inactive branch
-(lam * I); the event has measure zero and the smaller curvature is the
-conservative choice.
+Each kind is one link in ``_LINKS``: phi, phi', phi'' and sup phi''.  Every
+oracle reads it: grad f_i(w) = b_i phi'(m_i) a_i + lam w,
+hess f_i(w) = phi''(m_i) a_i a_i^T + lam I and L_i = sup phi'' ||a_i||^2 + lam.
+phi' and phi'' come in an array form and a float form.  The float form runs
+on every inner step, so it makes no ufunc call; it returns the same bits.
+At the hinge kink (m = 1) phi'' takes the inactive branch, 0: the event has
+measure zero and the smaller curvature is the conservative choice.
 """
 
 from __future__ import annotations
+
+import math
+from collections import namedtuple
 
 import numpy as np
 from scipy.special import expit
 
 from .data import SparseDataset
 
-KINDS = ("logistic", "squared_hinge")
+
+def _expit_at(m: float) -> float:
+    """scipy's ``expit(m)`` = 1 / (1 + exp(-m)) on a float, bit for bit."""
+    try:
+        return 1.0 / (1.0 + math.exp(-m))
+    except OverflowError:   # exp(-m) = inf
+        return 0.0
+
+
+# phi, phi', phi'' on arrays; phi', phi'' on a float (suffix _at)
+_Link = namedtuple("_Link", "phi dphi d2phi dphi_at d2phi_at sup_d2phi")
+_LINKS = {
+    "logistic": _Link(
+        phi=lambda m: np.logaddexp(0.0, -m),
+        dphi=lambda m: -expit(-m),
+        d2phi=lambda m: (s := expit(m)) * (1.0 - s),
+        dphi_at=lambda m: -_expit_at(-m),
+        d2phi_at=lambda m: (s := _expit_at(m)) * (1.0 - s),
+        sup_d2phi=0.25),
+    "squared_hinge": _Link(
+        phi=lambda m: 0.5 * np.square(np.maximum(0.0, 1.0 - m)),
+        dphi=lambda m: -np.maximum(0.0, 1.0 - m),
+        d2phi=lambda m: ((1.0 - m) > 0.0).astype(np.float64),
+        dphi_at=lambda m: -max(0.0, 1.0 - m),
+        d2phi_at=lambda m: 1.0 if 1.0 - m > 0.0 else 0.0,
+        sup_d2phi=1.0),
+}
+KINDS = tuple(_LINKS)
 _ALIASES = {"svm": "squared_hinge", "squared-hinge": "squared_hinge", "lr": "logistic"}
 
 
@@ -38,10 +73,10 @@ class LossModel:
         self.dataset = dataset
         self.lam = float(lam)
         self.kind = kind
+        self._link = _LINKS[kind]
+        self._b = dataset.labels.tolist()   # floats, for the per-step oracles
         X = dataset.features
-        self._indptr = X.indptr
-        self._indices = X.indices
-        self._data = X.data
+        self._indptr, self._indices, self._data = X.indptr, X.indices, X.data
         self.row_sq_norms = np.asarray(X.multiply(X).sum(axis=1)).ravel()
 
     # -- shapes ------------------------------------------------------------
@@ -70,40 +105,26 @@ class LossModel:
         """F(w) = (1/n) sum_i f_i(w)."""
         w = self._check_dim(w)
         margins = self.dataset.labels * (self.dataset.features @ w)
-        reg = 0.5 * self.lam * float(w @ w)
-        if self.kind == "logistic":
-            return float(np.mean(np.logaddexp(0.0, -margins))) + reg
-        act = np.maximum(0.0, 1.0 - margins)
-        return 0.5 * float(np.mean(act * act)) + reg
+        return float(np.mean(self._link.phi(margins))) + 0.5 * self.lam * float(w @ w)
 
     def value_sample(self, i: int, w: np.ndarray) -> float:
         """f_i(w), including this sample's share of the regularizer."""
         w = self._check_dim(w)
         idx, vals = self._row(i)
-        margin = self.dataset.labels[i] * float(vals @ w[idx])
-        reg = 0.5 * self.lam * float(w @ w)
-        if self.kind == "logistic":
-            return float(np.logaddexp(0.0, -margin)) + reg
-        act = max(0.0, 1.0 - margin)
-        return 0.5 * act * act + reg
+        margin = self._b[i] * float(vals @ w[idx])
+        return float(self._link.phi(margin)) + 0.5 * self.lam * float(w @ w)
 
     # -- gradients ----------------------------------------------------------
 
     def margin_coef_at(self, i: int, dot: float) -> float:
         """The scalar c with grad f_i(w) = c * a_i + lam * w, given a_i^T w."""
-        b = self.dataset.labels[i]
-        m = b * dot
-        if self.kind == "logistic":
-            return float(-b * expit(-m))
-        return float(-b * max(0.0, 1.0 - m))
+        b = self._b[i]
+        return b * self._link.dphi_at(b * dot)
 
     def margin_coefs(self, dots: np.ndarray) -> np.ndarray:
         """:meth:`margin_coef_at` for every sample, given ``X @ w``."""
         b = self.dataset.labels
-        margins = b * dots
-        if self.kind == "logistic":
-            return -b * expit(-margins)
-        return -b * np.maximum(0.0, 1.0 - margins)
+        return b * self._link.dphi(b * dots)
 
     def _margin_coef(self, i: int, w: np.ndarray) -> float:
         idx, vals = self._row(i)
@@ -135,13 +156,8 @@ class LossModel:
 
     def _curv_coef(self, i: int, w: np.ndarray) -> float:
         """Scalar c with hess f_i = c * a_i a_i^T + lam * I."""
-        b = self.dataset.labels[i]
         idx, vals = self._row(i)
-        m = b * float(vals @ w[idx])
-        if self.kind == "logistic":
-            s = expit(m)
-            return float(s * (1.0 - s))
-        return 1.0 if (1.0 - m) > 0.0 else 0.0
+        return self._link.d2phi_at(self._b[i] * float(vals @ w[idx]))
 
     def hess_vec_sample(self, i: int, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         """hess f_i(w) @ v."""
@@ -167,11 +183,7 @@ class LossModel:
     def curvature_coefs(self, dots: np.ndarray) -> np.ndarray:
         """The scalars c_i with hess f_i(w) = c_i * a_i a_i^T + lam * I,
         given ``X @ w``."""
-        margins = self.dataset.labels * dots
-        if self.kind == "logistic":
-            s = expit(margins)
-            return s * (1.0 - s)
-        return ((1.0 - margins) > 0.0).astype(np.float64)
+        return self._link.d2phi(self.dataset.labels * dots)
 
     def mean_hess_vec(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         """(1/n) sum_i hess f_i(w) @ v via two sparse matvecs (no Hessian formed)."""
@@ -195,9 +207,8 @@ class LossModel:
     # -- constants for the rate machinery ------------------------------------
 
     def per_sample_smoothness(self) -> np.ndarray:
-        """L_i: 0.25 ||a_i||^2 + lam (logistic) or ||a_i||^2 + lam (hinge)."""
-        scale = 0.25 if self.kind == "logistic" else 1.0
-        return scale * self.row_sq_norms + self.lam
+        """L_i = sup phi'' ||a_i||^2 + lam."""
+        return self._link.sup_d2phi * self.row_sq_norms + self.lam
 
     def smoothness(self) -> float:
         """L = max_i L_i."""

@@ -48,7 +48,7 @@ trajectory.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,34 +57,18 @@ from .losses import LossModel
 from .stepsize import CurvatureError, EpochAnchors, StepSizeSchedule
 from .stepsize import step as schedule_step
 
-METHODS = ("SVRG", "SVRG2", "SVRG2D", "SVRG2BB", "SVRGBB",
-           "SVRG2BBS-M1", "SVRG2BBS-M2", "SVRG2BBS-M3")
-
-_VARIANT_FOR = {
-    "SVRG": "none",
-    "SVRG2": "full_hessian",
-    "SVRG2D": "diag_hessian",
-    "SVRG2BB": "bb_scalar",
-    "SVRGBB": "none",
-    "SVRG2BBS-M1": "bb_scalar",
-    "SVRG2BBS-M2": "bb_scalar",
-    "SVRG2BBS-M3": "bb_scalar",
+# method -> (correction variant, step schedule kind)
+_FORMS = {
+    "SVRG": ("none", "constant"),
+    "SVRG2": ("full_hessian", "constant"),
+    "SVRG2D": ("diag_hessian", "constant"),
+    "SVRG2BB": ("bb_scalar", "constant"),
+    "SVRGBB": ("none", "epoch_bb"),
+    "SVRG2BBS-M1": ("bb_scalar", "generalized_bb"),
+    "SVRG2BBS-M2": ("bb_scalar", "generalized_bb"),
+    "SVRG2BBS-M3": ("bb_scalar", "generalized_bb"),
 }
-
-_SCHEDULE_KIND_FOR = {
-    "SVRG": "constant",
-    "SVRG2": "constant",
-    "SVRG2D": "constant",
-    "SVRG2BB": "constant",
-    "SVRGBB": "epoch_bb",
-    "SVRG2BBS-M1": "generalized_bb",
-    "SVRG2BBS-M2": "generalized_bb",
-    "SVRG2BBS-M3": "generalized_bb",
-}
-
-
-def correction_variant_for(method: str) -> str:
-    return _VARIANT_FOR[method]
+METHODS = tuple(_FORMS)
 
 
 class DivergenceError(RuntimeError):
@@ -105,7 +89,6 @@ class RunConfig:
     m: int | None = None          # inner length; None resolves to 2n
     anchor_option: int = 1
     seed: int = 0
-    delta_floor: float | None = None
     variance_mode: str = "last"   # "last" (exact, at the epoch's last iterate) | "none"
 
     def __post_init__(self):
@@ -119,7 +102,7 @@ class RunConfig:
             raise ValueError("anchor_option must be 1 or 2")
         if self.variance_mode not in ("last", "none"):
             raise ValueError(f"unknown variance mode {self.variance_mode!r}")
-        want = _SCHEDULE_KIND_FOR[self.method]
+        want = _FORMS[self.method][1]
         if self.schedule.kind != want:
             raise ValueError(
                 f"method {self.method} requires a {want!r} schedule, "
@@ -164,26 +147,17 @@ def direction(model: LossModel, correction, w_curr: np.ndarray,
     """
     v = model.grad_sample_delta(i, w_curr, w_anchor)
     v += g_anchor
-    if correction is not None and correction.variant != "none":
+    if correction.variant != "none":
         u = w_curr - w_anchor
         v += correction.apply_mean(u)
         v -= correction.apply_sample(i, u)
     return v
 
 
-def _direction_gevals(correction) -> int:
-    # grad_sample_delta counts as two per-sample gradient evaluations;
-    # the BB per-sample scalar recomputes two more at the anchors.
-    if correction is not None and correction.variant == "bb_scalar":
-        return 4
-    return 2
-
-
 def affine_step_applies(model: LossModel, correction) -> bool:
     """Whether the epoch takes the O(nnz_i) affine step: the correction is
     ``none`` or ``bb_scalar`` and the mean row has at most d/4 nonzeros."""
-    return (correction is not None
-            and correction.variant in ("none", "bb_scalar")
+    return (correction.variant in ("none", "bb_scalar")
             and 4 * model.dataset.features.nnz <= model.n * model.d)
 
 
@@ -298,7 +272,9 @@ def run_epoch(model: LossModel, config: RunConfig, correction,
     gevals = 0
     fallbacks = 0
     eta = float("nan")
-    per_direction = _direction_gevals(correction)
+    # grad_sample_delta counts as two per-sample gradient evaluations;
+    # the BB per-sample scalar recomputes two more at the anchors
+    per_direction = 4 if correction.variant == "bb_scalar" else 2
 
     for t in range(m):
         if t == option2_t:
@@ -372,7 +348,7 @@ def optimize(model: LossModel, config: RunConfig, w0: np.ndarray,
     rng = np.random.default_rng(config.seed)
     f_star = model.value(w_star) if w_star is not None else None
     norm_guard = 1e8 * (1.0 + float(np.linalg.norm(w0)))
-    variant = correction_variant_for(config.method)
+    variant = _FORMS[config.method][0]
 
     records: list[EpochRecord] = []
     anchor = w0.copy()
@@ -389,7 +365,6 @@ def optimize(model: LossModel, config: RunConfig, w0: np.ndarray,
 
         try:
             corr = build_correction(variant, model, anchor, anchor_prev,
-                                    delta_floor=config.delta_floor,
                                     g_curr=g_anchor, g_prev=g_prev)
         except DegenerateAnchorError:
             corr = build_correction("none", model, anchor, g_curr=g_anchor)
@@ -439,7 +414,7 @@ def expected_grad_evals(method: str, n: int, m: int, epochs: int) -> list[int]:
     the BB per-sample scalar pay 2m more from their second epoch on (the
     first epoch runs uncorrected).
     """
-    bb = correction_variant_for(method) == "bb_scalar"
+    bb = _FORMS[method][0] == "bb_scalar"
     out, total = [], 0
     for epoch in range(epochs):
         total += n + 2 * m

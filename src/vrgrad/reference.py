@@ -22,6 +22,7 @@ from .losses import LossModel
 
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
+_MEMORY = 10          # (s, y) pairs kept by the two-loop recursion
 
 
 @dataclass
@@ -35,27 +36,26 @@ class ReferenceSolution:
 
 
 def solve_reference(model, tol: float = 1e-10, max_iter: int = 1000,
-                    memory: int = 10, w0: np.ndarray | None = None,
                     history: list | None = None) -> ReferenceSolution:
-    """Minimize ``model`` (anything with .d, .value(w), .grad_full(w)).
+    """Minimize ``model`` (anything with .d, .value(w), .grad_full(w)) from 0.
 
-    Deterministic given its inputs; F strictly decreases on every accepted
-    step (pass a ``history`` list to collect the accepted values).  When
-    max_iter runs out the best iterate is returned flagged
-    ``converged=False``.
+    Deterministic given its inputs; F never increases on an accepted step
+    (pass a ``history`` list to collect the accepted values).  It can stay
+    equal: near the minimum the Armijo test accepts a step whose decrease
+    rounds to zero.  When max_iter runs out the best iterate is returned
+    flagged ``converged=False``.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    d = model.d
-    w = np.zeros(d) if w0 is None else np.asarray(w0, dtype=np.float64).copy()
+    w = np.zeros(model.d)
     f = model.value(w)
     g = model.grad_full(w)
     if history is not None:
         history.append(f)
 
-    s_hist: deque[np.ndarray] = deque(maxlen=memory)
-    y_hist: deque[np.ndarray] = deque(maxlen=memory)
-    rho_hist: deque[float] = deque(maxlen=memory)
+    s_hist: deque[np.ndarray] = deque(maxlen=_MEMORY)
+    y_hist: deque[np.ndarray] = deque(maxlen=_MEMORY)
+    rho_hist: deque[float] = deque(maxlen=_MEMORY)
 
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -173,16 +173,16 @@ def load_reference(path) -> ReferenceSolution:
 
 
 def cached_reference(model: LossModel, tol: float = 1e-10,
-                     cache_dir=None, **solver_kwargs) -> ReferenceSolution:
+                     cache_dir=None) -> ReferenceSolution:
     """solve_reference with a bit-exact disk cache keyed by
     (dataset hash, model kind, lambda, tol)."""
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV_VAR)
     if cache_dir is None:
-        return solve_reference(model, tol=tol, **solver_kwargs)
+        return solve_reference(model, tol=tol)
     path = cache_path(cache_dir, model.dataset, model.kind, float(model.lam), float(tol))
     if path.exists():
         return load_reference(path)
-    sol = solve_reference(model, tol=tol, **solver_kwargs)
+    sol = solve_reference(model, tol=tol)
     save_reference(path, sol, header_extra={"kind": model.kind, "lam": float(model.lam).hex()})
     return sol

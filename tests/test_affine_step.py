@@ -114,7 +114,6 @@ def test_rule_takes_short_rows_and_scalar_corrections_only(data):
     long = LossModel(sparse_dataset(10, 80, 21, seed=1), 1e-2)
     assert affine_step_applies(short, build_correction("none", short, w))
     assert not affine_step_applies(long, build_correction("none", long, w))
-    assert not affine_step_applies(model, None)
 
 
 # -- full runs against the dense step ------------------------------------------------

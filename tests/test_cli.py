@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from vrgrad.cli import main
-from vrgrad.harness import load_table
+from vrgrad.cli import _spec_from_args, build_parser, main
+from vrgrad.harness import ExperimentSpec, load_table
 
 
 def test_run_rejects_the_removed_step_flag(tmp_path, capsys):
@@ -67,3 +67,42 @@ def test_reference_needs_data_or_synth(capsys):
     with pytest.raises(SystemExit) as err:
         main(["reference", "--lambda", "1e-2", "--synth", "20,3,0", "--data", "x.svm"])
     assert err.value.code == 2
+
+
+def test_run_methods_flag_strips_names_and_drops_empty_items(tmp_path):
+    out = tmp_path / "results"
+    code = main(["run", "--synth", "20,3,0", "--epochs", "1", "--lambda", "1e-2",
+                 "--methods", "SVRG, SVRG2,", "--grid", "0.1", "--out", str(out),
+                 "--cache-dir", str(tmp_path / "cache")])
+    assert code == 0
+    assert {r.method for r in load_table(out).rows} == {"SVRG", "SVRG2"}
+
+
+@pytest.mark.parametrize("via_spec", [False, True])
+def test_unknown_method_is_a_usage_error(tmp_path, capsys, via_spec):
+    argv = ["run", "--synth", "20,3,0", "--epochs", "1", "--out", str(tmp_path / "results")]
+    if via_spec:
+        spec = tmp_path / "spec.txt"
+        spec.write_text("methods = SVRG, FOO\n")
+        argv += ["--spec", str(spec)]
+    else:
+        argv += ["--methods", "SVRG, FOO"]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "unknown method 'FOO'" in capsys.readouterr().err
+
+
+def test_run_flag_overrides_the_spec_file(tmp_path):
+    # --m 2n is given, so the spec file's m = 7 does not apply
+    spec = tmp_path / "spec.txt"
+    spec.write_text("synth = 20,3,0\nepochs = 1\nlambda = 1e-2\ngrid = 0.1\nm = 7\n")
+    out = tmp_path / "results"
+    code = main(["run", "--spec", str(spec), "--m", "2n", "--out", str(out),
+                 "--cache-dir", str(tmp_path / "cache")])
+    assert code == 0
+    assert _metadata(out)["m"] == 40
+
+
+def test_run_defaults_are_the_experiment_spec_defaults():
+    assert _spec_from_args(build_parser().parse_args(["run"])) == ExperimentSpec()

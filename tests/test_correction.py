@@ -73,9 +73,9 @@ def test_bb_scalar_delta_floor(model):
     w_prev = np.zeros(model.d)
     w_curr = np.ones(model.d)
     op = build_correction("bb_scalar", model, w_curr, w_prev,
-                          g_curr=-w_curr, g_prev=w_prev, delta_floor=1e-4)
+                          g_curr=-w_curr, g_prev=w_prev)
     assert op.bb_raw == pytest.approx(-1.0)
-    assert op.bb_scalar == 1e-4
+    assert op.bb_scalar == default_delta_floor(model)
 
 
 def test_default_delta_floor(model):
@@ -164,7 +164,7 @@ def test_full_hessian_matches_dense_assembly():
 
     dense = np.zeros((5, 5))
     for i in range(model.n):
-        a = ds.sample(i).to_dense()
+        a = ds.features[i].toarray().ravel()
         margin = ds.labels[i] * (a @ anchor)
         s = 1.0 / (1.0 + np.exp(-margin))
         dense += s * (1 - s) * np.outer(a, a)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vrgrad.data import SparseDataset, synth_binary
-from vrgrad.losses import LossModel
+from vrgrad.losses import _LINKS, KINDS, LossModel
 
 # -- independent oracles -------------------------------------------------------
 
@@ -97,7 +97,7 @@ def test_grad_sample_at_zero_logistic():
     ds = synth_binary(20, 6, seed=5)
     model = LossModel(ds, 0.0, "logistic")
     for i in (0, 7, 19):
-        expected = -0.5 * ds.labels[i] * ds.sample(i).to_dense()
+        expected = -0.5 * ds.labels[i] * ds.features[i].toarray().ravel()
         np.testing.assert_allclose(model.grad_sample(i, np.zeros(6)), expected,
                                    rtol=0, atol=1e-15)
 
@@ -106,7 +106,7 @@ def test_grad_sample_at_zero_squared_hinge():
     ds = synth_binary(20, 6, seed=5)
     model = LossModel(ds, 0.0, "squared_hinge")
     for i in (0, 7, 19):
-        expected = -ds.labels[i] * ds.sample(i).to_dense()
+        expected = -ds.labels[i] * ds.features[i].toarray().ravel()
         np.testing.assert_allclose(model.grad_sample(i, np.zeros(6)), expected,
                                    rtol=0, atol=1e-15)
 
@@ -188,7 +188,7 @@ def test_hess_vec_inactive_hinge_is_regularizer_only():
     model = LossModel(ds, 0.3, "squared_hinge")
     # push w far along b_i * a_i so the margin 1 - b a^T w goes negative
     i = 0
-    a = ds.sample(i).to_dense()
+    a = ds.features[i].toarray().ravel()
     w = 10.0 * ds.labels[i] * a / (a @ a)
     assert 1.0 - ds.labels[i] * (a @ w) < 0
     v = np.arange(1.0, 6.0)
@@ -199,7 +199,7 @@ def test_hess_diag_at_zero_logistic():
     ds = synth_binary(15, 4, seed=12)
     model = LossModel(ds, 1e-3, "logistic")
     for i in (0, 14):
-        expected = 0.25 * ds.sample(i).to_dense() ** 2 + 1e-3
+        expected = 0.25 * ds.features[i].toarray().ravel() ** 2 + 1e-3
         np.testing.assert_allclose(model.hess_diag_sample(i, np.zeros(4)), expected,
                                    rtol=1e-14)
 
@@ -221,7 +221,7 @@ def test_hess_diag_inactive_hinge_is_constant_lambda():
     ds = synth_binary(20, 5, seed=11)
     model = LossModel(ds, 0.3, "squared_hinge")
     i = 0
-    a = ds.sample(i).to_dense()
+    a = ds.features[i].toarray().ravel()
     w = 10.0 * ds.labels[i] * a / (a @ a)
     np.testing.assert_array_equal(model.hess_diag_sample(i, w), np.full(5, 0.3))
 
@@ -301,3 +301,53 @@ def test_kind_aliases():
     assert LossModel(ds, 0.1, "svm").kind == "squared_hinge"
     with pytest.raises(ValueError):
         LossModel(ds, 0.1, "huber")
+
+
+# -- the link: phi, phi' and phi'' of the margin, per kind ---------------------
+
+# 0, the hinge kink m = 1 and its neighbours, and margins far out
+LINK_MARGINS = [-1e3, -50.0, -1.0, -1e-9, 0.0, 1e-9, 0.5, np.nextafter(1.0, 0.0),
+                1.0, np.nextafter(1.0, 2.0), 2.0, 36.0, 50.0, 1e3]
+
+
+def margin_model(kind, margins, lam):
+    """A d = 1 model whose margins at w = [1] are ``margins`` exactly: row i
+    holds |m_i| and its label is the sign of m_i (+1 at 0)."""
+    m = np.asarray(margins, dtype=np.float64)
+    return LossModel(SparseDataset.from_dense(np.abs(m)[:, None], np.where(m < 0, -1.0, 1.0)),
+                     lam, kind)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_link_float_and_array_forms_agree_bit_for_bit(kind):
+    margins = np.concatenate([LINK_MARGINS, np.random.default_rng(40).standard_normal(40) * 5])
+    model = margin_model(kind, margins, lam=0.1)
+    w = np.ones(1)
+    dots = model.dataset.features @ w
+    np.testing.assert_array_equal(model.dataset.labels * dots, margins)
+    coefs, curvs = model.margin_coefs(dots), model.curvature_coefs(dots)
+    for i in range(model.n):
+        assert float(model.margin_coef_at(i, float(dots[i]))).hex() == float(coefs[i]).hex()
+        assert float(model._curv_coef(i, w)).hex() == float(curvs[i]).hex()
+        alone = LossModel(model.dataset.subsample([i]), model.lam, kind)
+        assert float(model.value_sample(i, w)).hex() == alone.value(w).hex()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_link_derivatives_match_central_differences(kind):
+    link = _LINKS[kind]
+    # away from the hinge kink at m = 1
+    m = np.array([-1e3, -5.0, -1.0, -0.3, 0.0, 0.4, 0.9, 1.1, 2.0, 5.0, 1e3])
+    h = 1e-5
+    np.testing.assert_allclose(link.dphi(m), (link.phi(m + h) - link.phi(m - h)) / (2 * h),
+                               rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(link.d2phi(m), (link.dphi(m + h) - link.dphi(m - h)) / (2 * h),
+                               rtol=1e-6, atol=1e-8)
+    # sup phi'' is attained at m = 0
+    assert link.d2phi(m).max() == link.d2phi(np.zeros(1))[0] == link.sup_d2phi
+
+
+def test_hinge_curvature_at_the_kink_is_the_inactive_branch():
+    model = margin_model("squared_hinge", [1.0], lam=0.0)
+    assert model._curv_coef(0, np.ones(1)) == 0.0
+    assert model.margin_coef_at(0, 1.0) == 0.0

@@ -69,6 +69,17 @@ def test_monotone_decrease_on_accepted_steps():
     assert all(a > b for a, b in zip(history, history[1:]))
 
 
+def test_accepted_steps_never_increase_f_and_can_leave_it_equal():
+    # near the minimum the Armijo test accepts steps whose decrease rounds
+    # to zero in float64, so F is non-increasing, not strictly decreasing
+    model = LossModel(synth_binary(500, 20, 54, 0.9), 1e-5, "squared_hinge")
+    history = []
+    solve_reference(model, tol=1e-10, max_iter=40, history=history)
+    steps = list(zip(history, history[1:]))
+    assert all(after <= before for before, after in steps)
+    assert any(after == before for before, after in steps)
+
+
 def test_nonconvergence_is_flagged():
     ds = synth_binary(100, 8, seed=53)
     model = LossModel(ds, 1e-4, "logistic")
