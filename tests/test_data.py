@@ -115,6 +115,16 @@ class TestWrite:
     def test_roundtrip_random(self, ds):
         assert parse_libsvm(write_libsvm(ds)) == ds
 
+    def test_roundtrip_many(self):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            mask = rng.random((20, 6)) < 0.5
+            vals = rng.standard_normal((20, 6))
+            vals[vals == 0.0] = 1.0
+            labels = np.where(rng.random(20) < 0.5, 1.0, -1.0)
+            ds = SparseDataset(sp.csr_matrix(np.where(mask, vals, 0.0)), labels)
+            assert parse_libsvm(write_libsvm(ds)) == ds
+
     def test_roundtrip_awkward_floats(self):
         ds = parse_libsvm("+1 1:1e-300 2:0.1 5:123456789.123456789")
         assert parse_libsvm(write_libsvm(ds)) == ds
