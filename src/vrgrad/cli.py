@@ -19,7 +19,7 @@ from pathlib import Path
 from .data import LabelError, LibsvmParseError, parse_libsvm, synth_binary
 from .harness import (DataSourceError, ExperimentSpec, ReferenceError,
                       emit_csv, emit_plots, load_table, run_experiment)
-from .losses import LossModel
+from .losses import LossModel, loss_kind
 from .optimizer import METHODS, DivergenceError
 from .reference import save_reference, solve_reference
 
@@ -44,6 +44,13 @@ def _parse_methods(text: str) -> tuple:
             raise argparse.ArgumentTypeError(
                 f"unknown method {name!r}; choose from {', '.join(METHODS)}")
     return methods
+
+
+def _parse_model(text: str) -> str:
+    try:
+        return loss_kind(text.strip())
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _parse_synth(text: str) -> tuple:
@@ -94,7 +101,7 @@ def read_spec_file(path) -> dict:
 _RUN_FIELDS = {
     "data_path": ("data", str),
     "synth": ("synth", _parse_synth),
-    "model": ("model", str),
+    "model": ("model", _parse_model),
     "lambdas": ("lambda", _parse_floats),
     "methods": ("methods", _parse_methods),
     "grid": ("grid", _parse_floats),
@@ -108,7 +115,8 @@ _RUN_FIELDS = {
 
 
 def _spec_from_args(args) -> ExperimentSpec:
-    """The flags and spec-file keys given; ExperimentSpec has the defaults."""
+    """The flags and spec-file keys given; ExperimentSpec has the defaults
+    and the range checks."""
     file_vals = read_spec_file(args.spec) if args.spec else {}
     given = {}
     for field, (key, convert) in _RUN_FIELDS.items():
@@ -119,7 +127,10 @@ def _spec_from_args(args) -> ExperimentSpec:
                 given[field] = convert(file_vals[key])
             except ValueError as err:
                 raise argparse.ArgumentTypeError(f"spec file {key}: {err}") from None
-    return ExperimentSpec(**given)
+    try:
+        return ExperimentSpec(**given)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def cmd_run(args) -> int:
@@ -176,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--spec", default=None, help="flat key=value spec file")
     run_p.add_argument("--data", help="LIBSVM text file")
     run_p.add_argument("--synth", type=_parse_synth, help="n,d,seed[,separability]")
-    run_p.add_argument("--model", choices=("logistic", "svm"))
+    run_p.add_argument("--model", type=_parse_model, help="loss kind or alias")
     run_p.add_argument("--lambda", type=_parse_floats,
                        help="comma-separated regularization weights")
     run_p.add_argument("--methods", type=_parse_methods,
@@ -206,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = ref_p.add_mutually_exclusive_group(required=True)
     source.add_argument("--data", help="LIBSVM text file")
     source.add_argument("--synth", type=_parse_synth, help="n,d,seed[,separability]")
-    ref_p.add_argument("--model", choices=("logistic", "svm"), default="logistic")
+    ref_p.add_argument("--model", type=_parse_model, default="logistic")
     ref_p.add_argument("--lambda", dest="lam", type=float, required=True)
     ref_p.add_argument("--tol", type=float, default=1e-10)
     ref_p.add_argument("--out", help="write the solution cache file here")
@@ -220,7 +231,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except argparse.ArgumentTypeError as err:   # a bad value in a --spec file
+    except argparse.ArgumentTypeError as err:   # a bad flag or spec-file value
         parser.error(str(err))
     except (LibsvmParseError, LabelError, DataSourceError, FileNotFoundError) as err:
         print(f"data error: {err}", file=sys.stderr)

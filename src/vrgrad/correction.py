@@ -10,6 +10,8 @@ operator ``apply_sample`` with E_i[apply_sample(i, u)] == apply_mean(u):
                     with per-sample scalars from per-sample gradient
                     differences at the two most recent anchor points
 
+From the second epoch on every operator carries that anchor pair as
+``anchors`` (:class:`~vrgrad.stepsize.EpochAnchors`); the BB steps read it too.
 The BB scalar is floored at delta > 0 as a non-convexity remedy; the floor
 applies to the mean scalar only, never to the per-sample scalars.
 
@@ -40,6 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .losses import LossModel
+from .stepsize import EpochAnchors
 
 VARIANTS = ("none", "full_hessian", "diag_hessian", "bb_scalar")
 
@@ -60,18 +63,15 @@ class CorrectionOperator:
     Built via :func:`build_correction`; ``apply_*`` are pure.
     """
 
-    def __init__(self, variant, model, anchor, g_anchor, *, anchor_prev=None,
-                 bb_raw=None, bb_scalar=None, s=None, s_sqnorm=None,
-                 diag_mean=None):
+    def __init__(self, variant, model, anchor, g_anchor, *, anchors=None,
+                 bb_raw=None, bb_scalar=None, diag_mean=None):
         self.variant = variant
         self.model = model
         self.anchor = anchor
         self.g_anchor = g_anchor
-        self.anchor_prev = anchor_prev
+        self.anchors = anchors        # EpochAnchors, None in the first epoch
         self.bb_raw = bb_raw          # unfloored secant ratio
         self.bb_scalar = bb_scalar    # floored; used by apply_mean
-        self._s = s
-        self._s_sqnorm = s_sqnorm
         self._diag_mean = diag_mean
 
     # -- per-epoch data, computed on first use --------------------------------
@@ -99,9 +99,9 @@ class CorrectionOperator:
     @cached_property
     def sample_scalars(self) -> np.ndarray:
         """kappa_i (``bb_scalar`` only): A_i = (lam + kappa_i) I."""
-        X = self.model.dataset.features
-        change = self.anchor_coefs - self.model.margin_coefs(X @ self.anchor_prev)
-        return change * (X @ self._s) / self._s_sqnorm
+        X, pair = self.model.dataset.features, self.anchors
+        change = self.anchor_coefs - self.model.margin_coefs(X @ pair.w_prev2)
+        return change * (X @ pair.s) / pair.secant[0]
 
     def sample_parts(self, u_dots: np.ndarray):
         """(p, q, h) with A_i u = p_i u + q_i a_i + h_i (a_i o a_i o u) for
@@ -127,8 +127,8 @@ class CorrectionOperator:
         # bb_scalar: two sparse gradient evaluations, recomputed on demand
         # (the per-sample scalar is not floored).  This keeps the dense step's
         # arithmetic; lam + sample_scalars[i] is the same value up to rounding.
-        diff = self.model.grad_sample_delta(i, self.anchor, self.anchor_prev)
-        scalar_i = float(self._s @ diff) / self._s_sqnorm
+        diff = self.model.grad_sample_delta(i, self.anchor, self.anchors.w_prev2)
+        scalar_i = float(self.anchors.s @ diff) / self.anchors.secant[0]
         return scalar_i * u
 
     def apply_mean(self, u: np.ndarray) -> np.ndarray:
@@ -154,13 +154,13 @@ def build_correction(variant: str, model: LossModel, w_curr: np.ndarray,
                      g_prev: np.ndarray | None = None) -> CorrectionOperator:
     """Build the epoch's correction operator anchored at ``w_curr``.
 
-    ``g_curr`` is the full gradient at ``w_curr`` (computed when omitted);
-    the operator's per-epoch data is taken at (``w_curr``, ``g_curr``).
+    ``g_curr`` and ``g_prev`` are the full gradients at the two anchors
+    (computed when omitted); the per-epoch data is taken at ``w_curr``.
     With no previous anchor (``w_prev is None``, the first epoch) every
-    variant degrades to the zero operator.  For ``bb_scalar`` the mean
-    scalar is s^T y / ||s||^2 with s = w_curr - w_prev and
-    y = grad F(w_curr) - grad F(w_prev) (supply ``g_prev`` to reuse a cached
-    full gradient), floored at :func:`default_delta_floor`.
+    variant degrades to the zero operator.  Otherwise ``anchors`` holds the
+    pair, and the ``bb_scalar`` mean scalar is s^T y / ||s||^2 with
+    s = w_curr - w_prev, y = g_curr - g_prev, floored at
+    :func:`default_delta_floor`.
 
     Raises
     ------
@@ -173,27 +173,23 @@ def build_correction(variant: str, model: LossModel, w_curr: np.ndarray,
     w_curr = np.asarray(w_curr, dtype=np.float64)
     if g_curr is None:
         g_curr = model.grad_full(w_curr)
-    if w_prev is None or variant == "none":
+    if w_prev is None:
         return CorrectionOperator("none", model, w_curr, g_curr)
     w_prev = np.asarray(w_prev, dtype=np.float64)
-
-    if variant == "full_hessian":
-        return CorrectionOperator("full_hessian", model, w_curr, g_curr)
-
-    if variant == "diag_hessian":
-        return CorrectionOperator("diag_hessian", model, w_curr, g_curr,
-                                  diag_mean=model.mean_hess_diag(w_curr))
-
-    s = w_curr - w_prev
-    s_sqnorm = float(s @ s)
-    if s_sqnorm == 0.0:
-        raise DegenerateAnchorError("anchor displacement is zero; no BB scalar")
     if g_prev is None:
         g_prev = model.grad_full(w_prev)
-    raw = float(s @ (g_curr - g_prev)) / s_sqnorm
-    return CorrectionOperator("bb_scalar", model, w_curr, g_curr, anchor_prev=w_prev,
-                              bb_raw=raw, bb_scalar=max(raw, default_delta_floor(model)),
-                              s=s, s_sqnorm=s_sqnorm)
+    pair = EpochAnchors(w_prev, w_curr, g_prev, g_curr)
+
+    if variant == "bb_scalar":
+        s_sqnorm, sty = pair.secant
+        if s_sqnorm == 0.0:
+            raise DegenerateAnchorError("anchor displacement is zero; no BB scalar")
+        raw = sty / s_sqnorm
+        return CorrectionOperator("bb_scalar", model, w_curr, g_curr, anchors=pair,
+                                  bb_raw=raw, bb_scalar=max(raw, default_delta_floor(model)))
+    diag_mean = model.mean_hess_diag(w_curr) if variant == "diag_hessian" else None
+    return CorrectionOperator(variant, model, w_curr, g_curr, anchors=pair,
+                              diag_mean=diag_mean)
 
 
 def residual_sqnorms(model: LossModel, x: np.ndarray, u: np.ndarray,

@@ -65,9 +65,12 @@ class ExperimentSpec:
             raise ValueError("method list must be non-empty")
         if not self.lambdas:
             raise ValueError("lambda list must be non-empty")
-        for g in self.grid:
-            if g <= 0:
-                raise ValueError("every grid value must be > 0")
+        if not all(0.0 < g < np.inf for g in self.grid):
+            raise ValueError(f"every grid value must be finite and > 0, got {self.grid}")
+        if not all(0.0 <= lam < np.inf for lam in self.lambdas):
+            raise ValueError(f"every lambda must be finite and >= 0, got {self.lambdas}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         for meth in self.methods:
             if meth not in METHODS:
                 raise ValueError(f"unknown method {meth!r}")
@@ -127,7 +130,7 @@ def schedule_for(method: str, step_param: float, n: int, lam: float,
     """Map a method plus its grid parameter to a concrete schedule.
 
     Constant-step methods use the parameter as eta; SVRGBB uses it as the
-    bootstrap eta0; the SVRG2BBS presets use it as c1 (decay modes take
+    bootstrap eta0; the SVRG2BBS presets use it as c1 (M2 and M3 take
     c2 = c1 * lambda) with the bootstrap eta0 pinned to 1/L so every
     emitted step stays inside the theoretical BB bracket.
     """

@@ -57,13 +57,19 @@ KINDS = tuple(_LINKS)
 _ALIASES = {"svm": "squared_hinge", "squared-hinge": "squared_hinge", "lr": "logistic"}
 
 
+def loss_kind(name: str) -> str:
+    """The kind ``name`` gives, itself or through an alias ("svm", "lr")."""
+    kind = _ALIASES.get(name, name)
+    if kind not in KINDS:
+        raise ValueError(f"unknown loss kind {name!r}; expected one of {(*KINDS, *_ALIASES)}")
+    return kind
+
+
 class LossModel:
     """Immutable loss model; every oracle is pure given (model, w)."""
 
     def __init__(self, dataset: SparseDataset, lam: float, kind: str = "logistic"):
-        kind = _ALIASES.get(kind, kind)
-        if kind not in KINDS:
-            raise ValueError(f"unknown loss kind {kind!r}; expected one of {KINDS}")
+        kind = loss_kind(kind)
         if lam < 0:
             raise ValueError("lam must be >= 0")
         if dataset.n < 1:

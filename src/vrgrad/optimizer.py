@@ -257,8 +257,9 @@ def run_epoch(model: LossModel, config: RunConfig, correction,
               norm_guard: float, last_bb_step: float | None = None) -> InnerSummary:
     """Run the m inner iterations of one (0-based) epoch.
 
-    ``correction`` must be built at (``w_anchor``, ``g_anchor``).  The step
-    form follows :func:`affine_step_applies`.  Raises
+    ``correction`` must be built at (``w_anchor``, ``g_anchor``), with
+    ``schedule_anchors`` its ``anchors``; the step form follows
+    :func:`affine_step_applies`.  Raises
     :class:`DivergenceError` when an iterate exceeds the norm guard or turns
     non-finite.  Curvature failures in BB schedules fall back to the last
     valid BB step, else the schedule's eta0.
@@ -283,12 +284,7 @@ def run_epoch(model: LossModel, config: RunConfig, correction,
             eta = schedule_step(config.schedule, schedule_anchors, epoch, t, m)
         except CurvatureError:
             fallbacks += 1
-            if last_bb_step is not None:
-                eta = last_bb_step
-            elif config.schedule.eta0 is not None:
-                eta = config.schedule.eta0
-            else:
-                raise
+            eta = last_bb_step if last_bb_step is not None else config.schedule.eta0
         if config.schedule.kind != "constant":
             last_bb_step = eta
         gevals += per_direction
@@ -367,13 +363,12 @@ def optimize(model: LossModel, config: RunConfig, w0: np.ndarray,
             corr = build_correction(variant, model, anchor, anchor_prev,
                                     g_curr=g_anchor, g_prev=g_prev)
         except DegenerateAnchorError:
-            corr = build_correction("none", model, anchor, g_curr=g_anchor)
-        sched_anchors = None
-        if anchor_prev is not None:
-            sched_anchors = EpochAnchors(anchor_prev, anchor, g_prev, g_anchor)
+            # the pair stays: a BB step on it fails and falls back
+            corr = build_correction("none", model, anchor, anchor_prev,
+                                    g_curr=g_anchor, g_prev=g_prev)
 
         try:
-            summary = run_epoch(model, config, corr, sched_anchors, epoch,
+            summary = run_epoch(model, config, corr, corr.anchors, epoch,
                                 anchor, g_anchor, rng, m, norm_guard,
                                 last_bb_step)
         except DivergenceError as err:
@@ -412,7 +407,8 @@ def expected_grad_evals(method: str, n: int, m: int, epochs: int) -> list[int]:
 
     Every epoch pays the full pass n plus 2m inner gradients; methods with
     the BB per-sample scalar pay 2m more from their second epoch on (the
-    first epoch runs uncorrected).
+    first epoch runs uncorrected).  The counts assume that no later epoch
+    degrades to ``none``: an epoch whose anchors coincide pays n + 2m.
     """
     bb = _FORMS[method][0] == "bb_scalar"
     out, total = [], 0

@@ -106,3 +106,55 @@ def test_run_flag_overrides_the_spec_file(tmp_path):
 
 def test_run_defaults_are_the_experiment_spec_defaults():
     assert _spec_from_args(build_parser().parse_args(["run"])) == ExperimentSpec()
+
+
+@pytest.mark.parametrize("name, kind", [("squared_hinge", "squared_hinge"),
+                                        ("svm", "squared_hinge"), ("lr", "logistic")])
+def test_run_model_takes_every_kind_and_alias(tmp_path, name, kind):
+    out = tmp_path / "results"
+    code = main(["run", "--synth", "20,3,0", "--epochs", "1", "--lambda", "1e-2",
+                 "--grid", "0.1", "--model", name, "--out", str(out),
+                 "--cache-dir", str(tmp_path / "cache")])
+    assert code == 0
+    assert _metadata(out)["model"] == kind
+
+
+def test_reference_model_takes_an_alias(capsys):
+    assert main(["reference", "--synth", "20,3,0", "--lambda", "1e-2", "--model", "lr"]) == 0
+    assert "f_star=" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as err:
+        main(["reference", "--synth", "20,3,0", "--lambda", "1e-2", "--model", "huber"])
+    assert err.value.code == 2
+
+
+def _run_usage_error(tmp_path, key, value, via_spec):
+    """Exit code of ``run`` given key = value; the data file does
+    not exist, so a run that loaded data would exit 3."""
+    argv = ["run", "--data", str(tmp_path / "missing.svm"), "--out", str(tmp_path / "out")]
+    if via_spec:
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"{key} = {value}\n")
+        argv += ["--spec", str(spec)]
+    else:
+        argv += [f"--{key}", value]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    return err.value.code
+
+
+@pytest.mark.parametrize("via_spec", [False, True])
+def test_unknown_model_is_a_usage_error(tmp_path, capsys, via_spec):
+    assert _run_usage_error(tmp_path, "model", "huber", via_spec) == 2
+    assert "unknown loss kind 'huber'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via_spec", [False, True])
+@pytest.mark.parametrize("key, value, message", [
+    ("grid", "nan,inf", "grid value"), ("grid", "-1", "grid value"),
+    ("lambda", "nan", "lambda"), ("lambda", "-1", "lambda"), ("lambda", "inf", "lambda"),
+    ("epochs", "-1", "epochs"),
+])
+def test_out_of_range_values_are_usage_errors(tmp_path, capsys, via_spec, key, value, message):
+    assert _run_usage_error(tmp_path, key, value, via_spec) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

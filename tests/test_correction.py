@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vrgrad.correction import (DegenerateAnchorError, build_correction,
+from vrgrad.correction import (VARIANTS, DegenerateAnchorError, build_correction,
                                default_delta_floor)
 from vrgrad.data import synth_binary
 from vrgrad.losses import LossModel
+from vrgrad.stepsize import CurvatureError
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +44,7 @@ def test_none_variant_is_zero_operator(model, anchors):
 def test_first_epoch_degrades_to_none(model, anchors):
     for variant in ("full_hessian", "diag_hessian", "bb_scalar"):
         op = build_correction(variant, model, anchors[0], None)
-        assert op.variant == "none"
+        assert op.variant == "none" and op.anchors is None
 
 
 def test_bb_scalar_identity_hessian(model):
@@ -76,6 +79,27 @@ def test_bb_scalar_delta_floor(model):
                           g_curr=-w_curr, g_prev=w_prev)
     assert op.bb_raw == pytest.approx(-1.0)
     assert op.bb_scalar == default_delta_floor(model)
+
+
+@settings(deadline=None)
+@given(variant=st.sampled_from(VARIANTS), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e8]))
+def test_bb_scalar_and_bb_step_share_the_secant(model, variant, seed, scale):
+    # every variant carries the pair; the BB scalar is s^T y / ||s||^2 and
+    # the BB step reads ||s||^2 / s^T y from the same pair, bit for bit
+    rng = np.random.default_rng(seed)
+    w0, g0, dw, dg = rng.standard_normal((4, model.d))
+    w1, g1 = w0 + scale * dw, g0 + dg
+    corr = build_correction(variant, model, w1, w0, g_curr=g1, g_prev=g0)
+    s = w1 - w0
+    sq, sty = float(s @ s), float(s @ (g1 - g0))
+    if variant == "bb_scalar":
+        assert corr.bb_raw == sty / sq
+    if sty > 0.0:
+        assert corr.anchors.bb_ratio() == sq / sty
+    else:
+        with pytest.raises(CurvatureError):
+            corr.anchors.bb_ratio()
 
 
 def test_default_delta_floor(model):

@@ -304,6 +304,44 @@ def test_grad_eval_accounting_matches_closed_form(small):
         assert got == expected_grad_evals(method, n, m, 4), method
 
 
+def test_coincident_anchors_run_uncorrected_and_fall_back(monkeypatch):
+    # m = 1 with option-2 anchors snapshots t = 0, the anchor itself, so
+    # every epoch after the first has s = 0
+    import vrgrad.optimizer as optimizer
+
+    model = LossModel(synth_binary(40, 6, seed=47), 1e-2, "logistic")
+    n = model.n
+    real_run_epoch = optimizer.run_epoch
+    calls = []
+
+    def spy(*args, **kwargs):
+        summary = real_run_epoch(*args, **kwargs)
+        calls.append((args[2], args[3], summary))
+        return summary
+
+    monkeypatch.setattr(optimizer, "run_epoch", spy)
+    for method, sched in (
+        ("SVRG2BB", constant(0.3)),
+        ("SVRGBB", epoch_bb(0.3)),
+        ("SVRG2BBS-M2", preset("M2", n, c1=0.1, c2=0.1 * model.lam,
+                               eta0=1.0 / model.smoothness())),
+    ):
+        calls.clear()
+        cfg = RunConfig(method=method, schedule=sched, epochs=4, m=1, anchor_option=2,
+                        seed=0, variance_mode="none")
+        _, recs = optimize(model, cfg, np.zeros(model.d))
+        assert calls[0][1] is None
+        for corr, pair, _ in calls[1:]:
+            assert corr.variant == "none" and pair is not None, method
+        if method == "SVRG2BB":
+            # expected_grad_evals assumes corrected epochs: 42, 86, ...
+            assert [r.grad_evals for r in recs] == [42, 84, 126, 168]
+            assert expected_grad_evals(method, n, 1, 4)[1] == 86
+        else:
+            assert [s.curvature_fallbacks for _, _, s in calls] == [0, 1, 1, 1], method
+            assert len({r.step_size for r in recs}) == 1, method
+
+
 # -- variance telemetry ---------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vrgrad.stepsize import (CurvatureError, EpochAnchors, XiSchedule,
                              constant, epoch_bb, generalized_bb, preset, step,
@@ -14,64 +16,60 @@ def _anchors(dw, dg):
 # -- xi schedules -----------------------------------------------------------
 
 
-def test_xi_fixed_ignores_T():
-    sched = XiSchedule("fixed", 1e-2)
-    for T in (0, 1, 900, 10**6):
-        assert xi(sched, T) == 1e-2
+@given(c1=st.floats(min_value=1e-300, max_value=1e300),
+       T=st.integers(min_value=0, max_value=10**12))
+def test_xi_fixed_ignores_T(c1, T):
+    # c2 = 0: c1 / (1 + 0 * T) is c1 bit for bit
+    assert xi(XiSchedule(c1), T) == c1
 
 
 def test_xi_decay_at_zero_is_c1():
-    assert xi(XiSchedule("decay", 0.1, 0.01), 0) == 0.1
+    assert xi(XiSchedule(0.1, 0.01), 0) == 0.1
 
 
 def test_xi_decay_frozen_values():
     # c1/(1 + c2 T): 0.1/(1 + 0.01*900) = 0.01;  1/(1 + 0.5*2) = 0.5
-    assert xi(XiSchedule("decay", 0.1, 0.01), 900) == pytest.approx(0.01, rel=1e-15)
-    assert xi(XiSchedule("decay", 1.0, 0.5), 2) == pytest.approx(0.5, rel=1e-15)
+    assert xi(XiSchedule(0.1, 0.01), 900) == pytest.approx(0.01, rel=1e-15)
+    assert xi(XiSchedule(1.0, 0.5), 2) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_xi_decay_strictly_decreasing():
-    sched = XiSchedule("decay", 1.0, 0.3)
+    sched = XiSchedule(1.0, 0.3)
     vals = [xi(sched, T) for T in range(50)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_xi_negative_T_rejected():
     with pytest.raises(ValueError):
-        xi(XiSchedule("fixed", 1.0), -1)
-
-
-def test_xi_bounds():
-    sched = XiSchedule("decay", 1.0, 0.1)
-    lo, hi = sched.bounds(100)
-    assert hi == 1.0
-    assert lo == pytest.approx(xi(sched, 99))
+        xi(XiSchedule(1.0), -1)
 
 
 # -- presets -----------------------------------------------------------------
 
 
 def test_preset_m1():
-    sched = preset("M1", n=50, c1=0.1, c2=0.0)
+    # M1 holds xi at c1 whatever c2 is given
+    sched = preset("M1", n=50, c1=0.1, c2=1e-3, eta0=0.5)
     assert sched.m1 == 100
-    assert sched.xi_schedule.mode == "fixed"
+    assert sched.xi_schedule == XiSchedule(0.1)
+    assert sched.eta0 == 0.5
 
 
 def test_preset_m2():
-    sched = preset("M2", n=50, c1=0.1, c2=1e-3)
+    sched = preset("M2", n=50, c1=0.1, c2=1e-3, eta0=0.5)
     assert sched.m1 == 50
-    assert sched.xi_schedule.mode == "decay"
+    assert sched.xi_schedule == XiSchedule(0.1, 1e-3)
 
 
 def test_preset_m3():
-    sched = preset("M3", n=50, c1=0.1, c2=1e-3)
+    sched = preset("M3", n=50, c1=0.1, c2=1e-3, eta0=0.5)
     assert sched.m1 == 1
-    assert sched.xi_schedule.mode == "decay"
+    assert sched.xi_schedule == XiSchedule(0.1, 1e-3)
 
 
 def test_preset_unknown_name():
     with pytest.raises(ValueError):
-        preset("M4", n=10, c1=0.1, c2=0.0)
+        preset("M4", n=10, c1=0.1, c2=0.0, eta0=0.5)
 
 
 # -- step values ---------------------------------------------------------------
@@ -85,13 +83,13 @@ def test_constant_step_everywhere():
 
 def test_generalized_bb_identity_hessian_ratio():
     # dg = dw makes the secant ratio 1; fixed xi, m1 = 1 -> step = c1
-    sched = generalized_bb(1, XiSchedule("fixed", 0.25))
+    sched = generalized_bb(1, XiSchedule(0.25), eta0=1.0)
     anchors = _anchors(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
     assert step(sched, anchors, 5, 3, m=10) == pytest.approx(0.25, rel=1e-15)
 
 
 def test_generalized_bb_decay_uses_global_iterate_index():
-    sched = generalized_bb(1, XiSchedule("decay", 1.0, 1.0))
+    sched = generalized_bb(1, XiSchedule(1.0, 1.0), eta0=1.0)
     anchors = _anchors(np.ones(2), np.ones(2))
     # T = k*m + t
     assert step(sched, anchors, 0, 0, m=10) == pytest.approx(1.0)
@@ -99,14 +97,14 @@ def test_generalized_bb_decay_uses_global_iterate_index():
 
 
 def test_generalized_bb_fallback_scales_eta0():
-    sched = generalized_bb(4, XiSchedule("fixed", 0.5), eta0=2.0)
+    sched = generalized_bb(4, XiSchedule(0.5), eta0=2.0)
     assert step(sched, None, 0, 0, m=10) == pytest.approx(0.5 / 4 * 2.0)
 
 
-def test_generalized_bb_fallback_without_eta0_raises():
-    sched = generalized_bb(4, XiSchedule("fixed", 0.5))
-    with pytest.raises(ValueError):
-        step(sched, None, 0, 0, m=10)
+@pytest.mark.parametrize("eta0", [None, 0.0, -1.0])
+def test_generalized_bb_needs_eta0(eta0):
+    with pytest.raises(ValueError, match="eta0"):
+        generalized_bb(4, XiSchedule(0.5), eta0)
 
 
 def test_epoch_bb_step_and_fallback():
@@ -151,7 +149,7 @@ def test_bb_ratio_matches_the_formula():
 
 def test_steps_positive_and_finite():
     rng = np.random.default_rng(31)
-    sched = generalized_bb(7, XiSchedule("decay", 0.9, 0.05), eta0=0.5)
+    sched = generalized_bb(7, XiSchedule(0.9, 0.05), eta0=0.5)
     for k in range(4):
         for t in range(5):
             dw = rng.standard_normal(3)
@@ -168,10 +166,11 @@ def test_generalized_bb_steps_within_theorem_bracket():
     model = LossModel(synth_binary(60, 5, seed=32), 1e-2, "logistic")
     mu, L = model.strong_convexity(), model.smoothness()
     rng = np.random.default_rng(33)
-    sched = generalized_bb(11, XiSchedule("decay", 0.8, 1e-3), eta0=1.0 / L)
+    sched = generalized_bb(11, XiSchedule(0.8, 1e-3), eta0=1.0 / L)
     m = 40
     total = 4 * m
-    xi_lo, xi_hi = sched.xi_schedule.bounds(total)
+    # xi decreases in T: its range over the run is [xi_{total-1}, c1]
+    xi_lo, xi_hi = xi(sched.xi_schedule, total - 1), sched.xi_schedule.c1
     lo, hi = xi_lo / (11 * L), xi_hi / (11 * mu)
 
     for k in range(4):
@@ -193,8 +192,8 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         epoch_bb(0.0)
     with pytest.raises(ValueError):
-        generalized_bb(0, XiSchedule("fixed", 0.1))
+        generalized_bb(0, XiSchedule(0.1), eta0=1.0)
     with pytest.raises(ValueError):
-        XiSchedule("fixed", -1.0)
+        XiSchedule(-1.0)
     with pytest.raises(ValueError):
-        XiSchedule("warmup", 1.0)
+        XiSchedule(1.0, -0.5)
