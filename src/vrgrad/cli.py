@@ -13,6 +13,7 @@ defaults.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -90,7 +91,7 @@ def read_spec_file(path) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"spec file line without '=': {line!r}")
+            raise argparse.ArgumentTypeError(f"spec file line without '=': {line!r}")
         key, _, val = line.partition("=")
         values[key.strip().lower()] = val.strip()
     return values
@@ -156,6 +157,10 @@ def cmd_plot(args) -> int:
 
 
 def cmd_reference(args) -> int:
+    if not 0.0 <= args.lam < math.inf:
+        raise argparse.ArgumentTypeError(f"--lambda must be finite and >= 0, got {args.lam}")
+    if not 0.0 < args.tol < math.inf:
+        raise argparse.ArgumentTypeError(f"--tol must be finite and > 0, got {args.tol}")
     if args.data:
         with open(args.data) as fh:
             dataset = parse_libsvm(fh)

@@ -71,6 +71,8 @@ class ExperimentSpec:
             raise ValueError(f"every lambda must be finite and >= 0, got {self.lambdas}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.subsample is not None and self.subsample < 1:
+            raise ValueError(f"subsample must be >= 1, got {self.subsample}")
         for meth in self.methods:
             if meth not in METHODS:
                 raise ValueError(f"unknown method {meth!r}")

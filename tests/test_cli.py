@@ -152,9 +152,31 @@ def test_unknown_model_is_a_usage_error(tmp_path, capsys, via_spec):
 @pytest.mark.parametrize("key, value, message", [
     ("grid", "nan,inf", "grid value"), ("grid", "-1", "grid value"),
     ("lambda", "nan", "lambda"), ("lambda", "-1", "lambda"), ("lambda", "inf", "lambda"),
-    ("epochs", "-1", "epochs"),
+    ("epochs", "-1", "epochs"), ("subsample", "0", "subsample"), ("subsample", "-5", "subsample"),
 ])
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, via_spec, key, value, message):
     assert _run_usage_error(tmp_path, key, value, via_spec) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_spec_file_line_without_equals_is_a_usage_error(tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    spec.write_text("synth = 20,3,0\nepochs\n")
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--spec", str(spec), "--out", str(tmp_path / "results")])
+    assert err.value.code == 2
+    assert "without '='" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lambda", "nan"), ("--lambda", "-1"), ("--lambda", "inf"),
+    ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
+])
+def test_reference_out_of_range_values_are_usage_errors(capsys, flag, value):
+    argv = ["reference", "--synth", "20,3,0", "--lambda", "1e-2", flag, value]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert flag.lstrip("-") in capsys.readouterr().err

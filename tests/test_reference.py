@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from vrgrad.data import synth_binary
+from vrgrad.data import SparseDataset, synth_binary
 from vrgrad.losses import LossModel
 from vrgrad.optimizer import RunConfig, optimize
 from vrgrad.reference import (cached_reference, cache_path, load_reference,
@@ -22,6 +24,9 @@ class Quadratic:
 
     def grad_full(self, w):
         return w - self.c
+
+    def mean_hess_vec(self, w, v):
+        return v
 
 
 def test_quadratic_converges_fast():
@@ -58,26 +63,47 @@ def test_squared_hinge_f_star_lower_bounds_stochastic_runs():
     assert all(r.gap >= -1e-12 for r in recs)
 
 
-def test_monotone_decrease_on_accepted_steps():
-    # tolerance coarse enough that every accepted decrease is representable
-    # in float64 (strict monotonicity is an exact-arithmetic statement)
-    ds = synth_binary(80, 6, seed=52)
-    model = LossModel(ds, 1e-3, "logistic")
-    history = []
-    solve_reference(model, tol=1e-6, history=history)
-    assert len(history) >= 2
-    assert all(a > b for a, b in zip(history, history[1:]))
-
-
-def test_accepted_steps_never_increase_f_and_can_leave_it_equal():
-    # near the minimum the Armijo test accepts steps whose decrease rounds
-    # to zero in float64, so F is non-increasing, not strictly decreasing
+def test_squared_hinge_small_lambda_converges_at_1e_10():
     model = LossModel(synth_binary(500, 20, 54, 0.9), 1e-5, "squared_hinge")
-    history = []
-    solve_reference(model, tol=1e-10, max_iter=40, history=history)
-    steps = list(zip(history, history[1:]))
-    assert all(after <= before for before, after in steps)
-    assert any(after == before for before, after in steps)
+    sol = solve_reference(model, tol=1e-10)
+    assert sol.converged
+    assert sol.grad_norm <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["logistic", "squared_hinge"]),
+       lam=st.floats(min_value=1e-6, max_value=1.0),
+       n=st.integers(1, 30), d=st.integers(1, 8), seed=st.integers(0, 2**16))
+# a margin lands at the hinge kink, and every Newton step along p activates it:
+# ||grad F|| grows for every alpha while F still decreases
+@example(kind="squared_hinge", lam=1e-6, n=8, d=7, seed=14558)
+def test_solution_is_a_converged_local_minimum(kind, lam, n, d, seed):
+    model = LossModel(synth_binary(n, d, seed, 0.8), lam, kind)
+    sol = solve_reference(model, tol=1e-10)
+    assert sol.converged
+    assert sol.grad_norm == np.linalg.norm(model.grad_full(sol.w_star))
+    assert sol.f_star == model.value(sol.w_star)
+    # strong convexity: F(w* + delta) - F* >= lam/2 ||delta||^2 - ||g|| ||delta||,
+    # which is >= 5e-11 - 1e-12 > 0 at ||delta|| = 1e-2 and lam >= 1e-6
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        delta = rng.standard_normal(d)
+        delta *= 1e-2 / np.linalg.norm(delta)
+        assert sol.f_star <= model.value(sol.w_star + delta)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+def test_lambda_zero_on_separable_data_reaches_zero_curvature(kind):
+    # margins grow without bound (logistic) or up to 1 (squared hinge); either
+    # way every phi'' is exactly 0 at the end, so CG meets a direction of zero
+    # curvature (logistic) or the gradient vanishes (squared hinge)
+    ds = SparseDataset.from_dense(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]))
+    model = LossModel(ds, 0.0, kind)
+    sol = solve_reference(model, tol=1e-30, max_iter=200)
+    assert np.all(model.curvature_coefs(ds.features @ sol.w_star) == 0.0)
+    assert np.isfinite(sol.f_star)
+    assert sol.converged == (sol.grad_norm <= 1e-30)
+    assert sol.iterations < 200   # a stalled line search ends the solve
 
 
 def test_nonconvergence_is_flagged():
@@ -89,8 +115,9 @@ def test_nonconvergence_is_flagged():
 
 
 def test_invalid_tol():
-    with pytest.raises(ValueError):
-        solve_reference(Quadratic(np.ones(2)), tol=0.0)
+    for tol in (0.0, -1e-10, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            solve_reference(Quadratic(np.ones(2)), tol=tol)
 
 
 def test_deterministic():
@@ -126,6 +153,23 @@ class TestCache:
         second = cached_reference(model, tol=1e-10, cache_dir=tmp_path)
         assert second.w_star.tobytes() == first.w_star.tobytes()
         assert second.f_star == first.f_star
+
+    def test_non_converged_entry_is_a_miss(self, tmp_path):
+        ds = synth_binary(40, 5, seed=55)
+        model = LossModel(ds, 1e-2, "logistic")
+        path = cache_path(tmp_path, ds, model.kind, model.lam, 1e-10)
+        stalled = solve_reference(model, tol=1e-10, max_iter=1)
+        assert not stalled.converged
+        save_reference(path, stalled)
+        sol = cached_reference(model, tol=1e-10, cache_dir=tmp_path)
+        assert sol.converged
+        assert load_reference(path).converged
+
+    def test_non_converged_solve_is_not_saved(self, tmp_path):
+        model = LossModel(synth_binary(40, 5, seed=55), 1e-2, "logistic")
+        sol = cached_reference(model, tol=1e-300, cache_dir=tmp_path)
+        assert not sol.converged
+        assert not list(tmp_path.iterdir())
 
     def test_cache_key_separates_lambda_and_kind(self, tmp_path):
         ds = synth_binary(40, 5, seed=55)
