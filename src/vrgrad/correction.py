@@ -23,9 +23,12 @@ curvature coefficients, and for ``bb_scalar`` the per-sample scalars
 
     kappa_i = (c_i(z) - c_i(z_prev)) (a_i^T s) / ||s||^2,
 
-so that A_i = (lam + kappa_i) I.  The dense inner step reads only the
-curvature coefficients and keeps ``apply_sample``'s arithmetic; the
-O(nnz_i) inner step of :mod:`vrgrad.optimizer` reads the rest.
+so that A_i = (lam + kappa_i) I.  A ``diag_hessian`` operator also holds
+the mean diagonal D as ``diag_mean``.  Of the inner steps of
+:mod:`vrgrad.optimizer`, the dense one reads only the curvature
+coefficients and keeps ``apply_sample``'s arithmetic; the two O(nnz_i) ones
+read the rest, and the diagonal one reads ``diag_mean`` and the curvature
+coefficients in place of calling ``apply_*``.
 
 From the same data, ``sample_parts`` gives every A_i at once as n-vectors
 (p, q, h), A_i u = p_i u + q_i a_i + h_i (a_i o a_i o u) with o the
@@ -72,7 +75,7 @@ class CorrectionOperator:
         self.anchors = anchors        # EpochAnchors, None in the first epoch
         self.bb_raw = bb_raw          # unfloored secant ratio
         self.bb_scalar = bb_scalar    # floored; used by apply_mean
-        self._diag_mean = diag_mean
+        self.diag_mean = diag_mean    # D, the mean Hessian diagonal (``diag_hessian``)
 
     # -- per-epoch data, computed on first use --------------------------------
 
@@ -139,7 +142,7 @@ class CorrectionOperator:
         if self.variant == "full_hessian":
             return self.model.mean_hess_vec_from(self.curvature_coefs, u)
         if self.variant == "diag_hessian":
-            return self._diag_mean * u
+            return self.diag_mean * u
         return self.bb_scalar * u
 
     def __repr__(self):

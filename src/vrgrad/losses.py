@@ -70,8 +70,8 @@ class LossModel:
 
     def __init__(self, dataset: SparseDataset, lam: float, kind: str = "logistic"):
         kind = loss_kind(kind)
-        if lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not 0.0 <= lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {lam}")
         if dataset.n < 1:
             raise ValueError("dataset must contain at least one sample")
         if not np.all(np.isin(dataset.labels, (-1.0, 1.0))):
@@ -191,23 +191,25 @@ class LossModel:
         given ``X @ w``."""
         return self._link.d2phi(self.dataset.labels * dots)
 
+    def curvature_at(self, w: np.ndarray) -> np.ndarray:
+        """:meth:`curvature_coefs` at w."""
+        w = self._check_dim(w)
+        return self.curvature_coefs(self.dataset.features @ w)
+
     def mean_hess_vec(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         """(1/n) sum_i hess f_i(w) @ v via two sparse matvecs (no Hessian formed)."""
-        w = self._check_dim(w)
-        return self.mean_hess_vec_from(self.curvature_coefs(self.dataset.features @ w), v)
+        return self.mean_hess_vec_from(self.curvature_at(w), v)
 
     def mean_hess_vec_from(self, coefs: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """:meth:`mean_hess_vec` from the point's :meth:`curvature_coefs`."""
+        """:meth:`mean_hess_vec` from the point's :meth:`curvature_at`."""
         v = self._check_dim(v, "v")
         X = self.dataset.features
         return X.T @ (coefs * (X @ v)) / self.n + self.lam * v
 
     def mean_hess_diag(self, w: np.ndarray) -> np.ndarray:
         """Diagonal of the mean Hessian at w."""
-        w = self._check_dim(w)
         X = self.dataset.features
-        coefs = self.curvature_coefs(X @ w)
-        diag = X.multiply(X).T @ coefs / self.n
+        diag = X.multiply(X).T @ self.curvature_at(w) / self.n
         return np.asarray(diag).ravel() + self.lam
 
     # -- constants for the rate machinery ------------------------------------

@@ -19,21 +19,44 @@ uniformly random one (option 2) to the next anchor.  Method names:
     SVRGBB        no correction, per-epoch BB step
     SVRG2BBS-M1/2/3  BB-scalar correction, generalized BB step presets
 
-An inner step takes one of two forms:
+An inner step takes one of three forms:
 
-* the dense step keeps w as a vector and costs O(d) per step;
+* the dense step keeps w as a vector and costs O(d) per step; its
+  arithmetic is the plain formula above;
 * the affine step, for the ``none`` and ``bb_scalar`` corrections (so also
-  the first, uncorrected epoch of SVRG2 and SVRG2D), costs O(nnz_i).  Both corrections make every dense term of v_t a scalar times
+  the first, uncorrected epoch of SVRG2 and SVRG2D), costs O(nnz_i).  Both
+  corrections make every dense term of v_t a scalar times
   u = w - anchor or times g_anchor:  v_t = k_i u + (c_i(w) - c_i(z)) a_i + g
   with k_i = lam (``none``) or bb_scalar - kappa_i (``bb_scalar``).  So the
   step holds u = sigma * y + rho * g_anchor, rescales the two scalars and
   writes y only on the row's support, takes margins from the epoch's
   ``X @ anchor`` and ``X @ g_anchor``, and tracks ||w||^2 for the divergence
-  guard from ||y||^2, y.anchor and y.g_anchor.
+  guard from ||y||^2, y.anchor and y.g_anchor;
+* the diagonal step, for the ``diag_hessian`` correction, costs O(nnz_i).
+  With D the mean Hessian diagonal (lam included) and h_i the anchor's
+  curvature coefficients, a step is
+  u <- (1 - eta D) o u - eta g - eta (c_i(w) - c_i(z)) a_i
+  + eta h_i (a_i o a_i o u).  Off the row's support column j follows
+  u_j <- u*_j + r_j (u_j - u*_j), with r_j = 1 - eta D_j and
+  u*_j = -g_j / D_j, so k steps of it move u_j by (r_j^k - 1)(u_j - u*_j).
+  Where 1 - eta D_j rounds to 1 (D_j = 0 needs lam = 0), the column drifts
+  by -eta g_j per step instead.  The step brings only the row's columns up
+  from the step each was last written at, takes the margin from
+  ``X @ anchor`` + a_i.u, and writes the row back; the end of the epoch and
+  the option-2 snapshot bring up all d columns.  When every eta D_j < 1,
+  r^k - 1 is expm1(k log1p(-eta D_j)), which keeps its precision when
+  |u*_j| is far larger than |u_j|, and the divergence guard runs on a bound:
+  a column that waits k steps moves at most k |eta D_j u_j + eta g_j|, so
+  ||w|| <= ||z|| + ||u|| + k (max_j eta D_j ||u|| + eta ||g||), with u the
+  written values, ||u||^2 a running sum over the written columns and k the
+  steps since all columns were last brought up.  When that bound reaches
+  the guard (less a 1e-3 slack for the sum's rounding) or is not finite,
+  and on every step when some eta D_j >= 1, the step brings up all columns
+  and tests w exactly as the dense step does.
 
 The affine step runs when rows are short: the mean row has at most d/4
-nonzeros.  Elsewhere the dense step runs; its arithmetic is the plain
-formula above.  The two agree up to rounding.
+nonzeros; the diagonal step runs on every ``diag_hessian`` epoch.
+Elsewhere the dense step runs.  All three agree up to rounding.
 
 Variance telemetry (``variance_mode="last"``) is exact at any n and costs a
 few sparse matvecs per epoch (:func:`measure_variance`); it draws no
@@ -47,6 +70,7 @@ trajectory.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -250,6 +274,113 @@ class _AffineIterate:
         return ww <= limit
 
 
+class _DiagIterate:
+    """The inner iterate of a ``diag_hessian`` epoch as u = w - z, with z the
+    anchor; each column is brought up to date only when a step reads it, so a
+    step costs O(nnz_i) (module docstring)."""
+
+    # ||w|| is tested exactly once its bound reaches this share of the guard
+    # radius; the slack covers the rounding of the bound's running sum
+    BOUND_SLACK = 1e-3
+
+    def __init__(self, model, correction, w_anchor, g_anchor):
+        X = model.dataset.features
+        self.indptr, self.indices, self.data = X.indptr, X.indices, X.data
+        self.margin_coef_at = model.margin_coef_at
+        self.z, self.g, self.diag = w_anchor, g_anchor, correction.diag_mean
+        # h_i a_ij^2 for every nonzero a_ij
+        self.h_sq = np.repeat(correction.curvature_coefs, np.diff(X.indptr)) * X.data ** 2
+        # per-sample epoch data as Python floats, for scalar arithmetic
+        self.z_dots = correction.anchor_dots.tolist()
+        self.z_coefs = correction.anchor_coefs.tolist()
+        self.znorm = float(np.linalg.norm(w_anchor))
+        self.u = np.zeros(model.d)      # u_j as of step stamp_j
+        self.stamp = np.zeros(model.d)
+        self.t = 0                      # steps taken
+        self.eta = None
+
+    def _set_eta(self, eta: float) -> None:
+        """Bring every column up to date, then take steps of size ``eta``."""
+        self._sync()
+        self.eta = eta
+        E = eta * self.diag                         # 1 - r
+        self.eta_g = eta * self.g
+        # where 1 - eta D_j rounds to 1, u_j <- u_j - eta g_j: r_j = 1, u*_j = 0
+        # and a drift (D_j = 0 needs lam = 0 and no curvature through column j)
+        flat = E < 2.0 ** -53
+        self.E = np.where(flat, 0.0, E)
+        self.ustar = np.divide(-self.eta_g, E, out=np.zeros_like(E), where=~flat)
+        self.drift = np.where(flat, self.eta_g, 0.0) if np.any(self.g[flat]) else None
+        # every r_j > 0: a catch-up takes r^k - 1 as expm1(k log r), which
+        # keeps its precision however close r_j is to 1.  Otherwise every
+        # step brings all columns up, so k <= 1 and r^k - 1 = -k eta D.
+        self.log_r = np.log1p(-self.E) if E.max() < 1.0 else None
+        # a step on row i multiplies u_j by 1 - eta D_j + eta h_i a_ij^2
+        self.row_coef = 1.0 - self.E[self.indices] + eta * self.h_sq
+        self.move_scale = (float(self.E.max()), eta * float(np.linalg.norm(self.g)))
+        self._reset_bound()
+
+    @staticmethod
+    def _caught_up(u, k, rk_m1, ustar, drift):
+        """u after k more steps off the support, u_j <- u*_j + r_j (u_j - u*_j)
+        - drift_j each, given rk_m1 = r^k - 1."""
+        u = u + rk_m1 * (u - ustar)
+        if drift is not None:
+            u -= k * drift
+        return u
+
+    def _sync(self) -> None:
+        """Bring every column up to step t."""
+        if self.eta is not None:
+            k = self.t - self.stamp
+            rk_m1 = -k * self.E if self.log_r is None else np.expm1(k * self.log_r)
+            self.u = self._caught_up(self.u, k, rk_m1, self.ustar, self.drift)
+            self.stamp.fill(self.t)
+            self._reset_bound()
+
+    def _reset_bound(self) -> None:
+        self.usq = float(self.u @ self.u)   # ||u||^2 of the stored columns
+        self.t0 = self.t                    # every stamp is at least t0
+
+    def current(self) -> np.ndarray:
+        self._sync()
+        return self.z + self.u
+
+    def step(self, i: int, eta: float, limit: float) -> bool:
+        """w -= eta * v_t(i); False when w is non-finite or ||w||^2 > limit."""
+        if eta != self.eta:
+            self._set_eta(eta)
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        cols, vals = self.indices[lo:hi], self.data[lo:hi]
+        u_old = self.u.take(cols)
+        if self.log_r is None:
+            uc = u_old      # the exact test after each step brought all up
+        else:
+            k = self.t - self.stamp.take(cols)
+            uc = self._caught_up(u_old, k, np.expm1(k * self.log_r.take(cols)),
+                                 self.ustar.take(cols),
+                                 None if self.drift is None else self.drift.take(cols))
+        dc = self.margin_coef_at(i, self.z_dots[i] + float(vals.dot(uc))) - self.z_coefs[i]
+        # u <- (1 - eta D) o u - eta g - eta dc a_i + eta h_i (a_i o a_i o u)
+        u_new = self.row_coef[lo:hi] * uc - self.eta_g.take(cols) - (eta * dc) * vals
+        self.u.put(cols, u_new)
+        self.t += 1
+        self.stamp.put(cols, self.t)
+        if self.log_r is not None:
+            # a column waiting k steps moves at most k |eta D_j u_j + eta g_j|
+            self.usq += float(u_new.dot(u_new) - u_old.dot(u_old))
+            u_norm = math.sqrt(abs(self.usq))
+            e_max, g_move = self.move_scale
+            bound = self.znorm + u_norm + (self.t - self.t0) * (e_max * u_norm + g_move)
+            if bound <= math.sqrt(limit) * (1.0 - self.BOUND_SLACK):
+                return True
+        # the bound is not finite or reaches the limit, or there is none:
+        # test w itself
+        self._sync()
+        w = self.z + self.u
+        return bool(np.isfinite(w).all()) and float(w @ w) <= limit
+
+
 def run_epoch(model: LossModel, config: RunConfig, correction,
               schedule_anchors: EpochAnchors | None, epoch: int,
               w_anchor: np.ndarray, g_anchor: np.ndarray,
@@ -258,13 +389,19 @@ def run_epoch(model: LossModel, config: RunConfig, correction,
     """Run the m inner iterations of one (0-based) epoch.
 
     ``correction`` must be built at (``w_anchor``, ``g_anchor``), with
-    ``schedule_anchors`` its ``anchors``; the step form follows
-    :func:`affine_step_applies`.  Raises
+    ``schedule_anchors`` its ``anchors``.  A ``diag_hessian`` epoch takes
+    the diagonal step, one that :func:`affine_step_applies` to the affine
+    step, any other the dense step (module docstring).  Raises
     :class:`DivergenceError` when an iterate exceeds the norm guard or turns
     non-finite.  Curvature failures in BB schedules fall back to the last
     valid BB step, else the schedule's eta0.
     """
-    iterate_cls = _AffineIterate if affine_step_applies(model, correction) else _DenseIterate
+    if correction.variant == "diag_hessian":
+        iterate_cls = _DiagIterate
+    elif affine_step_applies(model, correction):
+        iterate_cls = _AffineIterate
+    else:
+        iterate_cls = _DenseIterate
     iterate = iterate_cls(model, correction, w_anchor, g_anchor)
     option2_t = int(rng.integers(m)) if config.anchor_option == 2 else None
     idx = rng.integers(0, model.n, size=m).tolist()

@@ -38,8 +38,9 @@ class ReferenceSolution:
 
 
 def solve_reference(model, tol: float = 1e-10, max_iter: int = 1000) -> ReferenceSolution:
-    """Minimize ``model`` (with ``d``, ``value(w)``, ``grad_full(w)`` and
-    ``mean_hess_vec(w, v)``) from w = 0 by inexact Newton-CG.
+    """Minimize ``model`` (with ``d``, ``value(w)``, ``grad_full(w)``,
+    ``curvature_at(w)`` and ``mean_hess_vec_from(curvature, v)``) from w = 0
+    by inexact Newton-CG.
 
     Each iteration takes p from :func:`_newton_direction` and halves alpha
     from 1 until, with g = grad F(w), F(w + alpha p) <= F(w) + 1e-4 alpha g^T p
@@ -76,17 +77,19 @@ def solve_reference(model, tol: float = 1e-10, max_iter: int = 1000) -> Referenc
 
 
 def _newton_direction(model, w, g, gnorm: float) -> np.ndarray:
-    """Truncated CG on H p = -g, H = ``model.mean_hess_vec(w, .)``, to
+    """Truncated CG on H p = -g, H = ``model.mean_hess_vec_from(curvature, .)``
+    with the curvature at w taken once, to
     ||H p + g|| <= min(0.5, sqrt(||g||)) ||g||, for at most d steps, or up to
     the first direction of non-positive curvature; -g if that is the first.
     """
     target = min(0.5, math.sqrt(gnorm)) * gnorm
+    curvature = model.curvature_at(w)
     p = np.zeros_like(g)
     r = -g                  # the residual -g - H p
     d = r.copy()
     rr = gnorm * gnorm
     for _ in range(model.d):
-        Hd = model.mean_hess_vec(w, d)
+        Hd = model.mean_hess_vec_from(curvature, d)
         dHd = float(d @ Hd)
         if dHd <= 0.0:
             break

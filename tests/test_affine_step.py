@@ -1,9 +1,11 @@
-"""The O(nnz_i) affine inner step against the dense inner step as oracle.
+"""The O(nnz_i) affine and diagonal inner steps against the dense inner step
+as oracle.
 
-Every run here uses data whose mean row has at most d/4 nonzeros, so
-``optimize`` takes the affine step for the ``none`` and ``bb_scalar``
-corrections.  The oracle is the same run with the affine step switched off,
-which takes the dense step: the plain formula for v_t on a dense w.
+Unless a test says otherwise, the data's mean row has at most d/4 nonzeros,
+so ``optimize`` takes the affine step for the ``none`` and ``bb_scalar``
+corrections; it takes the diagonal step for every ``diag_hessian`` epoch.
+The oracle is the same run with both switched off, which takes the dense
+step: the plain formula for v_t on a dense w.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 import vrgrad.optimizer as optimizer
 from vrgrad.correction import build_correction
-from vrgrad.data import SparseDataset
+from vrgrad.data import SparseDataset, synth_binary
 from vrgrad.harness import schedule_for
 from vrgrad.losses import LossModel
 from vrgrad.optimizer import (METHODS, DivergenceError, RunConfig,
@@ -40,12 +42,12 @@ def sparse_dataset(n, d, nnz, seed, empty_rows=()):
 
 
 def run_both(monkeypatch, model, config, w0=None):
-    """(records, summaries) of the affine-step run, then of the dense-step
+    """(records, summaries) of the O(nnz_i)-step run, then of the dense-step
     run; a run that diverged gives its DivergenceError instead of records."""
     w0 = np.zeros(model.d) if w0 is None else w0
     real_run_epoch = optimizer.run_epoch
     out = []
-    for affine in (True, False):
+    for fast in (True, False):
         summaries = []
 
         def spy(*args, **kwargs):
@@ -55,8 +57,9 @@ def run_both(monkeypatch, model, config, w0=None):
 
         with monkeypatch.context() as patch:
             patch.setattr(optimizer, "run_epoch", spy)
-            if not affine:
+            if not fast:
                 patch.setattr(optimizer, "affine_step_applies", lambda *a: False)
+                patch.setattr(optimizer, "_DiagIterate", optimizer._DenseIterate)
             try:
                 _, records = optimize(model, config, w0)
             except DivergenceError as err:
@@ -199,14 +202,14 @@ def test_forced_folds_on_every_method(monkeypatch, data):
 @pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
 def test_empty_rows(monkeypatch, kind):
     model = LossModel(sparse_dataset(30, 40, 4, seed=3, empty_rows={0, 7, 8, 29}), 1e-2, kind)
-    for method in ("SVRG", "SVRG2BB"):
+    for method in ("SVRG", "SVRG2BB", "SVRG2D"):
         assert_same_run(monkeypatch, model, config_for(method, model))
 
 
 @pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
 def test_single_sample(monkeypatch, kind):
     model = LossModel(sparse_dataset(1, 12, 3, seed=4), 1e-2, kind)
-    for method in ("SVRG", "SVRGBB", "SVRG2BB", "SVRG2BBS-M3"):
+    for method in ("SVRG", "SVRGBB", "SVRG2BB", "SVRG2D", "SVRG2BBS-M3"):
         assert_same_run(monkeypatch, model, config_for(method, model, m=7))
 
 
@@ -219,8 +222,164 @@ def test_hinge_kink(monkeypatch):
                       1e-2, "squared_hinge")
     w0 = labels.copy()
     assert np.all(labels * (model.dataset.features @ w0) == 1.0)
-    for method in ("SVRG", "SVRG2BB", "SVRG2BBS-M2"):
+    for method in ("SVRG", "SVRG2BB", "SVRG2D", "SVRG2BBS-M2"):
         assert_same_run(monkeypatch, model, config_for(method, model), w0)
+
+
+# -- the diagonal step ----------------------------------------------------------------------
+
+
+def diag_iterates(monkeypatch):
+    """Every diagonal iterate ``optimize`` builds from now on, in order."""
+    built = []
+
+    class Recorded(optimizer._DiagIterate):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(optimizer, "_DiagIterate", Recorded)
+    return built
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+@pytest.mark.parametrize("anchor_option", [1, 2])
+def test_diag_step_on_dense_rows(monkeypatch, kind, anchor_option):
+    # no density rule: dense rows take the diagonal step too
+    model = LossModel(synth_binary(40, 8, seed=3, separability=0.8), 1e-2, kind)
+    built = diag_iterates(monkeypatch)
+    assert_same_run(monkeypatch, model,
+                    config_for("SVRG2D", model, epochs=5, anchor_option=anchor_option))
+    assert len(built) == 4 and all(it.log_r is not None for it in built)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+def test_diag_step_lambda_zero_with_an_empty_column(monkeypatch, kind):
+    ds = sparse_dataset(30, 40, 4, seed=3)
+    X = ds.features.tolil()
+    X[:, 5] = 0.0
+    model = LossModel(SparseDataset(X.tocsr(), ds.labels), 0.0, kind)
+    built = diag_iterates(monkeypatch)
+    assert_same_run(monkeypatch, model, config_for("SVRG2D", model, anchor_option=2))
+    assert built and all(it.diag[5] == 0.0 and it.E[5] == 0.0 for it in built)
+
+
+@pytest.mark.parametrize("margin", [-800.0, -700.0, -30.0])
+def test_diag_step_where_curvature_vanishes(monkeypatch, margin):
+    # lam = 0 and column 0 only in row 0, whose logistic margin starts at
+    # ``margin``: D_0 is 0 (-800), below rounding against 1 / eta (-700),
+    # or 1e-13 to 3e-12 with |u*_0| 1e11 to 2e12 (-30), while g_0 is near -1/3
+    X = sp.csr_matrix(np.array([[1.0, 0, 0], [0, 1.0, 0.5], [0, 0.5, 1.0]]))
+    model = LossModel(SparseDataset(X, np.array([1.0, 1.0, -1.0])), 0.0)
+    built = diag_iterates(monkeypatch)
+    assert_same_run(monkeypatch, model, config_for("SVRG2D", model, m=9),
+                    w0=np.array([margin, 0.3, -0.2]))
+    assert built and all(it.diag[0] < 1e-11 for it in built)
+    if margin < -100.0:
+        assert all(it.drift is not None for it in built)
+    else:
+        assert all(it.drift is None and abs(it.ustar[0]) > 1e10 for it in built)
+
+
+def test_diag_step_negative_ratio(monkeypatch):
+    # eta * lam = 1.5 with unit rows: every r_j is in [-1, -0.5), so every
+    # step brings all columns up and tests w
+    model = LossModel(sparse_dataset(60, 80, 6, seed=11), 1.0)
+    built = diag_iterates(monkeypatch)
+    assert_same_run(monkeypatch, model, config_for("SVRG2D", model, step=1.5))
+    assert built and all(it.log_r is None and 1.5 <= it.E.min() < it.E.max() <= 2.0
+                         for it in built)
+
+
+def step_both(model, correction, idx, eta, limit):
+    """Step the diagonal and the dense iterate of one epoch through ``idx``;
+    both must pass or fail the guard together.  Returns the step at which
+    they fail (None if neither does) and the diagonal iterate."""
+    diag, dense = (cls(model, correction, correction.anchor, correction.g_anchor)
+                   for cls in (optimizer._DiagIterate, optimizer._DenseIterate))
+    failed = None
+    for t, i in enumerate(idx):
+        ok = diag.step(i, eta, limit)
+        assert ok == dense.step(i, eta, limit), t
+        if not ok:
+            failed = t + 1
+            break
+    w = dense.current()
+    np.testing.assert_allclose(diag.current(), w, rtol=0.0, atol=RTOL * np.linalg.norm(w))
+    return failed, diag
+
+
+def epoch_correction(model, seed=0):
+    """A ``diag_hessian`` operator at a point one gradient step from 0."""
+    rng = np.random.default_rng(seed)
+    z_prev = 0.1 * rng.standard_normal(model.d)
+    z = z_prev - model.grad_full(z_prev)
+    return build_correction("diag_hessian", model, z, z_prev)
+
+
+@pytest.mark.parametrize("kind, eta_d, limit_factor",
+                         [("logistic", 0.1, 30.0), ("squared_hinge", 0.5, 1e5)])
+def test_diag_step_guard_bound_fires_with_the_dense_guard(data, kind, eta_d, limit_factor):
+    # every eta D_j < 1, so the running bound decides when w is tested; the
+    # iterate crosses the guard tens of steps in
+    model = LossModel(data, 1e-2, kind)
+    corr = epoch_correction(model)
+    eta = eta_d / corr.diag_mean.max()
+    limit = limit_factor * float(corr.anchor @ corr.anchor)
+    idx = np.random.default_rng(1).integers(0, model.n, 400).tolist()
+    failed, diag = step_both(model, corr, idx, eta, limit)
+    assert diag.log_r is not None and failed is not None and failed > 20
+
+
+def test_diag_step_exact_guard_when_a_ratio_leaves_the_unit_interval(data):
+    # eta D_j > 2 for some j: the guard tests w on every step
+    model = LossModel(data, 1e-2)
+    corr = epoch_correction(model)
+    eta = 2.5 / corr.diag_mean.max()
+    assert eta * corr.diag_mean.min() < 2.0
+    idx = np.random.default_rng(2).integers(0, model.n, 300).tolist()
+    failed, diag = step_both(model, corr, idx, eta, limit=1e12)
+    assert diag.log_r is None and failed is not None
+
+
+def test_diag_step_long_epoch_matches(data):
+    # no guard event; many columns wait hundreds of steps
+    for kind in ("logistic", "squared_hinge"):
+        model = LossModel(data, 1e-3, kind)
+        corr = epoch_correction(model, seed=3)
+        idx = np.random.default_rng(3).integers(0, model.n, 1000).tolist()
+        failed, diag = step_both(model, corr, idx, 0.5, limit=1e16)
+        assert failed is None and diag.log_r is not None
+
+
+def test_diag_step_divergence_raises_at_the_same_step(monkeypatch, data):
+    # eta * lam = 2.1 makes every r_j < -1: the second, corrected epoch
+    # diverges, under the exact guard
+    model = LossModel(data, 1e-2)
+    built = diag_iterates(monkeypatch)
+    (fast, _), (dense, _) = run_both(monkeypatch, model,
+                                     config_for("SVRG2D", model, 210.0, epochs=6))
+    assert isinstance(fast, DivergenceError) and isinstance(dense, DivergenceError)
+    assert (fast.epoch, fast.step) == (dense.epoch, dense.step)
+    assert fast.epoch >= 2 and built and built[0].log_r is None
+    assert [r.fval for r in fast.records] == pytest.approx(
+        [r.fval for r in dense.records], rel=RTOL)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 12), d=st.integers(1, 30), density=st.floats(0.05, 1.0),
+       data_seed=st.integers(0, 2**16), seed=st.integers(0, 2**16),
+       lam=st.sampled_from([0.0, 1e-2]), kind=st.sampled_from(["logistic", "squared_hinge"]),
+       anchor_option=st.sampled_from([1, 2]))
+def test_diag_runs_are_seeded(n, d, density, data_seed, seed, lam, kind, anchor_option):
+    ds = sparse_dataset(n, d, max(1, round(density * d)), data_seed)
+    model = LossModel(ds, lam, kind)
+    config = config_for("SVRG2D", model, epochs=3, anchor_option=anchor_option, seed=seed)
+    w1, recs1 = optimize(model, config, np.zeros(d))
+    w2, recs2 = optimize(model, config, np.zeros(d))
+    np.testing.assert_array_equal(w1, w2)
+    assert recs1 and [(r.fval, r.grad_evals) for r in recs1] \
+        == [(r.fval, r.grad_evals) for r in recs2]
 
 
 # -- determinism ---------------------------------------------------------------------------

@@ -296,6 +296,12 @@ def test_label_validation():
         LossModel(bad, 0.1, "logistic")
 
 
+@pytest.mark.parametrize("lam", [-1e-3, -np.inf, np.inf, np.nan])
+def test_lambda_must_be_finite_and_nonnegative(lam):
+    with pytest.raises(ValueError, match="lam must be finite"):
+        LossModel(synth_binary(10, 3, seed=1), lam)
+
+
 def test_kind_aliases():
     ds = synth_binary(10, 3, seed=1)
     assert LossModel(ds, 0.1, "svm").kind == "squared_hinge"

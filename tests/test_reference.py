@@ -25,7 +25,10 @@ class Quadratic:
     def grad_full(self, w):
         return w - self.c
 
-    def mean_hess_vec(self, w, v):
+    def curvature_at(self, w):
+        return None
+
+    def mean_hess_vec_from(self, curvature, v):
         return v
 
 
@@ -127,6 +130,35 @@ def test_deterministic():
     b = solve_reference(model, tol=1e-10)
     np.testing.assert_array_equal(a.w_star, b.w_star)
     assert a.f_star == b.f_star
+
+
+class PerStepCurvature:
+    """A loss model whose Hessian products recompute the curvature at w on
+    every call, through ``mean_hess_vec``."""
+
+    def __init__(self, model):
+        self.model = model
+        self.d = model.d
+        self.value, self.grad_full = model.value, model.grad_full
+        self.curvature_calls = 0
+
+    def curvature_at(self, w):
+        self.curvature_calls += 1
+        return w.copy()
+
+    def mean_hess_vec_from(self, w, v):
+        return self.model.mean_hess_vec(w, v)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+def test_curvature_taken_once_per_iteration(kind):
+    model = LossModel(synth_binary(300, 20, seed=56, separability=0.9), 1e-5, kind)
+    per_step = PerStepCurvature(model)
+    a = solve_reference(model)
+    b = solve_reference(per_step)
+    assert a.converged and per_step.curvature_calls == b.iterations
+    np.testing.assert_array_equal(a.w_star, b.w_star)
+    assert (a.f_star, a.grad_norm, a.iterations) == (b.f_star, b.grad_norm, b.iterations)
 
 
 class TestCache:
