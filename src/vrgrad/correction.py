@@ -4,7 +4,7 @@ Each variant supplies a mean operator ``apply_mean`` and a per-sample
 operator ``apply_sample`` with E_i[apply_sample(i, u)] == apply_mean(u):
 
 * ``none``          A = A_i = 0 (plain variance-reduced gradient)
-* ``full_hessian``  A = mean hessian at the anchor, A_i = hess f_i (matrix-free)
+* ``full_hessian``  A = mean hessian at the anchor, A_i = hess f_i
 * ``diag_hessian``  diagonal of the above (mean diagonal cached at build time)
 * ``bb_scalar``     the secant ratio s^T y / ||s||^2 as a scalar surrogate,
                     with per-sample scalars from per-sample gradient
@@ -26,9 +26,13 @@ curvature coefficients, and for ``bb_scalar`` the per-sample scalars
 so that A_i = (lam + kappa_i) I.  A ``diag_hessian`` operator also holds
 the mean diagonal D as ``diag_mean``.  Of the inner steps of
 :mod:`vrgrad.optimizer`, the dense one reads only the curvature
-coefficients and keeps ``apply_sample``'s arithmetic; the two O(nnz_i) ones
-read the rest, and the diagonal one reads ``diag_mean`` and the curvature
-coefficients in place of calling ``apply_*``.
+coefficients and keeps ``apply_sample``'s arithmetic.  The others read the
+data in place of calling ``apply_*``: the affine one the anchor products,
+the anchor's margin coefficients and the per-sample scalars; the diagonal
+one ``X @ z``, the margin coefficients, ``diag_mean`` and the curvature
+coefficients; the full-Hessian one ``X @ z``, the margin coefficients and
+the curvature coefficients, from which it forms the mean Hessian when
+d^2 < nnz and otherwise takes the matrix-free product.
 
 From the same data, ``sample_parts`` gives every A_i at once as n-vectors
 (p, q, h), A_i u = p_i u + q_i a_i + h_i (a_i o a_i o u) with o the

@@ -68,6 +68,9 @@ def loss_kind(name: str) -> str:
 class LossModel:
     """Immutable loss model; every oracle is pure given (model, w)."""
 
+    # rows of X made dense at a time by :meth:`mean_hessian_from`
+    HESSIAN_BLOCK_ROWS = 128
+
     def __init__(self, dataset: SparseDataset, lam: float, kind: str = "logistic"):
         kind = loss_kind(kind)
         if not 0.0 <= lam < math.inf:
@@ -200,11 +203,31 @@ class LossModel:
         """(1/n) sum_i hess f_i(w) @ v via two sparse matvecs (no Hessian formed)."""
         return self.mean_hess_vec_from(self.curvature_at(w), v)
 
-    def mean_hess_vec_from(self, coefs: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """:meth:`mean_hess_vec` from the point's :meth:`curvature_at`."""
+    def mean_hess_vec_from(self, coefs: np.ndarray, v: np.ndarray,
+                           out: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`mean_hess_vec` from the point's :meth:`curvature_at`,
+        written into ``out`` (not ``v``) when given."""
         v = self._check_dim(v, "v")
         X = self.dataset.features
-        return X.T @ (coefs * (X @ v)) / self.n + self.lam * v
+        hv = X.T @ (coefs * (X @ v))
+        hv /= self.n
+        out = np.multiply(v, self.lam, out=out)
+        out += hv
+        return out
+
+    def mean_hessian_from(self, coefs: np.ndarray) -> np.ndarray:
+        """The mean Hessian X^T diag(coefs) X / n + lam I as a dense d x d
+        array, from the point's :meth:`curvature_at`.  It is summed over
+        blocks of ``HESSIAN_BLOCK_ROWS`` rows, each made dense in turn, so
+        the only dense copy of X is one block's."""
+        X, rows = self.dataset.features, self.HESSIAN_BLOCK_ROWS
+        H = np.zeros((self.d, self.d))
+        for lo in range(0, self.n, rows):
+            block = X[lo:lo + rows].toarray()
+            H += block.T @ (coefs[lo:lo + rows, None] * block)
+        H /= self.n
+        H.flat[::self.d + 1] += self.lam
+        return H
 
     def mean_hess_diag(self, w: np.ndarray) -> np.ndarray:
         """Diagonal of the mean Hessian at w."""

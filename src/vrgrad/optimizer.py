@@ -13,13 +13,13 @@ and finally promotes either the last inner iterate (option 1) or a
 uniformly random one (option 2) to the next anchor.  Method names:
 
     SVRG          no correction, constant step
-    SVRG2         full-Hessian correction (matrix-free), constant step
+    SVRG2         full-Hessian correction, constant step
     SVRG2D        diagonal-Hessian correction, constant step
     SVRG2BB       BB-scalar correction, constant step
     SVRGBB        no correction, per-epoch BB step
     SVRG2BBS-M1/2/3  BB-scalar correction, generalized BB step presets
 
-An inner step takes one of three forms:
+An inner step takes one of four forms:
 
 * the dense step keeps w as a vector and costs O(d) per step; its
   arithmetic is the plain formula above;
@@ -52,11 +52,20 @@ An inner step takes one of three forms:
   steps since all columns were last brought up.  When that bound reaches
   the guard (less a 1e-3 slack for the sum's rounding) or is not finite,
   and on every step when some eta D_j >= 1, the step brings up all columns
-  and tests w exactly as the dense step does.
+  and tests w exactly as the dense step does;
+* the full-Hessian step, for the ``full_hessian`` correction, keeps
+  u = w - anchor.  lam u cancels between grad f_i(w) - grad f_i(z) and
+  A_i u, so with H the mean Hessian at the anchor (lam included) and h_i
+  its curvature coefficients, v_t = g + H u + (c_i(w) - c_i(z) - h_i a_i.u) a_i.
+  A step takes one row dot, one H u, one row write and O(d) updates in
+  per-epoch buffers, and tests w exactly as the dense step does.  When
+  d^2 < nnz, a d x d matvec costs less than two sparse matvecs over X, so
+  H is formed once per epoch as a dense array, summed over blocks of rows,
+  and H u is one matvec; otherwise H u is the matrix-free product.
 
 The affine step runs when rows are short: the mean row has at most d/4
-nonzeros; the diagonal step runs on every ``diag_hessian`` epoch.
-Elsewhere the dense step runs.  All three agree up to rounding.
+nonzeros; the diagonal and full-Hessian steps run on every epoch of their
+correction.  Elsewhere the dense step runs.  All four agree up to rounding.
 
 Variance telemetry (``variance_mode="last"``) is exact at any n and costs a
 few sparse matvecs per epoch (:func:`measure_variance`); it draws no
@@ -381,6 +390,53 @@ class _DiagIterate:
         return bool(np.isfinite(w).all()) and float(w @ w) <= limit
 
 
+class _HessIterate:
+    """The inner iterate of a ``full_hessian`` epoch as u = w - z, with z the
+    anchor; a step costs one row dot, one H u and O(d) in-place updates
+    (module docstring)."""
+
+    def __init__(self, model, correction, w_anchor, g_anchor):
+        X = model.dataset.features
+        self.indptr, self.indices, self.data = X.indptr, X.indices, X.data
+        self.margin_coef_at = model.margin_coef_at
+        self.z, self.g = w_anchor, g_anchor
+        self.model, self.coefs = model, correction.curvature_coefs
+        # per-sample epoch data as Python floats, for scalar arithmetic
+        self.z_dots = correction.anchor_dots.tolist()
+        self.z_coefs = correction.anchor_coefs.tolist()
+        self.h = self.coefs.tolist()
+        # H u from the formed mean Hessian when d^2 < nnz, else matrix-free
+        self.H = model.mean_hessian_from(self.coefs) if model.d * model.d < X.nnz else None
+        # per-epoch buffers: a step writes into them and allocates no O(d) array
+        self.u = np.zeros(model.d)
+        self.v = np.empty(model.d)
+        self.w = np.empty(model.d)
+
+    def current(self) -> np.ndarray:
+        return self.z + self.u
+
+    def step(self, i: int, eta: float, limit: float) -> bool:
+        """w -= eta * v_t(i); False when w is non-finite or ||w||^2 > limit."""
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        cols, vals = self.indices[lo:hi], self.data[lo:hi]
+        u, v, w = self.u, self.v, self.w
+        au = float(vals.dot(u.take(cols)))
+        dc = self.margin_coef_at(i, self.z_dots[i] + au) - self.z_coefs[i]
+        # v = H u + g + (dc - h_i a_i.u) a_i
+        if self.H is None:
+            self.model.mean_hess_vec_from(self.coefs, u, out=v)
+        else:
+            np.matmul(self.H, u, out=v)
+        v += self.g
+        v[cols] += (dc - self.h[i] * au) * vals
+        v *= eta
+        u -= v
+        np.add(self.z, u, out=w)
+        ww = float(w @ w)
+        # ||w||^2 is finite exactly when w is, unless the sum overflows
+        return ww <= limit and (ww < math.inf or bool(np.isfinite(w).all()))
+
+
 def run_epoch(model: LossModel, config: RunConfig, correction,
               schedule_anchors: EpochAnchors | None, epoch: int,
               w_anchor: np.ndarray, g_anchor: np.ndarray,
@@ -390,14 +446,17 @@ def run_epoch(model: LossModel, config: RunConfig, correction,
 
     ``correction`` must be built at (``w_anchor``, ``g_anchor``), with
     ``schedule_anchors`` its ``anchors``.  A ``diag_hessian`` epoch takes
-    the diagonal step, one that :func:`affine_step_applies` to the affine
-    step, any other the dense step (module docstring).  Raises
+    the diagonal step, a ``full_hessian`` one the full-Hessian step, one
+    that :func:`affine_step_applies` to the affine step, any other the
+    dense step (module docstring).  Raises
     :class:`DivergenceError` when an iterate exceeds the norm guard or turns
     non-finite.  Curvature failures in BB schedules fall back to the last
     valid BB step, else the schedule's eta0.
     """
     if correction.variant == "diag_hessian":
         iterate_cls = _DiagIterate
+    elif correction.variant == "full_hessian":
+        iterate_cls = _HessIterate
     elif affine_step_applies(model, correction):
         iterate_cls = _AffineIterate
     else:
@@ -466,9 +525,10 @@ def optimize(model: LossModel, config: RunConfig, w0: np.ndarray,
     n + 2m for plain directions, n + 4m when the BB per-sample scalar is
     active (its two extra anchor gradients per step), and the first epoch
     of every correction method runs uncorrected (no previous anchor).
-    SVRG2 additionally performs m*(n+1) Hessian-vector sample products per
-    corrected epoch (computed as matrix-free matvecs); these are not
-    gradient evaluations and are not included in ``grad_evals``.
+    A corrected SVRG2 epoch also takes one mean-Hessian product per step,
+    from H formed once per epoch when d^2 < nnz and otherwise matrix-free;
+    these are not gradient evaluations and are not included in
+    ``grad_evals``.
 
     Divergence aborts the run with the completed epochs' records attached
     to the raised :class:`DivergenceError`.

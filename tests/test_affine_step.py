@@ -1,12 +1,15 @@
-"""The O(nnz_i) affine and diagonal inner steps against the dense inner step
-as oracle.
+"""The affine, diagonal and full-Hessian inner steps against the dense inner
+step as oracle.
 
 Unless a test says otherwise, the data's mean row has at most d/4 nonzeros,
 so ``optimize`` takes the affine step for the ``none`` and ``bb_scalar``
-corrections; it takes the diagonal step for every ``diag_hessian`` epoch.
-The oracle is the same run with both switched off, which takes the dense
-step: the plain formula for v_t on a dense w.
+corrections; it takes the diagonal step for every ``diag_hessian`` epoch and
+the full-Hessian step for every ``full_hessian`` epoch.  The oracle is the
+same run with all three switched off, which takes the dense step: the plain
+formula for v_t on a dense w.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -60,6 +63,7 @@ def run_both(monkeypatch, model, config, w0=None):
             if not fast:
                 patch.setattr(optimizer, "affine_step_applies", lambda *a: False)
                 patch.setattr(optimizer, "_DiagIterate", optimizer._DenseIterate)
+                patch.setattr(optimizer, "_HessIterate", optimizer._DenseIterate)
             try:
                 _, records = optimize(model, config, w0)
             except DivergenceError as err:
@@ -202,14 +206,15 @@ def test_forced_folds_on_every_method(monkeypatch, data):
 @pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
 def test_empty_rows(monkeypatch, kind):
     model = LossModel(sparse_dataset(30, 40, 4, seed=3, empty_rows={0, 7, 8, 29}), 1e-2, kind)
-    for method in ("SVRG", "SVRG2BB", "SVRG2D"):
+    for method in ("SVRG", "SVRG2BB", "SVRG2D", "SVRG2"):
         assert_same_run(monkeypatch, model, config_for(method, model))
 
 
 @pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
 def test_single_sample(monkeypatch, kind):
     model = LossModel(sparse_dataset(1, 12, 3, seed=4), 1e-2, kind)
-    for method in ("SVRG", "SVRGBB", "SVRG2BB", "SVRG2D", "SVRG2BBS-M3"):
+    # one row: d^2 >= nnz always, so SVRG2 takes the matrix-free product
+    for method in ("SVRG", "SVRGBB", "SVRG2BB", "SVRG2D", "SVRG2", "SVRG2BBS-M3"):
         assert_same_run(monkeypatch, model, config_for(method, model, m=7))
 
 
@@ -222,7 +227,7 @@ def test_hinge_kink(monkeypatch):
                       1e-2, "squared_hinge")
     w0 = labels.copy()
     assert np.all(labels * (model.dataset.features @ w0) == 1.0)
-    for method in ("SVRG", "SVRG2BB", "SVRG2D", "SVRG2BBS-M2"):
+    for method in ("SVRG", "SVRG2BB", "SVRG2D", "SVRG2", "SVRG2BBS-M2"):
         assert_same_run(monkeypatch, model, config_for(method, model), w0)
 
 
@@ -291,30 +296,30 @@ def test_diag_step_negative_ratio(monkeypatch):
                          for it in built)
 
 
-def step_both(model, correction, idx, eta, limit):
-    """Step the diagonal and the dense iterate of one epoch through ``idx``;
+def step_both(model, correction, idx, eta, limit, fast_cls=optimizer._DiagIterate):
+    """Step a ``fast_cls`` and a dense iterate of one epoch through ``idx``;
     both must pass or fail the guard together.  Returns the step at which
-    they fail (None if neither does) and the diagonal iterate."""
-    diag, dense = (cls(model, correction, correction.anchor, correction.g_anchor)
-                   for cls in (optimizer._DiagIterate, optimizer._DenseIterate))
+    they fail (None if neither does) and the ``fast_cls`` iterate."""
+    fast, dense = (cls(model, correction, correction.anchor, correction.g_anchor)
+                   for cls in (fast_cls, optimizer._DenseIterate))
     failed = None
     for t, i in enumerate(idx):
-        ok = diag.step(i, eta, limit)
+        ok = fast.step(i, eta, limit)
         assert ok == dense.step(i, eta, limit), t
         if not ok:
             failed = t + 1
             break
     w = dense.current()
-    np.testing.assert_allclose(diag.current(), w, rtol=0.0, atol=RTOL * np.linalg.norm(w))
-    return failed, diag
+    np.testing.assert_allclose(fast.current(), w, rtol=0.0, atol=RTOL * np.linalg.norm(w))
+    return failed, fast
 
 
-def epoch_correction(model, seed=0):
-    """A ``diag_hessian`` operator at a point one gradient step from 0."""
+def epoch_correction(model, seed=0, variant="diag_hessian"):
+    """A ``variant`` operator at a point one gradient step from 0."""
     rng = np.random.default_rng(seed)
     z_prev = 0.1 * rng.standard_normal(model.d)
     z = z_prev - model.grad_full(z_prev)
-    return build_correction("diag_hessian", model, z, z_prev)
+    return build_correction(variant, model, z, z_prev)
 
 
 @pytest.mark.parametrize("kind, eta_d, limit_factor",
@@ -380,6 +385,188 @@ def test_diag_runs_are_seeded(n, d, density, data_seed, seed, lam, kind, anchor_
     np.testing.assert_array_equal(w1, w2)
     assert recs1 and [(r.fval, r.grad_evals) for r in recs1] \
         == [(r.fval, r.grad_evals) for r in recs2]
+
+
+# -- the full-Hessian step ------------------------------------------------------------------
+
+
+def hess_iterates(monkeypatch):
+    """Every full-Hessian iterate ``optimize`` builds from now on, in order."""
+    built = []
+
+    class Recorded(optimizer._HessIterate):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(optimizer, "_HessIterate", Recorded)
+    return built
+
+
+def dense_rows(n=40, d=8, seed=3):
+    """Dense rows: d^2 < nnz, so the full-Hessian step forms H."""
+    return synth_binary(n, d, seed=seed, separability=0.8)
+
+
+# (dataset, whether the step forms H): d^2 = 64 < nnz = 320, and the
+# ``data`` fixture's d^2 = 6400 >= nnz = 360
+BRANCHES = {"formed": (dense_rows, True),
+            "matrix_free": (lambda: sparse_dataset(60, 80, 6, seed=11), False)}
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+@pytest.mark.parametrize("anchor_option", [1, 2])
+def test_hess_step_on_dense_rows(monkeypatch, kind, anchor_option):
+    # the matrix-free branch runs in test_full_runs_match_dense_step
+    model = LossModel(dense_rows(), 1e-2, kind)
+    built = hess_iterates(monkeypatch)
+    assert_same_run(monkeypatch, model,
+                    config_for("SVRG2", model, epochs=5, anchor_option=anchor_option))
+    assert len(built) == 4 and all(it.H is not None for it in built)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+@pytest.mark.parametrize("branch", list(BRANCHES))
+def test_hess_step_lambda_zero(monkeypatch, branch, kind):
+    make, formed = BRANCHES[branch]
+    model = LossModel(make(), 0.0, kind)
+    built = hess_iterates(monkeypatch)
+    assert_same_run(monkeypatch, model, config_for("SVRG2", model, anchor_option=2))
+    assert built and all((it.H is not None) == formed for it in built)
+
+
+@pytest.mark.parametrize("branch", list(BRANCHES))
+@pytest.mark.parametrize("step", [150.0, 210.0])
+def test_hess_step_divergence_raises_at_the_same_step(monkeypatch, branch, step):
+    # eta * lam = 1.5 or 2.1: the first epoch passes and a corrected one
+    # grows until the guard
+    make, _ = BRANCHES[branch]
+    model = LossModel(make(), 1e-2)
+    (fast, _), (dense, _) = run_both(monkeypatch, model,
+                                     config_for("SVRG2", model, step, epochs=6))
+    assert isinstance(fast, DivergenceError) and isinstance(dense, DivergenceError)
+    assert (fast.epoch, fast.step) == (dense.epoch, dense.step) and fast.epoch >= 2
+    assert [r.fval for r in fast.records] == pytest.approx(
+        [r.fval for r in dense.records], rel=RTOL)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+@pytest.mark.parametrize("branch", list(BRANCHES))
+def test_hess_step_guard_fires_with_the_dense_guard(branch, kind):
+    make, formed = BRANCHES[branch]
+    # eta = 2.2 / lambda_max(H): the iterate grows along the top eigenvector
+    # and crosses the guard tens to hundreds of steps in
+    model = LossModel(make(), 1e-2, kind)
+    corr = epoch_correction(model, variant="full_hessian")
+    top = np.linalg.eigvalsh(model.mean_hessian_from(corr.curvature_coefs)).max()
+    limit = 1e4 * float(corr.anchor @ corr.anchor)
+    idx = np.random.default_rng(1).integers(0, model.n, 400).tolist()
+    failed, hess = step_both(model, corr, idx, 2.2 / top, limit,
+                             fast_cls=optimizer._HessIterate)
+    assert failed is not None and failed > 10 and (hess.H is not None) == formed
+
+
+@pytest.mark.parametrize("branch", list(BRANCHES))
+def test_hess_step_guard_with_an_infinite_limit(branch):
+    # ||w||^2 <= inf cannot fail: both steps pass until w overflows to a
+    # non-finite value, then both fail
+    make, _ = BRANCHES[branch]
+    model = LossModel(make(), 1e-2)
+    corr = epoch_correction(model, variant="full_hessian")
+    fast, dense = (cls(model, corr, corr.anchor, corr.g_anchor)
+                   for cls in (optimizer._HessIterate, optimizer._DenseIterate))
+    results = []
+    with np.errstate(all="ignore"):
+        for i in np.random.default_rng(4).integers(0, model.n, 20).tolist():
+            ok = fast.step(i, 1e100, math.inf)
+            assert ok == dense.step(i, 1e100, math.inf), len(results)
+            results.append(ok)
+            if not ok:
+                break
+    assert results[0] and not results[-1]
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+def test_hess_step_empty_rows_with_h_formed(monkeypatch, kind):
+    model = LossModel(sparse_dataset(60, 6, 3, seed=3, empty_rows={0, 7, 59}), 1e-2, kind)
+    built = hess_iterates(monkeypatch)
+    assert_same_run(monkeypatch, model, config_for("SVRG2", model))
+    assert built and all(it.H is not None for it in built)
+
+
+def test_hess_step_hinge_kink_with_h_formed(monkeypatch):
+    # five copies of the 4 x 4 identity (d^2 = 16 < nnz = 20), labels by
+    # column and w0 = the column labels: every margin starts exactly at 1
+    d = 4
+    pattern = np.array([1.0, -1.0, -1.0, 1.0])
+    X = sp.vstack([sp.identity(d, format="csr")] * 5, format="csr")
+    model = LossModel(SparseDataset(X, np.tile(pattern, 5)), 1e-2, "squared_hinge")
+    w0 = pattern.copy()
+    assert np.all(model.dataset.labels * (model.dataset.features @ w0) == 1.0)
+    built = hess_iterates(monkeypatch)
+    assert_same_run(monkeypatch, model, config_for("SVRG2", model), w0)
+    assert built and all(it.H is not None for it in built)
+
+
+@pytest.mark.parametrize("n, nnz_per_row, formed", [(5, 5, False), (13, 2, True)])
+def test_hess_step_gate_at_d_squared_equal_nnz(monkeypatch, n, nnz_per_row, formed):
+    # d = 5: nnz = 25 = d^2 keeps the matrix-free product, 26 forms H
+    model = LossModel(sparse_dataset(n, 5, nnz_per_row, seed=2), 1e-2)
+    assert model.dataset.features.nnz == 25 + formed
+    built = hess_iterates(monkeypatch)
+    assert_same_run(monkeypatch, model, config_for("SVRG2", model))
+    assert built and all((it.H is not None) == formed for it in built)
+
+
+def test_hess_step_block_rows_not_dividing_n(monkeypatch):
+    # 40 rows in blocks of 7: five full blocks and one of 5
+    monkeypatch.setattr(LossModel, "HESSIAN_BLOCK_ROWS", 7)
+    model = LossModel(dense_rows(), 1e-2)
+    built = hess_iterates(monkeypatch)
+    assert_same_run(monkeypatch, model, config_for("SVRG2", model, anchor_option=2))
+    assert built and all(it.H is not None for it in built)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 40, 1000])
+def test_mean_hessian_is_formed_block_by_block(monkeypatch, block_rows):
+    model = LossModel(dense_rows(), 1e-2)
+    X = model.dataset.features
+    coefs = model.curvature_at(np.linspace(-1.0, 1.0, model.d))
+    made_dense = []
+    real_toarray = sp.csr_matrix.toarray
+
+    def toarray(self, *args, **kwargs):
+        made_dense.append(self.shape)
+        return real_toarray(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.csr_matrix, "toarray", toarray)
+    monkeypatch.setattr(LossModel, "HESSIAN_BLOCK_ROWS", block_rows)
+    H = model.mean_hessian_from(coefs)
+    monkeypatch.undo()
+    dense = X.toarray()
+    want = dense.T @ (coefs[:, None] * dense) / model.n + model.lam * np.eye(model.d)
+    np.testing.assert_allclose(H, want, rtol=1e-13, atol=1e-15)
+    rows = [shape[0] for shape in made_dense]
+    assert sum(rows) == model.n and max(rows) == min(block_rows, model.n)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 30), d=st.integers(1, 12), density=st.floats(0.05, 1.0),
+       data_seed=st.integers(0, 2**16), block_rows=st.integers(1, 40),
+       lam=st.sampled_from([0.0, 1e-3, 1.0]), kind=st.sampled_from(["logistic", "squared_hinge"]),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_formed_hessian_product_matches_the_matrix_free_one(n, d, density, data_seed,
+                                                            block_rows, lam, kind, scale):
+    model = LossModel(sparse_dataset(n, d, max(1, round(density * d)), data_seed), lam, kind)
+    rng = np.random.default_rng(data_seed)
+    coefs = model.curvature_at(rng.standard_normal(d))
+    u = scale * rng.standard_normal(d)
+    model.HESSIAN_BLOCK_ROWS = block_rows
+    H = model.mean_hessian_from(coefs)
+    want = model.mean_hess_vec_from(coefs, u)
+    # each entry is a sum of terms no larger than (max_i c_i ||a_i||^2 + lam) |u|
+    size = (float(np.max(coefs * model.row_sq_norms)) + lam) * float(np.abs(u).sum())
+    np.testing.assert_allclose(H @ u, want, rtol=0.0, atol=1e-14 * size + 1e-300)
 
 
 # -- determinism ---------------------------------------------------------------------------

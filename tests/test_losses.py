@@ -235,6 +235,31 @@ def test_mean_hess_vec_is_mean_of_samples(instances):
         np.testing.assert_allclose(model.mean_hess_vec(w, v), mean, atol=1e-12)
 
 
+def test_mean_hess_vec_from_writes_the_same_bits_into_out(instances):
+    rng = np.random.default_rng(16)
+    for model in instances:
+        coefs = model.curvature_at(rng.standard_normal(model.d))
+        v = rng.standard_normal(model.d)
+        want = model.dataset.features.T @ (coefs * (model.dataset.features @ v)) \
+            / model.n + model.lam * v
+        out = np.full(model.d, np.nan)
+        assert model.mean_hess_vec_from(coefs, v, out=out) is out
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(model.mean_hess_vec_from(coefs, v), want)
+
+
+def test_mean_hessian_from_is_the_mean_of_the_sample_hessians(instances):
+    rng = np.random.default_rng(17)
+    for model in instances:
+        w = rng.standard_normal(model.d)
+        H = model.mean_hessian_from(model.curvature_at(w))
+        for j in range(model.d):
+            e = np.zeros(model.d)
+            e[j] = 1.0
+            mean = np.mean([model.hess_vec_sample(i, w, e) for i in range(model.n)], axis=0)
+            np.testing.assert_allclose(H[:, j], mean, atol=1e-12)
+
+
 def test_mean_hess_diag_is_mean_of_samples(instances):
     rng = np.random.default_rng(15)
     for model in instances:
