@@ -16,8 +16,7 @@ from .optimizer import (METHODS, DivergenceError, EpochRecord, RunConfig,
                         optimize, run_epoch)
 from .reference import ReferenceSolution, cached_reference, solve_reference
 from .stepsize import (CurvatureError, EpochAnchors, StepSizeSchedule,
-                       XiSchedule, constant, epoch_bb, generalized_bb, preset,
-                       step, xi)
+                       constant, epoch_bb, generalized_bb, preset, step)
 from .theory import (ProblemConstants, RateEstimate, alpha_bb_diag,
                      alpha_full_hessian, beta_theorem1,
                      estimate_alpha_empirical, estimate_hessian_lipschitz,
@@ -32,8 +31,8 @@ __all__ = [
     "LossModel", "METHODS", "DivergenceError", "EpochRecord", "RunConfig",
     "direction", "expected_grad_evals", "measure_variance", "optimize",
     "run_epoch", "ReferenceSolution", "cached_reference", "solve_reference",
-    "CurvatureError", "EpochAnchors", "StepSizeSchedule", "XiSchedule",
-    "constant", "epoch_bb", "generalized_bb", "preset", "step", "xi",
+    "CurvatureError", "EpochAnchors", "StepSizeSchedule", "constant",
+    "epoch_bb", "generalized_bb", "preset", "step",
     "ProblemConstants", "RateEstimate", "alpha_bb_diag", "alpha_full_hessian",
     "beta_theorem1", "estimate_alpha_empirical", "estimate_hessian_lipschitz",
     "gamma_theorem2", "gamma_theorem3",

@@ -1,13 +1,15 @@
 """Command-line front end: ``run``, ``plot`` and ``reference`` subcommands.
 
-Exit codes: 0 success, 2 usage error (a bad flag or spec-file value), 3 data error,
+Exit codes: 0 success, 2 usage error (a bad flag or spec-file value), 3 data
+error (an unreadable or malformed file, or a label outside {-1, +1}),
 4 reference-solver failure, 5 divergence, 1 anything else.  The reference
 cache directory comes from --cache-dir or the VRGRAD_CACHE_DIR env var.
 
 Config files for ``run --spec`` are flat ``key = value`` text; list values
-are comma-separated.  A flag and its spec key share one converter.
-Precedence: CLI flag > spec file > :class:`~vrgrad.harness.ExperimentSpec`'s
-defaults.
+are comma-separated.  ``_RUN_FIELDS`` declares each ``run`` flag once, and
+the flag and its spec key share its converter (``--scale`` is a switch; the
+key takes 1/true/yes or 0/false/no).  Precedence: CLI flag > spec file >
+:class:`~vrgrad.harness.ExperimentSpec`'s defaults, which hold the range checks.
 """
 
 from __future__ import annotations
@@ -59,9 +61,18 @@ def _parse_synth(text: str) -> tuple:
     if len(parts) not in (3, 4):
         raise argparse.ArgumentTypeError("--synth expects n,d,seed[,separability]")
     n, d, seed = int(parts[0]), int(parts[1]), int(parts[2])
-    if len(parts) == 4:
-        return (n, d, seed, float(parts[3]))
-    return (n, d, seed)
+    separability = float(parts[3]) if len(parts) == 4 else 1.0
+    if n < 1 or d < 1 or seed < 0 or not math.isfinite(separability):
+        raise argparse.ArgumentTypeError(
+            f"synth needs n, d >= 1, seed >= 0 and a finite separability, got {text!r}")
+    return (n, d, seed, separability) if len(parts) == 4 else (n, d, seed)
+
+
+def _parse_switch(text: str) -> bool:
+    word = text.strip().lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise argparse.ArgumentTypeError(f"expected 1/true/yes or 0/false/no, got {text!r}")
+    return word in ("1", "true", "yes")
 
 
 def _parse_m(text: str) -> int | None:
@@ -97,21 +108,22 @@ def read_spec_file(path) -> dict:
     return values
 
 
-# ExperimentSpec field -> (spec-file key and ``run`` flag dest, converter of
-# the key's text); the flag parses with the same converter (--scale is a switch)
+# ExperimentSpec field -> (spec-file key and ``run`` flag, converter of the
+# key's text, flag help); the flag parses with the same converter, except
+# that --scale is a switch
 _RUN_FIELDS = {
-    "data_path": ("data", str),
-    "synth": ("synth", _parse_synth),
-    "model": ("model", _parse_model),
-    "lambdas": ("lambda", _parse_floats),
-    "methods": ("methods", _parse_methods),
-    "grid": ("grid", _parse_floats),
-    "epochs": ("epochs", int),
-    "m": ("m", _parse_m),
-    "seeds": ("seeds", _parse_ints),
-    "out_dir": ("out", str),
-    "scale_features": ("scale", lambda s: s.lower() in ("1", "true", "yes")),
-    "subsample": ("subsample", int),
+    "data_path": ("data", str, "LIBSVM text file"),
+    "synth": ("synth", _parse_synth, "n,d,seed[,separability]"),
+    "model": ("model", _parse_model, "loss kind or alias"),
+    "lambdas": ("lambda", _parse_floats, "comma-separated regularization weights"),
+    "methods": ("methods", _parse_methods, f"comma-separated from {', '.join(METHODS)}"),
+    "grid": ("grid", _parse_floats, "step-parameter grid"),
+    "epochs": ("epochs", int, "number of epochs"),
+    "m": ("m", _parse_m, "inner length (integer or '2n')"),
+    "seeds": ("seeds", _parse_ints, "comma-separated seeds"),
+    "out_dir": ("out", str, "output directory"),
+    "scale_features": ("scale", _parse_switch, "per-feature max-abs scaling"),
+    "subsample": ("subsample", int, "random subsample size"),
 }
 
 
@@ -120,13 +132,13 @@ def _spec_from_args(args) -> ExperimentSpec:
     and the range checks."""
     file_vals = read_spec_file(args.spec) if args.spec else {}
     given = {}
-    for field, (key, convert) in _RUN_FIELDS.items():
+    for field, (key, convert, _) in _RUN_FIELDS.items():
         if hasattr(args, key):
             given[field] = getattr(args, key)
         elif key in file_vals:
             try:
                 given[field] = convert(file_vals[key])
-            except ValueError as err:
+            except (ValueError, argparse.ArgumentTypeError) as err:
                 raise argparse.ArgumentTypeError(f"spec file {key}: {err}") from None
     try:
         return ExperimentSpec(**given)
@@ -190,23 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a grid-search experiment",
                            argument_default=argparse.SUPPRESS)
     run_p.add_argument("--spec", default=None, help="flat key=value spec file")
-    run_p.add_argument("--data", help="LIBSVM text file")
-    run_p.add_argument("--synth", type=_parse_synth, help="n,d,seed[,separability]")
-    run_p.add_argument("--model", type=_parse_model, help="loss kind or alias")
-    run_p.add_argument("--lambda", type=_parse_floats,
-                       help="comma-separated regularization weights")
-    run_p.add_argument("--methods", type=_parse_methods,
-                       help=f"comma-separated from {', '.join(METHODS)}")
-    run_p.add_argument("--epochs", type=int)
-    run_p.add_argument("--m", type=_parse_m, help="inner length (integer or '2n')")
-    run_p.add_argument("--seeds", type=_parse_ints)
-    run_p.add_argument("--grid", type=_parse_floats, help="step-parameter grid")
+    for key, convert, help_text in _RUN_FIELDS.values():
+        if convert is _parse_switch:
+            run_p.add_argument(f"--{key}", action="store_true", help=help_text)
+        else:
+            run_p.add_argument(f"--{key}", type=convert, help=help_text)
     run_p.add_argument("--step", nargs="?", action=_RemovedStepFlag,
                        help=argparse.SUPPRESS)
-    run_p.add_argument("--out", help="output directory")
-    run_p.add_argument("--scale", action="store_true",
-                       help="per-feature max-abs scaling")
-    run_p.add_argument("--subsample", type=int, help="random subsample size")
     run_p.add_argument("--plots", action="store_true", default=False,
                        help="also write SVG figures")
     run_p.add_argument("--cache-dir", default=None, help="reference cache directory")

@@ -22,7 +22,7 @@ class LibsvmParseError(ValueError):
 
 
 class LabelError(ValueError):
-    """A label fell outside the supplied normalization rule."""
+    """A label fell outside the supplied label map, or outside {-1, +1}."""
 
 
 class SparseDataset:

@@ -15,8 +15,10 @@ and seed list.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -61,10 +63,12 @@ class ExperimentSpec:
     variance_mode: str = "last"
 
     def __post_init__(self):
-        if not self.methods:
-            raise ValueError("method list must be non-empty")
-        if not self.lambdas:
-            raise ValueError("lambda list must be non-empty")
+        for name, values in (("method", self.methods), ("lambda", self.lambdas),
+                             ("grid", self.grid), ("seed", self.seeds)):
+            if not values:
+                raise ValueError(f"{name} list must be non-empty")
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError(f"every seed must be >= 0, got {self.seeds}")
         if not all(0.0 < g < np.inf for g in self.grid):
             raise ValueError(f"every grid value must be finite and > 0, got {self.grid}")
         if not all(0.0 <= lam < np.inf for lam in self.lambdas):
@@ -216,11 +220,16 @@ def _mean(vals):
 
 # -- CSV emission --------------------------------------------------------------
 
-CSV_HEADER = "epoch,wall_time_sec,fval,gap,variance,step_size,grad_evals"
-
-
 def _fmt_float(x: float) -> str:
     return f"{x:.17e}"
+
+
+# a run CSV's columns are EpochRecord's fields, in order; ints are written as is
+_RECORD_FIELDS = fields(EpochRecord)
+_RECORD_TYPES = tuple(get_type_hints(EpochRecord)[f.name] for f in _RECORD_FIELDS)
+_RECORD_VALUES = attrgetter(*(f.name for f in _RECORD_FIELDS))
+_RECORD_FORMATS = tuple(str if kind is int else _fmt_float for kind in _RECORD_TYPES)
+CSV_HEADER = ",".join(f.metadata.get("column", f.name) for f in _RECORD_FIELDS)
 
 
 def _param_token(x: float) -> str:
@@ -236,8 +245,9 @@ def run_filename(model: str, lam: float, method: str, step_param: float, seed: i
 def emit_csv(table: ResultTable, out_dir) -> list[Path]:
     """One CSV per run plus winners.csv and metadata.json.
 
-    Numeric fields use 17-significant-digit scientific notation, so parsing
-    the files back reproduces every record exactly.
+    A run CSV has one column per :class:`EpochRecord` field; floats use
+    17-significant-digit scientific notation, so parsing the files back
+    reproduces every record exactly.
     """
     if not table.rows:
         raise ValueError("empty result table")
@@ -250,15 +260,8 @@ def emit_csv(table: ResultTable, out_dir) -> list[Path]:
         path = out / run_filename(model, row.lam, row.method, row.step_param, row.seed)
         lines = [CSV_HEADER]
         for rec in row.records:
-            lines.append(",".join([
-                str(rec.epoch),
-                _fmt_float(rec.wall_time),
-                _fmt_float(rec.fval),
-                _fmt_float(rec.gap),
-                _fmt_float(rec.variance),
-                _fmt_float(rec.step_size),
-                str(rec.grad_evals),
-            ]))
+            lines.append(",".join([fmt(value) for fmt, value
+                                   in zip(_RECORD_FORMATS, _RECORD_VALUES(rec))]))
         path.write_text("\n".join(lines) + "\n")
         paths.append(path)
 
@@ -288,11 +291,8 @@ def parse_run_csv(path) -> list[EpochRecord]:
         raise ValueError(f"{path}: unexpected CSV header {lines[0]!r}")
     records = []
     for line in lines[1:]:
-        f = line.split(",")
-        records.append(EpochRecord(
-            epoch=int(f[0]), wall_time=float(f[1]), fval=float(f[2]),
-            gap=float(f[3]), variance=float(f[4]), step_size=float(f[5]),
-            grad_evals=int(f[6])))
+        values = [kind(tok) for kind, tok in zip(_RECORD_TYPES, line.split(","), strict=True)]
+        records.append(EpochRecord(*values))
     return records
 
 

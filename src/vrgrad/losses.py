@@ -24,7 +24,7 @@ from collections import namedtuple
 import numpy as np
 from scipy.special import expit
 
-from .data import SparseDataset
+from .data import LabelError, SparseDataset
 
 
 def _expit_at(m: float) -> float:
@@ -78,7 +78,7 @@ class LossModel:
         if dataset.n < 1:
             raise ValueError("dataset must contain at least one sample")
         if not np.all(np.isin(dataset.labels, (-1.0, 1.0))):
-            raise ValueError("classification labels must be in {-1, +1}")
+            raise LabelError("classification labels must be in {-1, +1}")
         self.dataset = dataset
         self.lam = float(lam)
         self.kind = kind

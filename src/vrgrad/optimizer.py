@@ -81,7 +81,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,13 +147,18 @@ class RunConfig:
 
 @dataclass
 class EpochRecord:
-    """Telemetry for one completed epoch (1-based epoch index)."""
+    """Telemetry for one completed epoch (1-based epoch index).
+
+    The fields are a run CSV's columns, in order; a column is named after
+    its field unless the field's metadata names it.
+    """
 
     epoch: int
+    # cumulative seconds in full-gradient passes, correction builds and
+    # inner loops (no telemetry)
+    wall_time: float = field(metadata={"column": "wall_time_sec"})
     fval: float
     gap: float          # fval - f_star; nan when no reference supplied
-    wall_time: float    # cumulative seconds in full-gradient passes,
-                        # correction builds and inner loops (no telemetry)
     variance: float     # mean_i ||v_t(i) - grad F||^2 at the last iterate; nan when off
     step_size: float    # step used at the final inner iteration
     grad_evals: int     # cumulative per-sample gradient evaluations
@@ -466,12 +471,10 @@ def run_epoch(model: LossModel, config: RunConfig, correction,
     idx = rng.integers(0, model.n, size=m).tolist()
     limit = norm_guard * norm_guard
     snapshot = None
-    gevals = 0
     fallbacks = 0
     eta = float("nan")
-    # grad_sample_delta counts as two per-sample gradient evaluations;
-    # the BB per-sample scalar recomputes two more at the anchors
-    per_direction = 4 if correction.variant == "bb_scalar" else 2
+    # one secant per epoch: a BB step fails on every inner step or on none
+    fallback = last_bb_step if last_bb_step is not None else config.schedule.eta0
 
     for t in range(m):
         if t == option2_t:
@@ -480,10 +483,7 @@ def run_epoch(model: LossModel, config: RunConfig, correction,
             eta = schedule_step(config.schedule, schedule_anchors, epoch, t, m)
         except CurvatureError:
             fallbacks += 1
-            eta = last_bb_step if last_bb_step is not None else config.schedule.eta0
-        if config.schedule.kind != "constant":
-            last_bb_step = eta
-        gevals += per_direction
+            eta = fallback
         if not iterate.step(idx[t], eta, limit):
             raise DivergenceError(
                 f"iterate diverged at epoch {epoch + 1}, inner step {t + 1}",
@@ -491,8 +491,11 @@ def run_epoch(model: LossModel, config: RunConfig, correction,
 
     w = iterate.current()
     next_anchor = snapshot if option2_t is not None else w
+    # grad_sample_delta counts as two per-sample gradient evaluations;
+    # the BB per-sample scalar recomputes two more at the anchors
+    per_direction = 4 if correction.variant == "bb_scalar" else 2
     return InnerSummary(final_iterate=w, next_anchor=next_anchor.copy(),
-                        last_step=eta, grad_evals=gevals,
+                        last_step=eta, grad_evals=m * per_direction,
                         curvature_fallbacks=fallbacks)
 
 

@@ -6,7 +6,8 @@ the secant of the epoch's two most recent anchors:
 * ``constant``        eta, independent of (epoch, t)
 * ``epoch_bb``        (1/m) * ||s||^2 / (s^T y), held constant within the epoch
 * ``generalized_bb``  (xi_T / m1) * ||s||^2 / (s^T y), xi_T = c1 / (1 + c2 * T)
-                      with T = k*m + t (c2 = 0 holds xi at c1)
+                      with T = k*m + t (c2 = 0 holds xi at c1); the schedule
+                      carries c1 > 0 and c2 >= 0 itself
 
 One :class:`EpochAnchors` per epoch holds the secant.  It comes from
 :func:`vrgrad.correction.build_correction`, whose BB scalar s^T y / ||s||^2
@@ -31,31 +32,13 @@ class CurvatureError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class XiSchedule:
-    c1: float
-    c2: float = 0.0
-
-    def __post_init__(self):
-        if self.c1 <= 0:
-            raise ValueError("c1 must be > 0")
-        if self.c2 < 0:
-            raise ValueError("c2 must be >= 0")
-
-
-def xi(schedule: XiSchedule, T: int) -> float:
-    """xi_T = c1 / (1 + c2 * T); exactly c1 when c2 = 0."""
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    return schedule.c1 / (1.0 + schedule.c2 * T)
-
-
-@dataclass(frozen=True)
 class StepSizeSchedule:
     kind: str  # "constant" | "epoch_bb" | "generalized_bb"
     eta: float | None = None
     eta0: float | None = None
     m1: int | None = None
-    xi_schedule: XiSchedule | None = None
+    c1: float | None = None   # xi_T = c1 / (1 + c2 * T), generalized_bb only
+    c2: float = 0.0
 
     def __post_init__(self):
         if self.kind == "constant":
@@ -69,8 +52,10 @@ class StepSizeSchedule:
         if self.kind == "generalized_bb":
             if self.m1 is None or self.m1 < 1:
                 raise ValueError("generalized_bb schedule needs m1 >= 1")
-            if self.xi_schedule is None:
-                raise ValueError("generalized_bb schedule needs a xi schedule")
+            if self.c1 is None or not self.c1 > 0:
+                raise ValueError("generalized_bb schedule needs c1 > 0")
+            if not self.c2 >= 0:
+                raise ValueError("generalized_bb schedule needs c2 >= 0")
 
 
 def constant(eta: float) -> StepSizeSchedule:
@@ -81,8 +66,8 @@ def epoch_bb(eta0: float) -> StepSizeSchedule:
     return StepSizeSchedule(kind="epoch_bb", eta0=eta0)
 
 
-def generalized_bb(m1: int, xi_schedule: XiSchedule, eta0: float) -> StepSizeSchedule:
-    return StepSizeSchedule(kind="generalized_bb", m1=m1, xi_schedule=xi_schedule, eta0=eta0)
+def generalized_bb(m1: int, c1: float, c2: float, eta0: float) -> StepSizeSchedule:
+    return StepSizeSchedule(kind="generalized_bb", m1=m1, c1=c1, c2=c2, eta0=eta0)
 
 
 PRESETS = ("M1", "M2", "M3")
@@ -94,11 +79,11 @@ def preset(name: str, n: int, c1: float, c2: float, eta0: float) -> StepSizeSche
     if n < 1:
         raise ValueError("n must be >= 1")
     if name == "M1":
-        return generalized_bb(2 * n, XiSchedule(c1), eta0)
+        return generalized_bb(2 * n, c1, 0.0, eta0)
     if name == "M2":
-        return generalized_bb(n, XiSchedule(c1, c2), eta0)
+        return generalized_bb(n, c1, c2, eta0)
     if name == "M3":
-        return generalized_bb(1, XiSchedule(c1, c2), eta0)
+        return generalized_bb(1, c1, c2, eta0)
     raise ValueError(f"unknown preset {name!r}; expected one of {PRESETS}")
 
 
@@ -141,5 +126,5 @@ def step(schedule: StepSizeSchedule, anchors: EpochAnchors | None,
         return schedule.eta
     if schedule.kind == "epoch_bb":
         return schedule.eta0 if anchors is None else anchors.bb_ratio() / m
-    scale = xi(schedule.xi_schedule, epoch * m + t) / schedule.m1
+    scale = schedule.c1 / (1.0 + schedule.c2 * (epoch * m + t)) / schedule.m1
     return scale * (schedule.eta0 if anchors is None else anchors.bb_ratio())

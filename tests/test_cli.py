@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vrgrad.cli import _spec_from_args, build_parser, main
+from vrgrad.cli import _RUN_FIELDS, _spec_from_args, build_parser, main
 from vrgrad.harness import ExperimentSpec, load_table
 
 
@@ -153,10 +153,67 @@ def test_unknown_model_is_a_usage_error(tmp_path, capsys, via_spec):
     ("grid", "nan,inf", "grid value"), ("grid", "-1", "grid value"),
     ("lambda", "nan", "lambda"), ("lambda", "-1", "lambda"), ("lambda", "inf", "lambda"),
     ("epochs", "-1", "epochs"), ("subsample", "0", "subsample"), ("subsample", "-5", "subsample"),
+    ("grid", ",", "grid list must be non-empty"), ("grid", "", "grid list must be non-empty"),
+    ("seeds", ",", "seed list must be non-empty"), ("seeds", "-1", "seed must be >= 0"),
+    ("seeds", "0,-3", "seed must be >= 0"),
+    ("synth", "0,3,0", "synth"), ("synth", "50,0,0", "synth"), ("synth", "50,3,-1", "synth"),
+    ("synth", "50,3,0,nan", "synth"), ("synth", "50,3,0,inf", "synth"),
 ])
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, via_spec, key, value, message):
     assert _run_usage_error(tmp_path, key, value, via_spec) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["maybe", "2", "on", "y"])
+def test_spec_file_scale_takes_only_yes_or_no_words(tmp_path, capsys, value):
+    assert _run_usage_error(tmp_path, "scale", value, via_spec=True) == 2
+    assert "spec file scale" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value, scale", [("1", True), ("TRUE", True), ("Yes", True),
+                                          ("0", False), ("false", False), ("NO", False)])
+def test_spec_file_scale_words_are_case_insensitive(tmp_path, value, scale):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(f"scale = {value}\n")
+    args = build_parser().parse_args(["run", "--spec", str(spec)])
+    assert _spec_from_args(args).scale_features is scale
+
+
+# a text for every run flag; the scale key's text stands for the bare --scale switch
+_FLAG_TEXTS = {
+    "data": "train.svm", "synth": "50,3,1,0.5", "model": "svm", "lambda": "1e-2,1e-3",
+    "methods": "SVRG, SVRG2BBS-M2", "grid": "0.1,1", "epochs": "3", "m": "7",
+    "seeds": "1,2", "out": "results-dir", "scale": "yes", "subsample": "10",
+}
+
+
+@pytest.mark.parametrize("key", [key for key, _, _ in _RUN_FIELDS.values()])
+def test_flag_and_spec_line_build_the_same_spec(tmp_path, key):
+    text = _FLAG_TEXTS[key]
+    flag = [f"--{key}"] if key == "scale" else [f"--{key}", text]
+    spec = tmp_path / "spec.txt"
+    spec.write_text(f"{key} = {text}\n")
+    parser = build_parser()
+    from_flag = _spec_from_args(parser.parse_args(["run", *flag]))
+    from_spec = _spec_from_args(parser.parse_args(["run", "--spec", str(spec)]))
+    assert from_flag == from_spec
+    assert from_flag != ExperimentSpec()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--epochs", "1", "--lambda", "1e-2", "--grid", "0.1"],
+    ["reference", "--lambda", "1e-2"],
+])
+def test_labels_outside_plus_minus_one_are_a_data_error(tmp_path, capsys, argv):
+    data = tmp_path / "zero_one.svm"
+    data.write_text("0 1:0.5 2:1\n1 1:-1 2:0.25\n1 2:2\n")
+    argv = argv + ["--data", str(data)]
+    if argv[0] == "run":
+        argv += ["--out", str(tmp_path / "out"), "--cache-dir", str(tmp_path / "cache")]
+    assert main(argv) == 3
+    assert "data error: classification labels must be in {-1, +1}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -173,6 +230,8 @@ def test_spec_file_line_without_equals_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--lambda", "nan"), ("--lambda", "-1"), ("--lambda", "inf"),
     ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
+    ("--synth", "0,3,0"), ("--synth", "50,0,0"), ("--synth", "50,3,-1"),
+    ("--synth", "50,3,0,nan"), ("--synth", "50,3,0,-inf"),
 ])
 def test_reference_out_of_range_values_are_usage_errors(capsys, flag, value):
     argv = ["reference", "--synth", "20,3,0", "--lambda", "1e-2", flag, value]

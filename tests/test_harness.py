@@ -1,11 +1,13 @@
 """emit_csv -> load_table is exact, whatever floats the telemetry holds."""
 
+import dataclasses
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrgrad.harness import ResultTable, RunRow, emit_csv, load_table
+from vrgrad.harness import ResultTable, RunRow, emit_csv, load_table, parse_run_csv
 from vrgrad.losses import KINDS
 from vrgrad.optimizer import METHODS, EpochRecord
 
@@ -13,7 +15,7 @@ from vrgrad.optimizer import METHODS, EpochRecord
 _ANY = st.one_of(st.floats(), st.sampled_from(
     [float("nan"), float("inf"), -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3]))
 _PARAM = st.floats(min_value=5e-324, max_value=1e300)
-_RECORD_FIELDS = ("epoch", "wall_time", "fval", "gap", "variance", "step_size", "grad_evals")
+_RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(EpochRecord))
 
 
 @st.composite
@@ -73,3 +75,38 @@ def test_steps_equal_to_six_digits_get_files_of_their_own(tmp_path):
     table.winners[("SVRG", 1e-3)] = 0.1
     assert len(emit_csv(table, tmp_path)) == 4
     assert _bits(load_table(tmp_path)) == _bits(table)
+
+
+# a run CSV as written before its columns were derived from EpochRecord;
+# a reordered, renamed or reformatted field changes these bytes
+_GOLDEN_RUN_CSV = (
+    "epoch,wall_time_sec,fval,gap,variance,step_size,grad_evals\n"
+    "1,5.00000000000000000e-01,nan,-0.00000000000000000e+00,inf,"
+    "1.00000000000000006e-01,4611686018427387904\n"
+    "2,1.25000000000000000e+00,-inf,4.94065645841246544e-324,nan,"
+    "3.33333333333333315e-01,9007199254740993\n")
+
+
+def test_run_csv_bytes_are_the_golden_file(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    records = [EpochRecord(epoch=1, wall_time=0.5, fval=nan, gap=-0.0, variance=inf,
+                           step_size=0.1, grad_evals=2**62),
+               EpochRecord(epoch=2, wall_time=1.25, fval=-inf, gap=5e-324, variance=nan,
+                           step_size=1 / 3, grad_evals=2**53 + 1)]
+    table = ResultTable(metadata={"model": "logistic", "epochs": 2, "lambdas": [1e-3],
+                                  "methods": ["SVRG"], "grid": [0.1], "seeds": [0]})
+    table.rows.append(RunRow("SVRG", 1e-3, 0.1, 0, records))
+    table.winners[("SVRG", 1e-3)] = 0.1
+    path = emit_csv(table, tmp_path)[0]
+    assert path.name == "run_logistic_lam0.001_SVRG_step0.1_seed0.csv"
+    assert path.read_text() == _GOLDEN_RUN_CSV
+    parsed = parse_run_csv(path)
+    assert [type(r.grad_evals) for r in parsed] == [int, int]
+    assert _bits(load_table(tmp_path)) == _bits(table)
+
+
+def test_run_csv_row_with_a_missing_column_is_rejected(tmp_path):
+    path = tmp_path / "run.csv"
+    path.write_text(_GOLDEN_RUN_CSV.rsplit(",", 1)[0] + "\n")
+    with pytest.raises(ValueError):
+        parse_run_csv(path)

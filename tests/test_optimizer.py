@@ -211,6 +211,28 @@ def test_run_epoch_signature_direct(small):
     assert summary.next_anchor.shape == (model.d,)
 
 
+@pytest.mark.parametrize("last_bb_step, want", [(0.07, 0.07), (None, 0.3)])
+def test_a_failed_secant_falls_back_on_every_step_of_the_epoch(small, last_bb_step, want):
+    # s^T y < 0: every inner step takes the fallback, the last BB step or
+    # else eta0, and the epoch matches a constant-step epoch at that value
+    model, _ = small
+    w0 = np.zeros(model.d)
+    g0 = model.grad_full(w0)
+    corr = build_correction("none", model, w0)
+    anchors = EpochAnchors(w0, np.ones(model.d), g0, g0 - np.ones(model.d))
+    runs = []
+    for schedule in (epoch_bb(0.3), constant(want)):
+        cfg = RunConfig(method="SVRGBB" if schedule.kind == "epoch_bb" else "SVRG",
+                        schedule=schedule, epochs=2, m=6)
+        runs.append(run_epoch(model, cfg, corr, anchors, 1, w0, g0,
+                              np.random.default_rng(3), 6, norm_guard=1e8,
+                              last_bb_step=last_bb_step))
+    bb, const = runs
+    assert bb.curvature_fallbacks == 6 and const.curvature_fallbacks == 0
+    assert bb.last_step == want and bb.grad_evals == const.grad_evals == 12
+    np.testing.assert_array_equal(bb.final_iterate, const.final_iterate)
+
+
 # -- convergence behavior ---------------------------------------------------------
 
 
