@@ -6,9 +6,10 @@ error (an unreadable or malformed file, or a label outside {-1, +1}),
 cache directory comes from --cache-dir or the VRGRAD_CACHE_DIR env var.
 
 Config files for ``run --spec`` are flat ``key = value`` text; list values
-are comma-separated.  ``_RUN_FIELDS`` declares each ``run`` flag once, and
-the flag and its spec key share its converter (``--scale`` is a switch; the
-key takes 1/true/yes or 0/false/no).  Precedence: CLI flag > spec file >
+are comma-separated, and a key that is not a ``run`` flag is a usage error.
+``_RUN_FIELDS`` declares each ``run`` flag once, and the flag and its spec
+key share its converter (``--scale`` is a switch; the key takes 1/true/yes
+or 0/false/no).  Precedence: CLI flag > spec file >
 :class:`~vrgrad.harness.ExperimentSpec`'s defaults, which hold the range checks.
 """
 
@@ -131,6 +132,11 @@ def _spec_from_args(args) -> ExperimentSpec:
     """The flags and spec-file keys given; ExperimentSpec has the defaults
     and the range checks."""
     file_vals = read_spec_file(args.spec) if args.spec else {}
+    keys = [key for key, _, _ in _RUN_FIELDS.values()]
+    unknown = [key for key in file_vals if key not in keys]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown spec file key {unknown[0]!r}; expected one of {', '.join(keys)}")
     given = {}
     for field, (key, convert, _) in _RUN_FIELDS.items():
         if hasattr(args, key):

@@ -24,15 +24,24 @@ curvature coefficients, and for ``bb_scalar`` the per-sample scalars
     kappa_i = (c_i(z) - c_i(z_prev)) (a_i^T s) / ||s||^2,
 
 so that A_i = (lam + kappa_i) I.  A ``diag_hessian`` operator also holds
-the mean diagonal D as ``diag_mean``.  Of the inner steps of
-:mod:`vrgrad.optimizer`, the dense one reads only the curvature
-coefficients and keeps ``apply_sample``'s arithmetic.  The others read the
-data in place of calling ``apply_*``: the affine one the anchor products,
-the anchor's margin coefficients and the per-sample scalars; the diagonal
-one ``X @ z``, the margin coefficients, ``diag_mean`` and the curvature
-coefficients; the full-Hessian one ``X @ z``, the margin coefficients and
-the curvature coefficients, from which it forms the mean Hessian when
-d^2 < nnz and otherwise takes the matrix-free product.
+the mean diagonal D as ``diag_mean``.  Two more n-vectors are filled one
+entry at a time, the first time a sample is asked for: c_i(z) from the row
+dot a_i^T z (``anchor_coef_at``) and the scalar lam + kappa_i from
+``grad_sample_delta`` at the anchor pair (``sample_scalar_at``), each by
+the per-sample oracles' expression, which can differ from the matvec forms
+above in the last bits.  ``apply_sample`` takes its ``bb_scalar`` scalar
+from the latter.
+
+Every inner step of :mod:`vrgrad.optimizer` reads this data.  The dense
+one reads ``anchor_coef_at`` and ``sample_scalar_at`` and applies the
+``full_hessian`` and ``diag_hessian`` corrections through ``apply_*``, so
+its bits are the plain formula's.  The others read the n-vectors in place
+of calling ``apply_*``: the affine one the anchor products, the anchor's
+margin coefficients and the per-sample scalars; the diagonal one ``X @ z``,
+the margin coefficients, ``diag_mean`` and the curvature coefficients; the
+full-Hessian one ``X @ z``, the margin coefficients and the curvature
+coefficients, from which it forms the mean Hessian when d^2 < nnz and
+otherwise takes the matrix-free product.
 
 From the same data, ``sample_parts`` gives every A_i at once as n-vectors
 (p, q, h), A_i u = p_i u + q_i a_i + h_i (a_i o a_i o u) with o the
@@ -44,6 +53,7 @@ every per-sample squared residual norm in a few sparse matvecs.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -110,6 +120,39 @@ class CorrectionOperator:
         change = self.anchor_coefs - self.model.margin_coefs(X @ pair.w_prev2)
         return change * (X @ pair.s) / pair.secant[0]
 
+    # -- the dense step's per-sample data, each entry on first use ------------
+    # NaN marks an entry not yet filled; a NaN value is computed again on
+    # each call, to the same NaN.
+
+    @cached_property
+    def _anchor_coef_memo(self) -> np.ndarray:
+        return np.full(self.model.n, np.nan)
+
+    @cached_property
+    def _sample_scalar_memo(self) -> np.ndarray:
+        return np.full(self.model.n, np.nan)
+
+    def anchor_coef_at(self, i: int) -> float:
+        """c_i(anchor) from the row dot a_i^T anchor, as
+        ``grad_sample_delta(i, w, anchor)`` computes it."""
+        memo = self._anchor_coef_memo
+        c = memo[i]
+        if math.isnan(c):
+            c = memo[i] = self.model._margin_coef(i, self.anchor)
+        return c
+
+    def sample_scalar_at(self, i: int) -> float:
+        """The scalar of A_i = (lam + kappa_i) I (``bb_scalar`` only), as
+        s^T (grad f_i(anchor) - grad f_i(w_prev2)) / ||s||^2 from
+        ``grad_sample_delta``; it is not floored."""
+        memo = self._sample_scalar_memo
+        k = memo[i]
+        if math.isnan(k):
+            pair = self.anchors
+            diff = self.model.grad_sample_delta(i, self.anchor, pair.w_prev2)
+            k = memo[i] = float(pair.s @ diff) / pair.secant[0]
+        return k
+
     def sample_parts(self, u_dots: np.ndarray):
         """(p, q, h) with A_i u = p_i u + q_i a_i + h_i (a_i o a_i o u) for
         every i, given ``u_dots`` = X @ u; h is None unless ``diag_hessian``."""
@@ -131,12 +174,7 @@ class CorrectionOperator:
             return self.model.hess_vec_sample(i, self.anchor, u)
         if self.variant == "diag_hessian":
             return self.model.hess_diag_sample(i, self.anchor) * u
-        # bb_scalar: two sparse gradient evaluations, recomputed on demand
-        # (the per-sample scalar is not floored).  This keeps the dense step's
-        # arithmetic; lam + sample_scalars[i] is the same value up to rounding.
-        diff = self.model.grad_sample_delta(i, self.anchor, self.anchors.w_prev2)
-        scalar_i = float(self.anchors.s @ diff) / self.anchors.secant[0]
-        return scalar_i * u
+        return self.sample_scalar_at(i) * u
 
     def apply_mean(self, u: np.ndarray) -> np.ndarray:
         """A @ u."""

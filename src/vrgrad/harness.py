@@ -67,6 +67,10 @@ class ExperimentSpec:
                              ("grid", self.grid), ("seed", self.seeds)):
             if not values:
                 raise ValueError(f"{name} list must be non-empty")
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                # a repeated value would run its cells again, into the same files
+                raise ValueError(f"{name} list repeats {', '.join(map(str, repeated))}")
         if any(seed < 0 for seed in self.seeds):
             raise ValueError(f"every seed must be >= 0, got {self.seeds}")
         if not all(0.0 < g < np.inf for g in self.grid):

@@ -137,7 +137,7 @@ class LossModel:
 
     def _margin_coef(self, i: int, w: np.ndarray) -> float:
         idx, vals = self._row(i)
-        return self.margin_coef_at(i, float(vals @ w[idx]))
+        return self.margin_coef_at(i, float(vals.dot(w.take(idx))))
 
     def grad_sample(self, i: int, w: np.ndarray) -> np.ndarray:
         w = self._check_dim(w)
@@ -150,9 +150,15 @@ class LossModel:
         """grad f_i(w) - grad f_i(z) in one pass over the sample's support."""
         w = self._check_dim(w)
         z = self._check_dim(z, "z")
+        return self.grad_sample_delta_from(i, w, w - z, self._margin_coef(i, z))
+
+    def grad_sample_delta_from(self, i: int, w: np.ndarray, u: np.ndarray,
+                               z_coef: float) -> np.ndarray:
+        """:meth:`grad_sample_delta` at (w, z), bit for bit, given u = w - z
+        and z's coefficient c_i(z) (:meth:`margin_coef_at` of a_i^T z)."""
         idx, vals = self._row(i)
-        g = self.lam * (w - z)
-        g[idx] += (self._margin_coef(i, w) - self._margin_coef(i, z)) * vals
+        g = self.lam * u
+        g.put(idx, g.take(idx) + (self._margin_coef(i, w) - z_coef) * vals)
         return g
 
     def grad_full(self, w: np.ndarray) -> np.ndarray:

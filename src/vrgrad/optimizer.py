@@ -21,8 +21,14 @@ uniformly random one (option 2) to the next anchor.  Method names:
 
 An inner step takes one of four forms:
 
-* the dense step keeps w as a vector and costs O(d) per step; its
-  arithmetic is the plain formula above;
+* the dense step keeps w as a vector and costs O(d) per step.  It reads
+  the anchor and g_anchor from the correction, and c_i(anchor) and (for
+  ``bb_scalar``) the scalar of A_i = (lam + kappa_i) I through the
+  correction's ``anchor_coef_at`` and ``sample_scalar_at``, which compute
+  each by the per-sample oracles' expression the first time sample i is
+  drawn in the epoch.  Its arithmetic is the plain formula above, in the
+  same order, so its bits are those of grad f_i(w) - grad f_i(anchor) +
+  g_anchor + A u - A_i u with every term computed on every step;
 * the affine step, for the ``none`` and ``bb_scalar`` corrections (so also
   the first, uncorrected epoch of SVRG2 and SVRG2D), costs O(nnz_i).  Both
   corrections make every dense term of v_t a scalar times
@@ -173,20 +179,31 @@ class InnerSummary:
     curvature_fallbacks: int = 0
 
 
-def direction(model: LossModel, correction, w_curr: np.ndarray,
-              w_anchor: np.ndarray, g_anchor: np.ndarray, i: int) -> np.ndarray:
-    """The corrected stochastic direction v_t for sample i.
+def direction(model: LossModel, correction, w_curr: np.ndarray, i: int) -> np.ndarray:
+    """The corrected stochastic direction v_t for sample i at ``w_curr``, in
+    the epoch of ``correction``, whose anchor z and full gradient g it reads.
 
     With the zero correction this is the plain variance-reduced gradient
-    grad f_i(w) - grad f_i(anchor) + g_anchor; the correction adds
-    (A - A_i)(w - anchor).  E_i[v_t] = grad F(w_curr), except that
-    ``bb_scalar`` floors its mean scalar only, which adds
-    (bb_scalar - bb_raw)(w_curr - anchor) when the floor is active.
+    grad f_i(w) - grad f_i(z) + g; the correction adds (A - A_i)(w - z).
+    E_i[v_t] = grad F(w_curr), except that ``bb_scalar`` floors its mean
+    scalar only, which adds (bb_scalar - bb_raw)(w_curr - z) when the floor
+    is active.
+
+    Its bits are the plain formula's, grad_sample_delta(i, w, z) + g
+    + A u - A_i u with u = w - z, in that order.  u is formed once, and
+    c_i(z) and the ``bb_scalar`` A_i's scalar come from the correction,
+    which computes each by the per-sample oracles' expression the first
+    time sample i is drawn in the epoch.  ``full_hessian`` and
+    ``diag_hessian`` apply A and A_i through ``apply_mean`` and
+    ``apply_sample``.
     """
-    v = model.grad_sample_delta(i, w_curr, w_anchor)
-    v += g_anchor
-    if correction.variant != "none":
-        u = w_curr - w_anchor
+    u = w_curr - correction.anchor
+    v = model.grad_sample_delta_from(i, w_curr, u, correction.anchor_coef_at(i))
+    v += correction.g_anchor
+    if correction.variant == "bb_scalar":
+        v += correction.bb_scalar * u
+        v -= correction.sample_scalar_at(i) * u
+    elif correction.variant != "none":
         v += correction.apply_mean(u)
         v -= correction.apply_sample(i, u)
     return v
@@ -204,7 +221,6 @@ class _DenseIterate:
 
     def __init__(self, model, correction, w_anchor, g_anchor):
         self.model, self.correction = model, correction
-        self.w_anchor, self.g_anchor = w_anchor, g_anchor
         self.w = w_anchor.copy()
         self.v = None
 
@@ -217,10 +233,11 @@ class _DenseIterate:
         # v lives until the next step replaces it.  Freed at once, the step's
         # O(d) temporaries all return to the top of the heap, glibc trims it,
         # and the next step faults the pages in again.
-        self.v = direction(self.model, self.correction, w, self.w_anchor,
-                           self.g_anchor, i)
+        self.v = direction(self.model, self.correction, w, i)
         w -= eta * self.v
-        return bool(np.isfinite(w).all()) and float(w @ w) <= limit
+        ww = float(w @ w)
+        # ||w||^2 is finite exactly when w is, unless the sum overflows
+        return ww <= limit and (ww < math.inf or bool(np.isfinite(w).all()))
 
 
 class _AffineIterate:
@@ -453,7 +470,10 @@ def run_epoch(model: LossModel, config: RunConfig, correction,
     ``schedule_anchors`` its ``anchors``.  A ``diag_hessian`` epoch takes
     the diagonal step, a ``full_hessian`` one the full-Hessian step, one
     that :func:`affine_step_applies` to the affine step, any other the
-    dense step (module docstring).  Raises
+    dense step (module docstring).  The dense step calls :func:`direction`
+    once per step, which reads the anchor, g_anchor and the per-sample
+    values it needs from ``correction``; its bits are the plain formula's.
+    Raises
     :class:`DivergenceError` when an iterate exceeds the norm guard or turns
     non-finite.  Curvature failures in BB schedules fall back to the last
     valid BB step, else the schedule's eta0.
@@ -491,8 +511,8 @@ def run_epoch(model: LossModel, config: RunConfig, correction,
 
     w = iterate.current()
     next_anchor = snapshot if option2_t is not None else w
-    # grad_sample_delta counts as two per-sample gradient evaluations;
-    # the BB per-sample scalar recomputes two more at the anchors
+    # the paper's accounting: grad_sample_delta counts as two per-sample
+    # gradient evaluations, and the BB per-sample scalar two more at the anchors
     per_direction = 4 if correction.variant == "bb_scalar" else 2
     return InnerSummary(final_iterate=w, next_anchor=next_anchor.copy(),
                         last_step=eta, grad_evals=m * per_direction,
@@ -531,7 +551,11 @@ def optimize(model: LossModel, config: RunConfig, w0: np.ndarray,
     A corrected SVRG2 epoch also takes one mean-Hessian product per step,
     from H formed once per epoch when d^2 < nnz and otherwise matrix-free;
     these are not gradient evaluations and are not included in
-    ``grad_evals``.
+    ``grad_evals``.  This accounting is the paper's and counts more than the
+    oracle work done: no step form recomputes grad f_i(anchor) or the BB
+    per-sample scalar on every step.  The dense step computes each once per
+    sample drawn in the epoch; the other forms read them from the epoch's
+    sparse matvecs.
 
     Divergence aborts the run with the completed epochs' records attached
     to the raised :class:`DivergenceError`.

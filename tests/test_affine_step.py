@@ -1,5 +1,5 @@
 """The affine, diagonal and full-Hessian inner steps against the dense inner
-step as oracle.
+step as oracle, and the dense step against the plain formula.
 
 Unless a test says otherwise, the data's mean row has at most d/4 nonzeros,
 so ``optimize`` takes the affine step for the ``none`` and ``bb_scalar``
@@ -7,6 +7,11 @@ corrections; it takes the diagonal step for every ``diag_hessian`` epoch and
 the full-Hessian step for every ``full_hessian`` epoch.  The oracle is the
 same run with all three switched off, which takes the dense step: the plain
 formula for v_t on a dense w.
+
+The dense step reads c_i(anchor) and the BB per-sample scalar from the
+epoch's correction, which computes each once per sample.  ``PlainIterate``
+computes both on every step, as the plain formula does; the two must give
+the same bits.
 """
 
 import math
@@ -18,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vrgrad.optimizer as optimizer
-from vrgrad.correction import build_correction
+from vrgrad.correction import DegenerateAnchorError, build_correction
 from vrgrad.data import SparseDataset, synth_binary
 from vrgrad.harness import schedule_for
 from vrgrad.losses import LossModel
@@ -93,11 +98,12 @@ STEP = {"SVRG": 0.5, "SVRG2": 0.5, "SVRG2D": 0.5, "SVRG2BB": 0.5, "SVRGBB": 0.5,
         "SVRG2BBS-M1": 2.0, "SVRG2BBS-M2": 1.0, "SVRG2BBS-M3": 0.01}
 
 
-def config_for(method, model, step=None, epochs=4, anchor_option=1, seed=5, m=None):
+def config_for(method, model, step=None, epochs=4, anchor_option=1, seed=5, m=None,
+               variance_mode="none"):
     step = STEP[method] if step is None else step
     schedule = schedule_for(method, step, model.n, model.lam, model.smoothness())
     return RunConfig(method=method, schedule=schedule, epochs=epochs, m=m,
-                     anchor_option=anchor_option, seed=seed, variance_mode="none")
+                     anchor_option=anchor_option, seed=seed, variance_mode=variance_mode)
 
 
 @pytest.fixture(scope="module")
@@ -587,3 +593,170 @@ def test_affine_runs_are_seeded(n, d, data_seed, seed, method, kind, anchor_opti
     np.testing.assert_array_equal(w1, w2)
     assert recs1 and [(r.fval, r.grad_evals, r.step_size) for r in recs1] \
         == [(r.fval, r.grad_evals, r.step_size) for r in recs2]
+
+
+# -- the dense step against the plain formula ------------------------------------------
+
+
+class PlainIterate:
+    """The dense inner iterate by the plain formula:
+    v = grad f_i(w) - grad f_i(z) + g + A u - A_i u with u = w - z, every
+    per-sample term computed on every step."""
+
+    def __init__(self, model, correction, w_anchor, g_anchor):
+        self.model, self.correction = model, correction
+        self.z, self.g = w_anchor, g_anchor
+        self.w = w_anchor.copy()
+
+    def current(self):
+        return self.w.copy()
+
+    def row(self, i):
+        X = self.model.dataset.features
+        lo, hi = X.indptr[i], X.indptr[i + 1]
+        return X.indices[lo:hi], X.data[lo:hi]
+
+    def coef(self, i, w):
+        """c_i(w) from the row dot."""
+        cols, vals = self.row(i)
+        return self.model.margin_coef_at(i, float(vals @ w[cols]))
+
+    def grad_delta(self, i, w, z):
+        """grad f_i(w) - grad f_i(z)."""
+        cols, vals = self.row(i)
+        g = self.model.lam * (w - z)
+        g[cols] += (self.coef(i, w) - self.coef(i, z)) * vals
+        return g
+
+    def step(self, i, eta, limit):
+        corr, w = self.correction, self.w
+        v = self.grad_delta(i, w, self.z)
+        v += self.g
+        if corr.variant != "none":
+            u = w - self.z
+            v += corr.apply_mean(u)
+            if corr.variant == "bb_scalar":
+                pair = corr.anchors
+                diff = self.grad_delta(i, self.z, pair.w_prev2)
+                v -= float(pair.s @ diff) / pair.secant[0] * u
+            else:
+                v -= corr.apply_sample(i, u)
+        w -= eta * v
+        return bool(np.isfinite(w).all()) and float(w @ w) <= limit
+
+
+def dense_runs(monkeypatch, model, config, w0=None):
+    """The run through the dense step and through ``PlainIterate``: for each,
+    (final iterate, records, divergence (epoch, step) or None)."""
+    w0 = np.zeros(model.d) if w0 is None else w0
+    out = []
+    for iterate_cls in (optimizer._DenseIterate, PlainIterate):
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "affine_step_applies", lambda *a: False)
+            patch.setattr(optimizer, "_DenseIterate", iterate_cls)
+            try:
+                w, records = optimize(model, config, w0)
+                out.append((w, records, None))
+            except DivergenceError as err:
+                out.append((None, err.records, (err.epoch, err.step)))
+    return out
+
+
+def record_bits(record):
+    """Every field of an epoch record but the wall time, floats as hex."""
+    return (record.epoch, record.grad_evals) + tuple(
+        float(x).hex() for x in (record.fval, record.gap, record.variance, record.step_size))
+
+
+def assert_same_bits(monkeypatch, model, config, w0=None):
+    """The dense step's run equals the plain formula's bit for bit; returns
+    the divergence point, None when neither run diverged."""
+    (w, records, diverged), (w_plain, records_plain, diverged_plain) = \
+        dense_runs(monkeypatch, model, config, w0)
+    assert diverged == diverged_plain
+    assert [record_bits(r) for r in records] == [record_bits(r) for r in records_plain]
+    if diverged is None:
+        np.testing.assert_array_equal(w, w_plain)
+    return diverged
+
+
+DENSE_STEP_METHODS = ("SVRG", "SVRGBB", "SVRG2BB", "SVRG2BBS-M1", "SVRG2BBS-M2",
+                      "SVRG2BBS-M3", "SVRG2", "SVRG2D")
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+@pytest.mark.parametrize("anchor_option", [1, 2])
+@pytest.mark.parametrize("method", DENSE_STEP_METHODS)
+def test_dense_step_is_the_plain_formula_bit_for_bit(monkeypatch, method, anchor_option,
+                                                     kind, lam):
+    # dense rows and short rows; SVRG2 and SVRG2D take the dense step in
+    # their first, uncorrected epoch only
+    for dataset in (dense_rows(), sparse_dataset(60, 80, 6, seed=11)):
+        model = LossModel(dataset, lam, kind)
+        config = config_for(method, model, anchor_option=anchor_option, variance_mode="last")
+        assert assert_same_bits(monkeypatch, model, config) is None
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+def test_dense_step_bits_with_empty_rows(monkeypatch, kind):
+    model = LossModel(sparse_dataset(30, 40, 4, seed=3, empty_rows={0, 7, 8, 29}), 1e-2, kind)
+    for method in DENSE_STEP_METHODS:
+        config = config_for(method, model, anchor_option=2, variance_mode="last")
+        assert_same_bits(monkeypatch, model, config)
+
+
+def test_dense_step_bits_when_the_run_diverges(monkeypatch):
+    # eta * lam = 2.1 (or 2.5 for SVRGBB's eta0), and c1 = 1e3 for M1: the
+    # plain formula and the dense step leave the guard at the same step,
+    # the last two in a corrected epoch
+    model = LossModel(dense_rows(), 1e-2)
+    for method, step in (("SVRG", 1e6), ("SVRG", 210.0), ("SVRGBB", 250.0),
+                         ("SVRG2BB", 210.0), ("SVRG2BBS-M1", 1e3)):
+        config = config_for(method, model, step, epochs=6, variance_mode="last")
+        diverged = assert_same_bits(monkeypatch, model, config)
+        assert diverged is not None, method
+    assert diverged[0] >= 2
+
+
+def test_dense_step_bits_on_the_degenerate_anchor_fallback(monkeypatch):
+    # m = 1 with option-2 anchors: the snapshot is the anchor itself, the
+    # pair coincides, and the BB correction falls back to ``none``
+    model = LossModel(dense_rows(), 1e-3)
+    raised = []
+    real_build = optimizer.build_correction
+
+    def build(variant, *args, **kwargs):
+        try:
+            return real_build(variant, *args, **kwargs)
+        except DegenerateAnchorError:
+            raised.append(variant)
+            raise
+
+    monkeypatch.setattr(optimizer, "build_correction", build)
+    for method in ("SVRG2BB", "SVRG2BBS-M1", "SVRG2BBS-M3"):
+        config = config_for(method, model, epochs=5, anchor_option=2, m=1, variance_mode="last")
+        assert_same_bits(monkeypatch, model, config)
+    assert raised and set(raised) == {"bb_scalar"}
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 12), d=st.integers(1, 20), density=st.floats(0.05, 1.0),
+       data_seed=st.integers(0, 2**16), lam=st.sampled_from([0.0, 1e-3]),
+       kind=st.sampled_from(["logistic", "squared_hinge"]),
+       draws=st.lists(st.integers(0, 2**16), min_size=1, max_size=30))
+def test_memoized_per_sample_values_are_the_on_demand_ones(n, d, density, data_seed, lam,
+                                                          kind, draws):
+    model = LossModel(sparse_dataset(n, d, max(1, round(density * d)), data_seed), lam, kind)
+    rng = np.random.default_rng(data_seed)
+    z = rng.standard_normal(d)
+    z_prev = z + 0.5 * rng.standard_normal(d)
+    corr = build_correction("bb_scalar", model, z, z_prev)
+    plain = PlainIterate(model, corr, z, corr.g_anchor)
+    pair = corr.anchors
+    for draw in draws:
+        i = draw % n
+        coef = plain.coef(i, z)
+        scalar = float(pair.s @ plain.grad_delta(i, z, z_prev)) / pair.secant[0]
+        assert float(corr.anchor_coef_at(i)).hex() == float(coef).hex()
+        assert float(corr.sample_scalar_at(i)).hex() == float(scalar).hex()

@@ -158,6 +158,9 @@ def test_unknown_model_is_a_usage_error(tmp_path, capsys, via_spec):
     ("seeds", "0,-3", "seed must be >= 0"),
     ("synth", "0,3,0", "synth"), ("synth", "50,0,0", "synth"), ("synth", "50,3,-1", "synth"),
     ("synth", "50,3,0,nan", "synth"), ("synth", "50,3,0,inf", "synth"),
+    ("grid", "0.1,1,0.1", "grid list repeats 0.1"), ("seeds", "0,0", "seed list repeats 0"),
+    ("lambda", "1e-2,0.01", "lambda list repeats 0.01"),
+    ("methods", "SVRG,SVRG2,SVRG", "method list repeats SVRG"),
 ])
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, via_spec, key, value, message):
     assert _run_usage_error(tmp_path, key, value, via_spec) == 2
@@ -214,6 +217,14 @@ def test_labels_outside_plus_minus_one_are_a_data_error(tmp_path, capsys, argv):
         argv += ["--out", str(tmp_path / "out"), "--cache-dir", str(tmp_path / "cache")]
     assert main(argv) == 3
     assert "data error: classification labels must be in {-1, +1}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["epoch", "lambdas", "seed", "step"])
+def test_unknown_spec_file_key_is_a_usage_error(tmp_path, capsys, key):
+    # before, such a line was ignored: ``epoch = 3`` ran 30 epochs
+    assert _run_usage_error(tmp_path, key, "3", via_spec=True) == 2
+    assert f"unknown spec file key {key!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -36,7 +36,7 @@ def test_direction_at_anchor_is_full_gradient_exactly(small):
     for variant in ("none", "full_hessian", "diag_hessian", "bb_scalar"):
         corr = build_correction(variant, model, w, w - 0.1 * g)
         for i in (0, 17, 49):
-            np.testing.assert_array_equal(direction(model, corr, w, w, g, i), g)
+            np.testing.assert_array_equal(direction(model, corr, w, i), g)
 
 
 def test_direction_none_matches_independent_svrg_oracle(small):
@@ -53,13 +53,13 @@ def test_direction_none_matches_independent_svrg_oracle(small):
         return grad_i(w) - grad_i(w_anchor) + g_anchor
 
     rng = np.random.default_rng(42)
-    corr = build_correction("none", model, np.zeros(model.d))
     for _ in range(20):
         w = rng.standard_normal(model.d)
         w_anchor = rng.standard_normal(model.d)
         g_anchor = model.grad_full(w_anchor)
+        corr = build_correction("none", model, w_anchor, g_curr=g_anchor)
         i = int(rng.integers(model.n))
-        got = direction(model, corr, w, w_anchor, g_anchor, i)
+        got = direction(model, corr, w, i)
         want = naive_svrg_direction(w, w_anchor, g_anchor, i)
         np.testing.assert_allclose(got, want, atol=1e-14)
 
@@ -72,8 +72,7 @@ def test_direction_unbiased_for_every_variant(small):
             w_anchor, w_prev = _anchor_pair(model, rng)
             corr = build_correction(variant, model, w_anchor, w_prev)
             w = w_anchor + 0.3 * rng.standard_normal(model.d)
-            g_anchor = model.grad_full(w_anchor)
-            mean = np.mean([direction(model, corr, w, w_anchor, g_anchor, i)
+            mean = np.mean([direction(model, corr, w, i)
                             for i in range(model.n)], axis=0)
             np.testing.assert_allclose(mean, model.grad_full(w), atol=1e-10,
                                        err_msg=variant)
@@ -159,14 +158,13 @@ def test_option2_replay_oracle(small):
     rng = np.random.default_rng(7)
     t_star = int(rng.integers(m))
     idx = rng.integers(0, model.n, size=m)
-    g0 = model.grad_full(w0)
     corr = build_correction("none", model, w0)
     w = w0.copy()
     snapshot = None
     for t in range(m):
         if t == t_star:
             snapshot = w.copy()
-        w = w - 0.2 * direction(model, corr, w, w0, g0, int(idx[t]))
+        w = w - 0.2 * direction(model, corr, w, int(idx[t]))
     np.testing.assert_array_equal(w_end, snapshot)
 
 
@@ -180,11 +178,10 @@ def test_option1_returns_last_iterate(small):
 
     rng = np.random.default_rng(7)
     idx = rng.integers(0, model.n, size=m)
-    g0 = model.grad_full(w0)
     corr = build_correction("none", model, w0)
     w = w0.copy()
     for t in range(m):
-        w = w - 0.2 * direction(model, corr, w, w0, g0, int(idx[t]))
+        w = w - 0.2 * direction(model, corr, w, int(idx[t]))
     np.testing.assert_array_equal(w_end, w)
 
 
@@ -381,12 +378,11 @@ def test_variance_matches_independent_enumeration(small):
     rng = np.random.default_rng(46)
     w_anchor, w_prev = _anchor_pair(model, rng)
     w = w_anchor + 0.2 * rng.standard_normal(model.d)
-    g_anchor = model.grad_full(w_anchor)
     g_full = model.grad_full(w)
     for variant in ("none", "bb_scalar", "diag_hessian", "full_hessian"):
         corr = build_correction(variant, model, w_anchor, w_prev)
         naive = np.mean([
-            float(np.sum((direction(model, corr, w, w_anchor, g_anchor, i) - g_full) ** 2))
+            float(np.sum((direction(model, corr, w, i) - g_full) ** 2))
             for i in range(model.n)
         ])
         got = measure_variance(model, corr, w)

@@ -40,7 +40,7 @@ def loop_variance(model, corr, w):
     g_full, a_mean = model.grad_full(w), corr.apply_mean(u)
     values, parts = [], []
     for i in range(model.n):
-        v = direction(model, corr, w, corr.anchor, corr.g_anchor, i)
+        v = direction(model, corr, w, i)
         values.append(_sqnorm(v - g_full))
         parts.append(sum(_sqnorm(t) for t in (
             model.grad_sample(i, w), model.grad_sample(i, corr.anchor),
@@ -116,7 +116,7 @@ def test_alpha_matches_the_loop(problem):
 def test_mean_direction_is_the_gradient_plus_the_floor_bias(problem):
     model, corr, w = problem
     u = w - corr.anchor
-    mean = np.mean([direction(model, corr, w, corr.anchor, corr.g_anchor, i)
+    mean = np.mean([direction(model, corr, w, i)
                     for i in range(model.n)], axis=0)
     bias = corr.bb_scalar - corr.bb_raw if corr.variant == "bb_scalar" else 0.0
     want = model.grad_full(w) + bias * u
@@ -133,7 +133,7 @@ def test_floored_bb_scalar_biases_the_mean_direction():
     assert corr.bb_raw == 0.0
     assert corr.bb_scalar == pytest.approx(4e-8)
     w = np.array([0.5])
-    mean = np.mean([direction(model, corr, w, corr.anchor, corr.g_anchor, i)
+    mean = np.mean([direction(model, corr, w, i)
                     for i in range(model.n)], axis=0)
     np.testing.assert_allclose(mean - model.grad_full(w), 4e-8 * (w - corr.anchor),
                                rtol=1e-8)
