@@ -20,9 +20,10 @@ import math
 import sys
 from pathlib import Path
 
-from .data import LabelError, LibsvmParseError, parse_libsvm, synth_binary
+from .data import LabelError, LibsvmParseError
 from .harness import (DataSourceError, ExperimentSpec, ReferenceError,
-                      emit_csv, emit_plots, load_table, run_experiment)
+                      emit_csv, emit_plots, load_dataset, load_table,
+                      run_experiment)
 from .losses import LossModel, loss_kind
 from .optimizer import METHODS, DivergenceError
 from .reference import save_reference, solve_reference
@@ -96,7 +97,8 @@ class _RemovedStepFlag(argparse.Action):
 
 
 def read_spec_file(path) -> dict:
-    """Flat key = value config; '#' starts a comment line."""
+    """Flat key = value config; '#' starts a comment line.  Keys are
+    case-insensitive, and each may appear once."""
     values = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
@@ -105,7 +107,10 @@ def read_spec_file(path) -> dict:
         if "=" not in line:
             raise argparse.ArgumentTypeError(f"spec file line without '=': {line!r}")
         key, _, val = line.partition("=")
-        values[key.strip().lower()] = val.strip()
+        key = key.strip().lower()
+        if key in values:
+            raise argparse.ArgumentTypeError(f"spec file repeats key {key!r}")
+        values[key] = val.strip()
     return values
 
 
@@ -146,6 +151,11 @@ def _spec_from_args(args) -> ExperimentSpec:
                 given[field] = convert(file_vals[key])
             except (ValueError, argparse.ArgumentTypeError) as err:
                 raise argparse.ArgumentTypeError(f"spec file {key}: {err}") from None
+    return _checked_spec(**given)
+
+
+def _checked_spec(**given) -> ExperimentSpec:
+    """ExperimentSpec(**given); a value it rejects is a usage error."""
     try:
         return ExperimentSpec(**given)
     except ValueError as err:
@@ -160,9 +170,8 @@ def cmd_run(args) -> int:
         paths += emit_plots(table, spec.out_dir)
     print(f"wrote {len(paths)} files to {spec.out_dir}")
     for (method, lam), step in sorted(table.winners.items()):
-        rows = table.winner_rows(method, lam)
-        gap = min(r.final_gap() for r in rows)
-        print(f"  {method:>12s} lambda={lam:g}: best step {step:g}, final gap {gap:.3e}")
+        print(f"  {method:>12s} lambda={lam:g}: best step {step:g}, "
+              f"final gap {table.mean_gap(method, lam):.3e}")
     return 0
 
 
@@ -175,16 +184,9 @@ def cmd_plot(args) -> int:
 
 
 def cmd_reference(args) -> int:
-    if not 0.0 <= args.lam < math.inf:
-        raise argparse.ArgumentTypeError(f"--lambda must be finite and >= 0, got {args.lam}")
-    if not 0.0 < args.tol < math.inf:
-        raise argparse.ArgumentTypeError(f"--tol must be finite and > 0, got {args.tol}")
-    if args.data:
-        with open(args.data) as fh:
-            dataset = parse_libsvm(fh)
-    else:
-        dataset = synth_binary(*args.synth)
-    model = LossModel(dataset, args.lam, args.model)
+    spec = _checked_spec(data_path=args.data, synth=args.synth, model=args.model,
+                         lambdas=(args.lam,), reference_tol=args.tol)
+    model = LossModel(load_dataset(spec), args.lam, args.model)
     sol = solve_reference(model, tol=args.tol)
     if not sol.converged:
         print(f"reference did not converge: ||grad||={sol.grad_norm:.3e} "

@@ -5,7 +5,7 @@ operator ``apply_sample`` with E_i[apply_sample(i, u)] == apply_mean(u):
 
 * ``none``          A = A_i = 0 (plain variance-reduced gradient)
 * ``full_hessian``  A = mean hessian at the anchor, A_i = hess f_i
-* ``diag_hessian``  diagonal of the above (mean diagonal cached at build time)
+* ``diag_hessian``  diagonal of the above
 * ``bb_scalar``     the secant ratio s^T y / ||s||^2 as a scalar surrogate,
                     with per-sample scalars from per-sample gradient
                     differences at the two most recent anchor points
@@ -15,40 +15,30 @@ From the second epoch on every operator carries that anchor pair as
 The BB scalar is floored at delta > 0 as a non-convexity remedy; the floor
 applies to the mean scalar only, never to the per-sample scalars.
 
-An operator is one epoch's data.  Besides the pair it holds the n-vectors
-the inner steps read, each computed at most once per epoch, on first use:
-the anchor products ``X @ z`` and ``X @ g_anchor``, the anchor's margin
-coefficients c_i(z) (grad f_i(z) = c_i(z) a_i + lam z), the full-Hessian
-curvature coefficients, and for ``bb_scalar`` the per-sample scalars
+An operator is one epoch's data.  Besides the pair it holds the vectors
+that the inner steps of :mod:`vrgrad.optimizer` read, each computed at
+most once per epoch, on first use: the anchor products ``X @ z`` and
+``X @ g_anchor``, the anchor's margin coefficients c_i(z)
+(grad f_i(z) = c_i(z) a_i + lam z), the full-Hessian curvature
+coefficients, the mean diagonal D (``diag_mean``), and for ``bb_scalar``
+the per-sample scalars
 
     kappa_i = (c_i(z) - c_i(z_prev)) (a_i^T s) / ||s||^2,
 
-so that A_i = (lam + kappa_i) I.  A ``diag_hessian`` operator also holds
-the mean diagonal D as ``diag_mean``.  Two more n-vectors are filled one
-entry at a time, the first time a sample is asked for: c_i(z) from the row
-dot a_i^T z (``anchor_coef_at``) and the scalar lam + kappa_i from
+so that A_i = (lam + kappa_i) I.  Two more n-vectors are filled one entry
+at a time, the first time a sample is asked for: c_i(z) from the row dot
+a_i^T z (``anchor_coef_at``) and the scalar lam + kappa_i from
 ``grad_sample_delta`` at the anchor pair (``sample_scalar_at``), each by
 the per-sample oracles' expression, which can differ from the matvec forms
 above in the last bits.  ``apply_sample`` takes its ``bb_scalar`` scalar
 from the latter.
 
-Every inner step of :mod:`vrgrad.optimizer` reads this data.  The dense
-one reads ``anchor_coef_at`` and ``sample_scalar_at`` and applies the
-``full_hessian`` and ``diag_hessian`` corrections through ``apply_*``, so
-its bits are the plain formula's.  The others read the n-vectors in place
-of calling ``apply_*``: the affine one the anchor products, the anchor's
-margin coefficients and the per-sample scalars; the diagonal one ``X @ z``,
-the margin coefficients, ``diag_mean`` and the curvature coefficients; the
-full-Hessian one ``X @ z``, the margin coefficients and the curvature
-coefficients, from which it forms the mean Hessian when d^2 < nnz and
-otherwise takes the matrix-free product.
-
 From the same data, ``sample_parts`` gives every A_i at once as n-vectors
 (p, q, h), A_i u = p_i u + q_i a_i + h_i (a_i o a_i o u) with o the
 element-wise product: ``none`` (0, 0, -), ``bb_scalar`` (lam + kappa_i, 0, -),
 ``full_hessian`` (lam, c_i a_i^T u, -), ``diag_hessian`` (lam, 0, c_i), with
-c_i the curvature coefficients.  :func:`residual_sqnorms` turns them into
-every per-sample squared residual norm in a few sparse matvecs.
+c_i the curvature coefficients.  ``sample_residuals`` turns them into every
+per-sample squared residual norm in a few sparse matvecs.
 """
 
 from __future__ import annotations
@@ -81,7 +71,7 @@ class CorrectionOperator:
     """
 
     def __init__(self, variant, model, anchor, g_anchor, *, anchors=None,
-                 bb_raw=None, bb_scalar=None, diag_mean=None):
+                 bb_raw=None, bb_scalar=None):
         self.variant = variant
         self.model = model
         self.anchor = anchor
@@ -89,7 +79,6 @@ class CorrectionOperator:
         self.anchors = anchors        # EpochAnchors, None in the first epoch
         self.bb_raw = bb_raw          # unfloored secant ratio
         self.bb_scalar = bb_scalar    # floored; used by apply_mean
-        self.diag_mean = diag_mean    # D, the mean Hessian diagonal (``diag_hessian``)
 
     # -- per-epoch data, computed on first use --------------------------------
 
@@ -112,6 +101,11 @@ class CorrectionOperator:
     def curvature_coefs(self) -> np.ndarray:
         """The mean Hessian's per-sample coefficients at the anchor."""
         return self.model.curvature_coefs(self.anchor_dots)
+
+    @cached_property
+    def diag_mean(self) -> np.ndarray:
+        """D, the mean Hessian diagonal at the anchor (lam included)."""
+        return self.model.mean_hess_diag(self.anchor)
 
     @cached_property
     def sample_scalars(self) -> np.ndarray:
@@ -164,6 +158,23 @@ class CorrectionOperator:
         if self.variant == "full_hessian":
             return np.full(n, lam), self.curvature_coefs * u_dots, None
         return np.full(n, lam), np.zeros(n), self.curvature_coefs
+
+    def sample_residuals(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """||x + grad f_i(w) - grad f_i(anchor) - A_i u||^2 for every i, with
+        u = w - anchor.
+
+        With (p, q, h) from :meth:`sample_parts`, the residual is
+        x + (lam - p_i) u + beta_i a_i - h_i (a_i o a_i o u) with
+        beta_i = c_i(w) - c_i(anchor) - q_i (lam - p_i cancels lam u in the
+        coefficient rather than in the sum), and :func:`residual_sqnorms`
+        expands its squared norm.
+        """
+        X = self.model.dataset.features
+        u = w - self.anchor
+        u_dots = X @ u
+        p, q, h = self.sample_parts(u_dots)
+        beta = self.model.margin_coefs(X @ w) - self.anchor_coefs - q
+        return residual_sqnorms(self.model, x, u, u_dots, self.model.lam - p, beta, h)
 
     def apply_sample(self, i: int, u: np.ndarray) -> np.ndarray:
         """A_i @ u for sample i."""
@@ -232,9 +243,7 @@ def build_correction(variant: str, model: LossModel, w_curr: np.ndarray,
         raw = sty / s_sqnorm
         return CorrectionOperator("bb_scalar", model, w_curr, g_curr, anchors=pair,
                                   bb_raw=raw, bb_scalar=max(raw, default_delta_floor(model)))
-    diag_mean = model.mean_hess_diag(w_curr) if variant == "diag_hessian" else None
-    return CorrectionOperator(variant, model, w_curr, g_curr, anchors=pair,
-                              diag_mean=diag_mean)
+    return CorrectionOperator(variant, model, w_curr, g_curr, anchors=pair)
 
 
 def residual_sqnorms(model: LossModel, x: np.ndarray, u: np.ndarray,

@@ -99,7 +99,7 @@ def parse_libsvm(source, label_map: dict | None = None) -> SparseDataset:
 
     Parameters
     ----------
-    source : str, file-like, or iterable of lines
+    source : str, or an iterable of lines such as a text file object
     label_map : optional mapping applied to each parsed label, e.g.
         ``{3.0: -1.0, 8.0: +1.0}``; a label missing from the map raises
         :class:`LabelError`.
@@ -108,12 +108,7 @@ def parse_libsvm(source, label_map: dict | None = None) -> SparseDataset:
     indices within a line, and non-finite labels or values (``inf``,
     ``nan``), are a parse error.
     """
-    if isinstance(source, str):
-        lines = io.StringIO(source)
-    elif hasattr(source, "read"):
-        lines = source
-    else:
-        lines = iter(source)
+    lines = io.StringIO(source) if isinstance(source, str) else source
 
     labels: list[float] = []
     line_nos: list[int] = []

@@ -77,6 +77,8 @@ class ExperimentSpec:
             raise ValueError(f"every grid value must be finite and > 0, got {self.grid}")
         if not all(0.0 <= lam < np.inf for lam in self.lambdas):
             raise ValueError(f"every lambda must be finite and >= 0, got {self.lambdas}")
+        if not 0.0 < self.reference_tol < np.inf:
+            raise ValueError(f"reference_tol must be finite and > 0, got {self.reference_tol}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.subsample is not None and self.subsample < 1:
@@ -113,9 +115,19 @@ class ResultTable:
     def cell(self, method: str, lam: float):
         return [r for r in self.rows if r.method == method and r.lam == lam]
 
-    def winner_rows(self, method: str, lam: float):
-        step = self.winners.get((method, lam))
+    def step_rows(self, method: str, lam: float, step: float):
         return [r for r in self.cell(method, lam) if r.step_param == step]
+
+    def winner_rows(self, method: str, lam: float):
+        return self.step_rows(method, lam, self.winners.get((method, lam)))
+
+    def mean_gap(self, method: str, lam: float, step: float | None = None) -> float:
+        """The final gap of a cell's step, averaged over seeds (diverged
+        runs count as +inf); the winner's step by default."""
+        if step is None:
+            step = self.winners[(method, lam)]
+        gaps = [r.final_gap() for r in self.step_rows(method, lam, step)]
+        return sum(gaps) / len(gaps)
 
 
 def load_dataset(spec: ExperimentSpec) -> SparseDataset:
@@ -208,18 +220,11 @@ def run_experiment(spec: ExperimentSpec, cache_dir=None) -> ResultTable:
                                      err.records, diverged=True)
                     table.rows.append(row)
 
-            cell = table.cell(method, float(lam))
-            by_step: dict[float, list[float]] = {}
-            for row in cell:
-                by_step.setdefault(row.step_param, []).append(row.final_gap())
-            winner = min(sorted(by_step), key=lambda s: _mean(by_step[s]))
-            table.winners[(method, float(lam))] = winner
+            table.winners[(method, float(lam))] = min(
+                sorted(map(float, spec.grid)),
+                key=lambda s: table.mean_gap(method, float(lam), s))
 
     return table
-
-
-def _mean(vals):
-    return sum(vals) / len(vals)
 
 
 # -- CSV emission --------------------------------------------------------------
@@ -271,11 +276,9 @@ def emit_csv(table: ResultTable, out_dir) -> list[Path]:
 
     winner_lines = ["method,lambda,step_param,final_gap,file"]
     for (method, lam), step in sorted(table.winners.items()):
-        rows = table.winner_rows(method, lam)
-        gap = _mean([r.final_gap() for r in rows]) if rows else float("inf")
         winner_lines.append(",".join([
-            method, _fmt_float(lam), _fmt_float(step), _fmt_float(gap),
-            run_filename(model, lam, method, step, rows[0].seed if rows else 0),
+            method, _fmt_float(lam), _fmt_float(step), _fmt_float(table.mean_gap(method, lam)),
+            run_filename(model, lam, method, step, table.winner_rows(method, lam)[0].seed),
         ]))
     winners_path = out / "winners.csv"
     winners_path.write_text("\n".join(winner_lines) + "\n")

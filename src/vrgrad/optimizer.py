@@ -19,59 +19,20 @@ uniformly random one (option 2) to the next anchor.  Method names:
     SVRGBB        no correction, per-epoch BB step
     SVRG2BBS-M1/2/3  BB-scalar correction, generalized BB step presets
 
-An inner step takes one of four forms:
+An inner step takes one of four forms, each described on its class:
 
-* the dense step keeps w as a vector and costs O(d) per step.  It reads
-  the anchor and g_anchor from the correction, and c_i(anchor) and (for
-  ``bb_scalar``) the scalar of A_i = (lam + kappa_i) I through the
-  correction's ``anchor_coef_at`` and ``sample_scalar_at``, which compute
-  each by the per-sample oracles' expression the first time sample i is
-  drawn in the epoch.  Its arithmetic is the plain formula above, in the
-  same order, so its bits are those of grad f_i(w) - grad f_i(anchor) +
-  g_anchor + A u - A_i u with every term computed on every step;
-* the affine step, for the ``none`` and ``bb_scalar`` corrections (so also
-  the first, uncorrected epoch of SVRG2 and SVRG2D), costs O(nnz_i).  Both
-  corrections make every dense term of v_t a scalar times
-  u = w - anchor or times g_anchor:  v_t = k_i u + (c_i(w) - c_i(z)) a_i + g
-  with k_i = lam (``none``) or bb_scalar - kappa_i (``bb_scalar``).  So the
-  step holds u = sigma * y + rho * g_anchor, rescales the two scalars and
-  writes y only on the row's support, takes margins from the epoch's
-  ``X @ anchor`` and ``X @ g_anchor``, and tracks ||w||^2 for the divergence
-  guard from ||y||^2, y.anchor and y.g_anchor;
-* the diagonal step, for the ``diag_hessian`` correction, costs O(nnz_i).
-  With D the mean Hessian diagonal (lam included) and h_i the anchor's
-  curvature coefficients, a step is
-  u <- (1 - eta D) o u - eta g - eta (c_i(w) - c_i(z)) a_i
-  + eta h_i (a_i o a_i o u).  Off the row's support column j follows
-  u_j <- u*_j + r_j (u_j - u*_j), with r_j = 1 - eta D_j and
-  u*_j = -g_j / D_j, so k steps of it move u_j by (r_j^k - 1)(u_j - u*_j).
-  Where 1 - eta D_j rounds to 1 (D_j = 0 needs lam = 0), the column drifts
-  by -eta g_j per step instead.  The step brings only the row's columns up
-  from the step each was last written at, takes the margin from
-  ``X @ anchor`` + a_i.u, and writes the row back; the end of the epoch and
-  the option-2 snapshot bring up all d columns.  When every eta D_j < 1,
-  r^k - 1 is expm1(k log1p(-eta D_j)), which keeps its precision when
-  |u*_j| is far larger than |u_j|, and the divergence guard runs on a bound:
-  a column that waits k steps moves at most k |eta D_j u_j + eta g_j|, so
-  ||w|| <= ||z|| + ||u|| + k (max_j eta D_j ||u|| + eta ||g||), with u the
-  written values, ||u||^2 a running sum over the written columns and k the
-  steps since all columns were last brought up.  When that bound reaches
-  the guard (less a 1e-3 slack for the sum's rounding) or is not finite,
-  and on every step when some eta D_j >= 1, the step brings up all columns
-  and tests w exactly as the dense step does;
-* the full-Hessian step, for the ``full_hessian`` correction, keeps
-  u = w - anchor.  lam u cancels between grad f_i(w) - grad f_i(z) and
-  A_i u, so with H the mean Hessian at the anchor (lam included) and h_i
-  its curvature coefficients, v_t = g + H u + (c_i(w) - c_i(z) - h_i a_i.u) a_i.
-  A step takes one row dot, one H u, one row write and O(d) updates in
-  per-epoch buffers, and tests w exactly as the dense step does.  When
-  d^2 < nnz, a d x d matvec costs less than two sparse matvecs over X, so
-  H is formed once per epoch as a dense array, summed over blocks of rows,
-  and H u is one matvec; otherwise H u is the matrix-free product.
+* :class:`_DenseIterate`, w as a vector through :func:`direction`, O(d);
+  its bits are the plain formula's;
+* :class:`_AffineIterate`, for the ``none`` and ``bb_scalar`` corrections
+  when the mean row has at most d/4 nonzeros, O(nnz_i);
+* :class:`_DiagIterate`, for ``diag_hessian``, O(nnz_i) with per-column
+  catch-up;
+* :class:`_HessIterate`, for ``full_hessian``, one row dot and one H u.
 
-The affine step runs when rows are short: the mean row has at most d/4
-nonzeros; the diagonal and full-Hessian steps run on every epoch of their
-correction.  Elsewhere the dense step runs.  All four agree up to rounding.
+An epoch whose correction is ``diag_hessian`` or ``full_hessian`` takes that
+form.  The others, the first, uncorrected epoch of SVRG2 and SVRG2D among
+them, take the affine step when it applies and the dense step otherwise.
+All four agree up to rounding.
 
 Variance telemetry (``variance_mode="last"``) is exact at any n and costs a
 few sparse matvecs per epoch (:func:`measure_variance`); it draws no
@@ -91,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correction import DegenerateAnchorError, build_correction, residual_sqnorms
+from .correction import DegenerateAnchorError, build_correction
 from .losses import LossModel
 from .stepsize import CurvatureError, EpochAnchors, StepSizeSchedule
 from .stepsize import step as schedule_step
@@ -216,8 +177,16 @@ def affine_step_applies(model: LossModel, correction) -> bool:
             and 4 * model.dataset.features.nnz <= model.n * model.d)
 
 
+def _within_guard(w: np.ndarray, limit: float) -> bool:
+    """Whether w is finite and ||w||^2 <= limit."""
+    ww = float(w @ w)
+    # ||w||^2 is finite exactly when w is, unless the sum overflows
+    return ww <= limit and (ww < math.inf or bool(np.isfinite(w).all()))
+
+
 class _DenseIterate:
-    """The inner iterate as a dense vector; a step costs O(d)."""
+    """The inner iterate as a dense vector; a step costs O(d).  A step calls
+    :func:`direction`, so its bits are the plain formula's."""
 
     def __init__(self, model, correction, w_anchor, g_anchor):
         self.model, self.correction = model, correction
@@ -235,27 +204,40 @@ class _DenseIterate:
         # and the next step faults the pages in again.
         self.v = direction(self.model, self.correction, w, i)
         w -= eta * self.v
-        ww = float(w @ w)
-        # ||w||^2 is finite exactly when w is, unless the sum overflows
-        return ww <= limit and (ww < math.inf or bool(np.isfinite(w).all()))
+        return _within_guard(w, limit)
 
 
-class _AffineIterate:
-    """The inner iterate as w = z + sigma * y + rho * g, with z the anchor and
-    g its full gradient; a step costs O(nnz_i) (module docstring)."""
-
-    # sigma is folded into y when |sigma| leaves this range (or gamma = 0)
-    SIGMA_RANGE = (1e-100, 1e100)
+class _RowIterate:
+    """The epoch data of a step form that reads the drawn row alone: the CSR
+    arrays, the anchor z and its full gradient g, and X @ z and c_i(z) as
+    Python floats, for scalar arithmetic."""
 
     def __init__(self, model, correction, w_anchor, g_anchor):
         X = model.dataset.features
         self.indptr, self.indices, self.data = X.indptr, X.indices, X.data
         self.margin_coef_at = model.margin_coef_at
         self.z, self.g = w_anchor, g_anchor
-        # per-sample epoch data as Python floats, for scalar arithmetic
         self.z_dots = correction.anchor_dots.tolist()
-        self.g_dots = correction.grad_dots.tolist()
         self.z_coefs = correction.anchor_coefs.tolist()
+
+
+class _AffineIterate(_RowIterate):
+    """The inner iterate as w = z + sigma * y + rho * g; a step costs O(nnz_i).
+
+    The ``none`` and ``bb_scalar`` corrections make every dense term of v_t
+    a scalar times u = w - z or times g:  v_t = k_i u + (c_i(w) - c_i(z)) a_i
+    + g with k_i = lam (``none``) or bb_scalar - kappa_i (``bb_scalar``).  So
+    a step rescales sigma and rho and writes y only on the row's support,
+    takes margins from the epoch's ``X @ z`` and ``X @ g``, and tracks
+    ||w||^2 for the divergence guard from ||y||^2, y.z and y.g.
+    """
+
+    # sigma is folded into y when |sigma| leaves this range (or gamma = 0)
+    SIGMA_RANGE = (1e-100, 1e100)
+
+    def __init__(self, model, correction, w_anchor, g_anchor):
+        super().__init__(model, correction, w_anchor, g_anchor)
+        self.g_dots = correction.grad_dots.tolist()
         self.row_sq = model.row_sq_norms.tolist()
         if correction.variant == "bb_scalar":
             self.k = (correction.bb_scalar - correction.sample_scalars).tolist()
@@ -305,25 +287,44 @@ class _AffineIterate:
         return ww <= limit
 
 
-class _DiagIterate:
-    """The inner iterate of a ``diag_hessian`` epoch as u = w - z, with z the
-    anchor; each column is brought up to date only when a step reads it, so a
-    step costs O(nnz_i) (module docstring)."""
+class _DiagIterate(_RowIterate):
+    """The inner iterate of a ``diag_hessian`` epoch as u = w - z; each
+    column is brought up to date only when a step reads it, so a step costs
+    O(nnz_i).
+
+    With D the mean Hessian diagonal (lam included) and h_i the anchor's
+    curvature coefficients, a step is
+    u <- (1 - eta D) o u - eta g - eta (c_i(w) - c_i(z)) a_i
+    + eta h_i (a_i o a_i o u).  Off the row's support column j follows
+    u_j <- u*_j + r_j (u_j - u*_j), with r_j = 1 - eta D_j and
+    u*_j = -g_j / D_j, so k steps of it move u_j by (r_j^k - 1)(u_j - u*_j).
+    Where 1 - eta D_j rounds to 1 (D_j = 0 needs lam = 0), the column drifts
+    by -eta g_j per step instead.  A step brings only the row's columns up
+    from the step each was last written at, takes the margin from
+    ``X @ z`` + a_i.u, and writes the row back; the end of the epoch and the
+    option-2 snapshot bring up all d columns.
+
+    When every eta D_j < 1, r^k - 1 is expm1(k log1p(-eta D_j)), which keeps
+    its precision when |u*_j| is far larger than |u_j|, and the divergence
+    guard runs on a bound: a column that waits k steps moves at most
+    k |eta D_j u_j + eta g_j|, so
+    ||w|| <= ||z|| + ||u|| + k (max_j eta D_j ||u|| + eta ||g||), with u the
+    written values, ||u||^2 a running sum over the written columns and k the
+    steps since all columns were last brought up.  When that bound reaches
+    the guard (less ``BOUND_SLACK``) or is not finite, and on every step
+    when some eta D_j >= 1, the step brings up all columns and tests w
+    exactly.
+    """
 
     # ||w|| is tested exactly once its bound reaches this share of the guard
     # radius; the slack covers the rounding of the bound's running sum
     BOUND_SLACK = 1e-3
 
     def __init__(self, model, correction, w_anchor, g_anchor):
-        X = model.dataset.features
-        self.indptr, self.indices, self.data = X.indptr, X.indices, X.data
-        self.margin_coef_at = model.margin_coef_at
-        self.z, self.g, self.diag = w_anchor, g_anchor, correction.diag_mean
+        super().__init__(model, correction, w_anchor, g_anchor)
+        self.diag = correction.diag_mean
         # h_i a_ij^2 for every nonzero a_ij
-        self.h_sq = np.repeat(correction.curvature_coefs, np.diff(X.indptr)) * X.data ** 2
-        # per-sample epoch data as Python floats, for scalar arithmetic
-        self.z_dots = correction.anchor_dots.tolist()
-        self.z_coefs = correction.anchor_coefs.tolist()
+        self.h_sq = np.repeat(correction.curvature_coefs, np.diff(self.indptr)) * self.data ** 2
         self.znorm = float(np.linalg.norm(w_anchor))
         self.u = np.zeros(model.d)      # u_j as of step stamp_j
         self.stamp = np.zeros(model.d)
@@ -408,27 +409,28 @@ class _DiagIterate:
         # the bound is not finite or reaches the limit, or there is none:
         # test w itself
         self._sync()
-        w = self.z + self.u
-        return bool(np.isfinite(w).all()) and float(w @ w) <= limit
+        return _within_guard(self.z + self.u, limit)
 
 
-class _HessIterate:
-    """The inner iterate of a ``full_hessian`` epoch as u = w - z, with z the
-    anchor; a step costs one row dot, one H u and O(d) in-place updates
-    (module docstring)."""
+class _HessIterate(_RowIterate):
+    """The inner iterate of a ``full_hessian`` epoch as u = w - z; a step
+    costs one row dot, one H u and O(d) in-place updates.
+
+    lam u cancels between grad f_i(w) - grad f_i(z) and A_i u, so with H the
+    mean Hessian at the anchor (lam included) and h_i its curvature
+    coefficients, v_t = g + H u + (c_i(w) - c_i(z) - h_i a_i.u) a_i.  A step
+    writes into per-epoch buffers and tests w exactly.  When d^2 < nnz, a
+    d x d matvec costs less than two sparse matvecs over X, so H is formed
+    once per epoch as a dense array, summed over blocks of rows, and H u is
+    one matvec; otherwise H u is the matrix-free product.
+    """
 
     def __init__(self, model, correction, w_anchor, g_anchor):
-        X = model.dataset.features
-        self.indptr, self.indices, self.data = X.indptr, X.indices, X.data
-        self.margin_coef_at = model.margin_coef_at
-        self.z, self.g = w_anchor, g_anchor
+        super().__init__(model, correction, w_anchor, g_anchor)
         self.model, self.coefs = model, correction.curvature_coefs
-        # per-sample epoch data as Python floats, for scalar arithmetic
-        self.z_dots = correction.anchor_dots.tolist()
-        self.z_coefs = correction.anchor_coefs.tolist()
         self.h = self.coefs.tolist()
-        # H u from the formed mean Hessian when d^2 < nnz, else matrix-free
-        self.H = model.mean_hessian_from(self.coefs) if model.d * model.d < X.nnz else None
+        self.H = (model.mean_hessian_from(self.coefs)
+                  if model.d * model.d < model.dataset.features.nnz else None)
         # per-epoch buffers: a step writes into them and allocates no O(d) array
         self.u = np.zeros(model.d)
         self.v = np.empty(model.d)
@@ -454,9 +456,7 @@ class _HessIterate:
         v *= eta
         u -= v
         np.add(self.z, u, out=w)
-        ww = float(w @ w)
-        # ||w||^2 is finite exactly when w is, unless the sum overflows
-        return ww <= limit and (ww < math.inf or bool(np.isfinite(w).all()))
+        return _within_guard(w, limit)
 
 
 def run_epoch(model: LossModel, config: RunConfig, correction,
@@ -467,16 +467,10 @@ def run_epoch(model: LossModel, config: RunConfig, correction,
     """Run the m inner iterations of one (0-based) epoch.
 
     ``correction`` must be built at (``w_anchor``, ``g_anchor``), with
-    ``schedule_anchors`` its ``anchors``.  A ``diag_hessian`` epoch takes
-    the diagonal step, a ``full_hessian`` one the full-Hessian step, one
-    that :func:`affine_step_applies` to the affine step, any other the
-    dense step (module docstring).  The dense step calls :func:`direction`
-    once per step, which reads the anchor, g_anchor and the per-sample
-    values it needs from ``correction``; its bits are the plain formula's.
-    Raises
-    :class:`DivergenceError` when an iterate exceeds the norm guard or turns
-    non-finite.  Curvature failures in BB schedules fall back to the last
-    valid BB step, else the schedule's eta0.
+    ``schedule_anchors`` its ``anchors``; it picks the step form (module
+    docstring).  Raises :class:`DivergenceError` when an iterate exceeds
+    the norm guard or turns non-finite.  Curvature failures in BB schedules
+    fall back to the last valid BB step, else the schedule's eta0.
     """
     if correction.variant == "diag_hessian":
         iterate_cls = _DiagIterate
@@ -522,18 +516,12 @@ def run_epoch(model: LossModel, config: RunConfig, correction,
 def measure_variance(model: LossModel, correction, w: np.ndarray) -> float:
     """mean_i ||v_t(i) - grad F(w)||^2, exactly, in O(nnz + d).
 
-    With u = w - anchor and the correction's ``sample_parts`` (p, q, h),
-    v_t(i) - grad F(w) = x + (lam - p_i) u + beta_i a_i - h_i (a_i o a_i o u),
-    x = g_anchor - grad F(w) + A u, beta_i = c_i(w) - c_i(anchor) - q_i.
-    (lam - p_i cancels lam u in the coefficient rather than in the sum.)
+    v_t(i) - grad F(w) = x + grad f_i(w) - grad f_i(anchor) - A_i u with
+    u = w - anchor and x = g_anchor - grad F(w) + A u, so this is the mean
+    of ``correction.sample_residuals(w, x)``.
     """
-    X = model.dataset.features
-    u = w - correction.anchor
-    u_dots = X @ u
-    p, q, h = correction.sample_parts(u_dots)
-    x = correction.g_anchor - model.grad_full(w) + correction.apply_mean(u)
-    beta = model.margin_coefs(X @ w) - correction.anchor_coefs - q
-    return float(np.mean(residual_sqnorms(model, x, u, u_dots, model.lam - p, beta, h)))
+    x = correction.g_anchor - model.grad_full(w) + correction.apply_mean(w - correction.anchor)
+    return float(np.mean(correction.sample_residuals(w, x)))
 
 
 def optimize(model: LossModel, config: RunConfig, w0: np.ndarray,
@@ -548,8 +536,7 @@ def optimize(model: LossModel, config: RunConfig, w0: np.ndarray,
     n + 2m for plain directions, n + 4m when the BB per-sample scalar is
     active (its two extra anchor gradients per step), and the first epoch
     of every correction method runs uncorrected (no previous anchor).
-    A corrected SVRG2 epoch also takes one mean-Hessian product per step,
-    from H formed once per epoch when d^2 < nnz and otherwise matrix-free;
+    A corrected SVRG2 epoch also takes one mean-Hessian product per step;
     these are not gradient evaluations and are not included in
     ``grad_evals``.  This accounting is the paper's and counts more than the
     oracle work done: no step form recomputes grad f_i(anchor) or the BB

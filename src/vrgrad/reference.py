@@ -121,7 +121,7 @@ def cache_path(cache_dir, dataset: SparseDataset, kind: str, lam: float, tol: fl
     return Path(cache_dir) / f"ref-{digest}.bin"
 
 
-def save_reference(path, sol: ReferenceSolution, header_extra: dict | None = None) -> None:
+def save_reference(path, sol: ReferenceSolution) -> None:
     header = {
         "d": int(sol.w_star.size),
         "f_star": sol.f_star.hex(),
@@ -130,8 +130,6 @@ def save_reference(path, sol: ReferenceSolution, header_extra: dict | None = Non
         "converged": sol.converged,
         "tol": sol.tol.hex(),
     }
-    if header_extra:
-        header.update(header_extra)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
@@ -178,5 +176,5 @@ def cached_reference(model: LossModel, tol: float = 1e-10,
             return sol
     sol = solve_reference(model, tol=tol)
     if sol.converged:
-        save_reference(path, sol, header_extra={"kind": model.kind, "lam": float(model.lam).hex()})
+        save_reference(path, sol)
     return sol

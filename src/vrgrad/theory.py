@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correction import residual_sqnorms
+from .correction import CorrectionOperator
 from .losses import LossModel
 
 
@@ -129,23 +129,19 @@ def estimate_alpha_empirical(model: LossModel, correction, points) -> float:
         mean_i ||grad f_i(w) - grad f_i(anchor) - A_i u||^2
         / mean_i ||grad f_i(w) - grad f_i(anchor)||^2
 
-    is computed exactly (``residual_sqnorms`` of the correction's
-    ``sample_parts``); the max over points is returned.  Points with a zero
-    denominator are skipped.
+    is computed exactly, both terms by ``sample_residuals`` with x = 0, the
+    denominator's on the ``none`` operator at the same anchor; the max over
+    points is returned.  Points with a zero denominator are skipped.
     """
-    X = model.dataset.features
+    plain = CorrectionOperator("none", model, correction.anchor, correction.g_anchor)
     zero = np.zeros(model.d)
     best = None
     for w in points:
         w = np.asarray(w, dtype=np.float64)
-        u = w - correction.anchor
-        u_dots = X @ u
-        p, q, h = correction.sample_parts(u_dots)
-        dc = model.margin_coefs(X @ w) - correction.anchor_coefs
-        rhs = float(np.mean(residual_sqnorms(model, zero, u, u_dots, model.lam, dc)))
+        rhs = float(np.mean(plain.sample_residuals(w, zero)))
         if rhs == 0.0:
             continue
-        lhs = float(np.mean(residual_sqnorms(model, zero, u, u_dots, model.lam - p, dc - q, h)))
+        lhs = float(np.mean(correction.sample_residuals(w, zero)))
         best = lhs / rhs if best is None else max(best, lhs / rhs)
     if best is None:
         raise ValueError("no usable points: every denominator was zero")

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from vrgrad.cli import _RUN_FIELDS, _spec_from_args, build_parser, main
+from vrgrad.data import synth_binary, write_libsvm
 from vrgrad.harness import ExperimentSpec, load_table
 
 
@@ -250,3 +251,53 @@ def test_reference_out_of_range_values_are_usage_errors(capsys, flag, value):
         main(argv)
     assert err.value.code == 2
     assert flag.lstrip("-") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines", [["epochs = 3", "epochs = 5"],
+                                   ["epochs = 3", "# a comment", "Epochs = 3"]])
+def test_repeated_spec_file_key_is_a_usage_error(tmp_path, capsys, lines):
+    # before, the last line won: epochs = 3 then epochs = 5 ran 5 epochs
+    spec = tmp_path / "spec.txt"
+    spec.write_text("synth = 20,3,0\n" + "\n".join(lines) + "\n")
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--spec", str(spec), "--out", str(tmp_path / "results")])
+    assert err.value.code == 2
+    assert "spec file repeats key 'epochs'" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+def test_run_prints_the_winner_s_gap_that_winners_csv_records(tmp_path, capsys):
+    # the winner is chosen by the gap averaged over seeds; the printed gap
+    # was the least over seeds
+    out = tmp_path / "results"
+    code = main(["run", "--synth", "80,5,0", "--methods", "SVRG", "--lambda", "1e-3",
+                 "--grid", "0.5,0.05", "--seeds", "0,1,2", "--epochs", "3",
+                 "--out", str(out), "--cache-dir", str(tmp_path / "cache")])
+    assert code == 0
+    printed = capsys.readouterr().out
+    header, row = (out / "winners.csv").read_text().splitlines()
+    gap = float(dict(zip(header.split(","), row.split(",")))["final_gap"])
+    table = load_table(out)
+    rows = table.winner_rows("SVRG", 1e-3)
+    assert sorted(r.seed for r in rows) == [0, 1, 2]
+    assert len({r.final_gap() for r in rows}) == 3
+    assert gap == sum(r.final_gap() for r in rows) / 3
+    assert f"final gap {gap:.3e}" in printed
+
+
+def test_reference_on_a_missing_file_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "missing.svm"
+    assert main(["reference", "--data", str(path), "--lambda", "1e-3"]) == 3
+    assert f"data error: cannot read {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["logistic", "squared_hinge"])
+def test_reference_on_a_file_matches_the_synthetic_data_it_holds(tmp_path, capsys, model):
+    path = tmp_path / "synth.svm"
+    path.write_text(write_libsvm(synth_binary(60, 4, 5, 0.8)))
+    argv = ["--lambda", "1e-3", "--model", model]
+    assert main(["reference", "--synth", "60,4,5,0.8", *argv]) == 0
+    from_synth = capsys.readouterr().out
+    assert main(["reference", "--data", str(path), *argv]) == 0
+    from_file = capsys.readouterr().out
+    assert from_synth.startswith("f_star=") and from_file == from_synth

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrgrad.harness import ResultTable, RunRow, emit_csv, load_table, parse_run_csv
+from vrgrad.harness import (ExperimentSpec, ResultTable, RunRow, emit_csv, load_table,
+                            parse_run_csv)
 from vrgrad.losses import KINDS
 from vrgrad.optimizer import METHODS, EpochRecord
 
@@ -110,3 +111,21 @@ def test_run_csv_row_with_a_missing_column_is_rejected(tmp_path):
     path.write_text(_GOLDEN_RUN_CSV.rsplit(",", 1)[0] + "\n")
     with pytest.raises(ValueError):
         parse_run_csv(path)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_spec_rejects_a_reference_tol_outside_the_positive_reals(tol):
+    with pytest.raises(ValueError, match="reference_tol"):
+        ExperimentSpec(reference_tol=tol)
+
+
+def test_mean_gap_is_the_winner_s_gap_averaged_over_seeds():
+    table = ResultTable()
+    for step, seed, gap in ((0.1, 0, 4.0), (0.1, 1, 1.0), (0.1, 2, 2.5), (1.0, 0, 3.0)):
+        record = EpochRecord(epoch=1, fval=gap, gap=gap, wall_time=0.0, variance=0.0,
+                             step_size=step, grad_evals=1)
+        table.rows.append(RunRow("SVRG", 1e-3, step, seed, [record]))
+    table.rows.append(RunRow("SVRG", 1e-3, 1.0, 1, [], diverged=True))
+    table.winners[("SVRG", 1e-3)] = 0.1
+    assert table.mean_gap("SVRG", 1e-3) == 2.5
+    assert table.mean_gap("SVRG", 1e-3, 1.0) == float("inf")

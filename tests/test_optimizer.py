@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from vrgrad.correction import build_correction
 from vrgrad.data import synth_binary
 from vrgrad.losses import LossModel
-from vrgrad.optimizer import (METHODS, DivergenceError, RunConfig, direction,
-                              expected_grad_evals, measure_variance, optimize,
-                              run_epoch)
+from vrgrad.optimizer import (METHODS, DivergenceError, RunConfig, _within_guard,
+                              direction, expected_grad_evals, measure_variance,
+                              optimize, run_epoch)
 from vrgrad.reference import solve_reference
 from vrgrad.stepsize import EpochAnchors, constant, epoch_bb, preset
 
@@ -425,3 +427,24 @@ def test_variance_mode_accepts_only_last_and_none():
 def test_methods_tuple_complete():
     assert set(METHODS) == {"SVRG", "SVRG2", "SVRG2D", "SVRG2BB", "SVRGBB",
                             "SVRG2BBS-M1", "SVRG2BBS-M2", "SVRG2BBS-M3"}
+
+
+# -- the divergence guard --------------------------------------------------------
+
+_HUGE = [1e200, -1e200]     # finite, but w @ w overflows to inf
+
+
+@pytest.mark.parametrize("w, limit, inside", [
+    ([3.0, -4.0], 25.0, True), ([3.0, -4.0], 24.999, False),
+    ([3.0, -4.0], math.inf, True), ([0.0, 0.0], 0.0, True),
+    (_HUGE, math.inf, True), (_HUGE, 1e300, False),
+    ([math.nan, 1.0], math.inf, False), ([math.nan, 1.0], 1e300, False),
+    ([math.inf, 1.0], math.inf, False), ([-math.inf, 1.0], math.inf, False),
+    ([math.inf, -math.inf], math.inf, False), ([-math.inf, 0.0], 1e300, False),
+])
+def test_divergence_guard_tests_finiteness_and_the_norm(w, limit, inside):
+    w = np.array(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _within_guard(w, limit) is inside
+        # the test it replaced in the diagonal step gives the same answer
+        assert (bool(np.isfinite(w).all()) and float(w @ w) <= limit) is inside

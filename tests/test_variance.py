@@ -1,10 +1,11 @@
 """Exact variance telemetry and the empirical residual ratio against
 per-sample loops as oracles.
 
-``measure_variance`` and ``estimate_alpha_empirical`` expand each squared
-residual norm into a few sparse matvecs.  The oracles here form every
-per-sample residual as a dense vector, from ``direction``,
-``grad_sample_delta`` and ``apply_sample``, and sum its squares.
+``CorrectionOperator.sample_residuals``, which ``measure_variance`` and
+``estimate_alpha_empirical`` call, expands each squared residual norm into
+a few sparse matvecs.  The oracles here form every per-sample residual as a
+dense vector, from ``direction``, ``grad_sample_delta`` and
+``apply_sample``, and sum its squares.
 
 The two agree to 1e-9 relative.  Where the exact value is below the
 expansion's rounding floor (a residual that cancels to about 0), they agree
@@ -70,9 +71,10 @@ def assert_close(got, want, scale):
 
 
 @st.composite
-def problems(draw):
-    """A random sparse problem with one correction and a point near its
-    anchor: n and d from 1, empty rows, both losses, lam = 0 included."""
+def problems(draw, variants=VARIANTS):
+    """A random sparse problem with one correction (of ``variants``) and a
+    point near its anchor: n and d from 1, empty rows, both losses, lam = 0
+    included."""
     n = draw(st.integers(1, 12))
     d = draw(st.integers(1, 8))
     density = draw(st.sampled_from([0.0, 0.25, 0.6, 1.0]))
@@ -85,9 +87,28 @@ def problems(draw):
                       draw(st.sampled_from(KINDS)))
     anchor_prev = rng.standard_normal(d)
     anchor = anchor_prev + draw(st.sampled_from([1e-3, 1.0])) * rng.standard_normal(d)
-    corr = build_correction(draw(st.sampled_from(VARIANTS)), model, anchor, anchor_prev)
+    corr = build_correction(draw(st.sampled_from(variants)), model, anchor, anchor_prev)
     w = anchor + draw(st.sampled_from([0.0, 1e-6, 1e-2, 1.0])) * rng.standard_normal(d)
     return model, corr, w
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@settings(max_examples=75, deadline=None)
+@given(data=st.data())
+def test_sample_residuals_match_the_loop(variant, data):
+    model, corr, w = data.draw(problems([variant]))
+    assert corr.variant == variant
+    scale_x = data.draw(st.sampled_from([0.0, 1e-3, 1.0]))
+    x = scale_x * np.random.default_rng(data.draw(st.integers(0, 99))).standard_normal(model.d)
+    u = w - corr.anchor
+    got = corr.sample_residuals(w, x)
+    assert got.shape == (model.n,)
+    for i in range(model.n):
+        a_u = corr.apply_sample(i, u)
+        want = _sqnorm(x + model.grad_sample_delta(i, w, corr.anchor) - a_u)
+        scale = sum(_sqnorm(t) for t in (x, model.grad_sample(i, w),
+                                         model.grad_sample(i, corr.anchor), a_u))
+        assert_close(got[i], want, scale)
 
 
 @settings(max_examples=300, deadline=None)
