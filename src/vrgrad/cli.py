@@ -9,14 +9,15 @@ Config files for ``run --spec`` are flat ``key = value`` text; list values
 are comma-separated, and a key that is not a ``run`` flag is a usage error.
 ``_RUN_FIELDS`` declares each ``run`` flag once, and the flag and its spec
 key share its converter (``--scale`` is a switch; the key takes 1/true/yes
-or 0/false/no).  Precedence: CLI flag > spec file >
-:class:`~vrgrad.harness.ExperimentSpec`'s defaults, which hold the range checks.
+or 0/false/no).  Converters only parse text: the value checks, and the
+mapping of a loss alias to its kind, are
+:class:`~vrgrad.harness.ExperimentSpec`'s.  Precedence: CLI flag > spec
+file > ExperimentSpec's defaults.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .data import LabelError, LibsvmParseError
 from .harness import (DataSourceError, ExperimentSpec, ReferenceError,
                       emit_csv, emit_plots, load_dataset, load_table,
                       run_experiment)
-from .losses import LossModel, loss_kind
+from .losses import LossModel
 from .optimizer import METHODS, DivergenceError
 from .reference import save_reference, solve_reference
 
@@ -43,31 +44,14 @@ def _parse_ints(text: str) -> tuple:
 
 def _parse_methods(text: str) -> tuple:
     """Comma-separated names; blanks around a name and empty items are dropped."""
-    methods = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    for name in methods or ("",):
-        if name not in METHODS:
-            raise argparse.ArgumentTypeError(
-                f"unknown method {name!r}; choose from {', '.join(METHODS)}")
-    return methods
-
-
-def _parse_model(text: str) -> str:
-    try:
-        return loss_kind(text.strip())
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
 def _parse_synth(text: str) -> tuple:
     parts = [tok.strip() for tok in text.split(",")]
     if len(parts) not in (3, 4):
         raise argparse.ArgumentTypeError("--synth expects n,d,seed[,separability]")
-    n, d, seed = int(parts[0]), int(parts[1]), int(parts[2])
-    separability = float(parts[3]) if len(parts) == 4 else 1.0
-    if n < 1 or d < 1 or seed < 0 or not math.isfinite(separability):
-        raise argparse.ArgumentTypeError(
-            f"synth needs n, d >= 1, seed >= 0 and a finite separability, got {text!r}")
-    return (n, d, seed, separability) if len(parts) == 4 else (n, d, seed)
+    return (int(parts[0]), int(parts[1]), int(parts[2]), *map(float, parts[3:]))
 
 
 def _parse_switch(text: str) -> bool:
@@ -78,22 +62,8 @@ def _parse_switch(text: str) -> bool:
 
 
 def _parse_m(text: str) -> int | None:
-    """Inner length: '2n' (or empty) is None, else an integer >= 1."""
-    if text.strip() in ("2n", ""):
-        return None
-    m = int(text)
-    if m < 1:
-        raise argparse.ArgumentTypeError(f"inner length m must be >= 1 or '2n', got {m}")
-    return m
-
-
-class _RemovedStepFlag(argparse.Action):
-    """``run --step`` was removed: it applied every value to every method,
-    whatever family it named."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        parser.error("--step was removed; pin step parameters with --grid "
-                     "(e.g. --grid 0.1); they apply to every method")
+    """Inner length: '2n' (or empty) is None, else an integer."""
+    return None if text.strip() in ("2n", "") else int(text)
 
 
 def read_spec_file(path) -> dict:
@@ -120,7 +90,7 @@ def read_spec_file(path) -> dict:
 _RUN_FIELDS = {
     "data_path": ("data", str, "LIBSVM text file"),
     "synth": ("synth", _parse_synth, "n,d,seed[,separability]"),
-    "model": ("model", _parse_model, "loss kind or alias"),
+    "model": ("model", str.strip, "loss kind or alias"),
     "lambdas": ("lambda", _parse_floats, "comma-separated regularization weights"),
     "methods": ("methods", _parse_methods, f"comma-separated from {', '.join(METHODS)}"),
     "grid": ("grid", _parse_floats, "step-parameter grid"),
@@ -186,7 +156,7 @@ def cmd_plot(args) -> int:
 def cmd_reference(args) -> int:
     spec = _checked_spec(data_path=args.data, synth=args.synth, model=args.model,
                          lambdas=(args.lam,), reference_tol=args.tol)
-    model = LossModel(load_dataset(spec), args.lam, args.model)
+    model = LossModel(load_dataset(spec), args.lam, spec.model)
     sol = solve_reference(model, tol=args.tol)
     if not sol.converged:
         print(f"reference did not converge: ||grad||={sol.grad_norm:.3e} "
@@ -215,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
             run_p.add_argument(f"--{key}", action="store_true", help=help_text)
         else:
             run_p.add_argument(f"--{key}", type=convert, help=help_text)
-    run_p.add_argument("--step", nargs="?", action=_RemovedStepFlag,
-                       help=argparse.SUPPRESS)
     run_p.add_argument("--plots", action="store_true", default=False,
                        help="also write SVG figures")
     run_p.add_argument("--cache-dir", default=None, help="reference cache directory")
@@ -232,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = ref_p.add_mutually_exclusive_group(required=True)
     source.add_argument("--data", help="LIBSVM text file")
     source.add_argument("--synth", type=_parse_synth, help="n,d,seed[,separability]")
-    ref_p.add_argument("--model", type=_parse_model, default="logistic")
+    ref_p.add_argument("--model", type=str.strip, default="logistic")
     ref_p.add_argument("--lambda", dest="lam", type=float, required=True)
     ref_p.add_argument("--tol", type=float, default=1e-10)
     ref_p.add_argument("--out", help="write the solution cache file here")

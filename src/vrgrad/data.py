@@ -22,7 +22,7 @@ class LibsvmParseError(ValueError):
 
 
 class LabelError(ValueError):
-    """A label fell outside the supplied label map, or outside {-1, +1}."""
+    """A label outside {-1, +1}."""
 
 
 class SparseDataset:
@@ -94,15 +94,12 @@ class SparseDataset:
         return f"SparseDataset(n={self.n}, d={self.d}, nnz={self._X.nnz})"
 
 
-def parse_libsvm(source, label_map: dict | None = None) -> SparseDataset:
+def parse_libsvm(source) -> SparseDataset:
     """Parse LIBSVM text (``label idx:val idx:val ...``, 1-based indices).
 
     Parameters
     ----------
     source : str, or an iterable of lines such as a text file object
-    label_map : optional mapping applied to each parsed label, e.g.
-        ``{3.0: -1.0, 8.0: +1.0}``; a label missing from the map raises
-        :class:`LabelError`.
 
     The dimension d is the largest index seen.  Duplicate or non-increasing
     indices within a line, and non-finite labels or values (``inf``,
@@ -125,10 +122,6 @@ def parse_libsvm(source, label_map: dict | None = None) -> SparseDataset:
             label = float(tokens[0])
         except ValueError:
             raise LibsvmParseError(f"non-numeric label {tokens[0]!r}", line_no) from None
-        if label_map is not None:
-            if label not in label_map:
-                raise LabelError(f"line {line_no}: label {label!r} not covered by the label map")
-            label = float(label_map[label])
 
         idx = np.empty(len(tokens) - 1, dtype=np.int64)
         val = np.empty(len(tokens) - 1)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import stepsize, svgplot
 from .data import SparseDataset, parse_libsvm, synth_binary
-from .losses import LossModel
+from .losses import LossModel, loss_kind
 from .optimizer import (METHODS, DivergenceError, EpochRecord, RunConfig,
                         optimize)
 from .reference import cached_reference
@@ -36,7 +36,8 @@ DEFAULT_SYNTH = (1000, 20, 0)
 
 
 class DataSourceError(RuntimeError):
-    """Dataset missing or unreadable."""
+    """An input file (a dataset or an emitted results file) missing,
+    unreadable or malformed."""
 
 
 class ReferenceError(RuntimeError):
@@ -59,7 +60,6 @@ class ExperimentSpec:
     anchor_option: int = 1
     reference_tol: float = 1e-10
     subsample: int | None = None
-    label_map: dict | None = None
     variance_mode: str = "last"
 
     def __post_init__(self):
@@ -83,11 +83,20 @@ class ExperimentSpec:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.subsample is not None and self.subsample < 1:
             raise ValueError(f"subsample must be >= 1, got {self.subsample}")
+        if self.m is not None and self.m < 1:
+            raise ValueError(f"inner length m must be >= 1 or None (2n), got {self.m}")
         for meth in self.methods:
             if meth not in METHODS:
-                raise ValueError(f"unknown method {meth!r}")
+                raise ValueError(f"unknown method {meth!r}; choose from {', '.join(METHODS)}")
+        self.model = loss_kind(self.model)
         if self.data_path is None and self.synth is None:
             self.synth = DEFAULT_SYNTH
+        if self.synth is not None:
+            n, d, seed, *separability = self.synth
+            if not (n >= 1 and d >= 1 and seed >= 0 and len(separability) <= 1
+                    and np.isfinite(separability).all()):
+                raise ValueError("synth needs (n, d, seed[, separability]) with n, d >= 1, "
+                                 f"seed >= 0 and a finite separability, got {self.synth}")
 
 
 @dataclass
@@ -134,9 +143,11 @@ def load_dataset(spec: ExperimentSpec) -> SparseDataset:
     if spec.data_path is not None:
         try:
             with open(spec.data_path, "r") as fh:
-                ds = parse_libsvm(fh, label_map=spec.label_map)
+                ds = parse_libsvm(fh)
         except OSError as err:
             raise DataSourceError(f"cannot read {spec.data_path}: {err}") from err
+        if ds.n == 0:
+            raise DataSourceError(f"{spec.data_path} holds no sample")
     else:
         ds = synth_binary(*spec.synth)
     if spec.subsample is not None and spec.subsample < ds.n:
@@ -304,28 +315,37 @@ def parse_run_csv(path) -> list[EpochRecord]:
 
 
 def load_table(out_dir) -> ResultTable:
-    """Rebuild a ResultTable from a directory written by emit_csv."""
+    """Rebuild a ResultTable from a directory written by emit_csv.
+
+    A file there that does not parse raises :class:`DataSourceError`
+    naming it.
+    """
     out = Path(out_dir)
-    meta = json.loads((out / "metadata.json").read_text())
-    references = {float(k): float(v) for k, v in meta.pop("references", {}).items()}
-    table = ResultTable(metadata=meta, references=references)
-    model = meta.get("model", "model")
+    path = out / "metadata.json"    # the file being read, for the error
+    try:
+        meta = json.loads(path.read_text())
+        references = {float(k): float(v) for k, v in meta.pop("references", {}).items()}
+        table = ResultTable(metadata=meta, references=references)
+        model, epochs = meta.get("model", "model"), meta["epochs"]
 
-    for lam in meta["lambdas"]:
-        for method in meta["methods"]:
-            for g in meta["grid"]:
-                for seed in meta["seeds"]:
-                    path = out / run_filename(model, lam, method, g, seed)
-                    if not path.exists():
-                        continue
-                    records = parse_run_csv(path)
-                    diverged = len(records) < meta["epochs"]
-                    table.rows.append(RunRow(method, float(lam), float(g),
-                                             int(seed), records, diverged))
+        for lam in meta["lambdas"]:
+            for method in meta["methods"]:
+                for g in meta["grid"]:
+                    for seed in meta["seeds"]:
+                        path = out / run_filename(model, lam, method, g, seed)
+                        if not path.exists():
+                            continue
+                        records = parse_run_csv(path)
+                        diverged = len(records) < epochs
+                        table.rows.append(RunRow(method, float(lam), float(g),
+                                                 int(seed), records, diverged))
 
-    for line in (out / "winners.csv").read_text().strip().splitlines()[1:]:
-        f = line.split(",")
-        table.winners[(f[0], float(f[1]))] = float(f[2])
+        path = out / "winners.csv"
+        for line in path.read_text().strip().splitlines()[1:]:
+            f = line.split(",")
+            table.winners[(f[0], float(f[1]))] = float(f[2])
+    except (ValueError, KeyError, TypeError, IndexError) as err:
+        raise DataSourceError(f"{path} is malformed: {type(err).__name__}: {err}") from err
     return table
 
 

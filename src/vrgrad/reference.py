@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SparseDataset, write_libsvm
+from .data import SparseDataset, write_libsvm  # noqa: F401 (bench/spans.py patches it here)
 from .losses import LossModel
 
 _DECREASE = 1e-4      # share of the first-order decrease a step must achieve
@@ -111,8 +111,19 @@ CACHE_ENV_VAR = "VRGRAD_CACHE_DIR"
 
 
 def dataset_fingerprint(dataset: SparseDataset) -> str:
-    payload = f"{dataset.n} {dataset.d}\n".encode() + write_libsvm(dataset).encode()
-    return hashlib.sha256(payload).hexdigest()
+    """SHA-256 of what ``SparseDataset.__eq__`` compares: the shape, the
+    labels and the CSR ``indptr``, ``indices`` and ``data``.
+
+    Each array is hashed in a fixed little-endian dtype (``<i8`` for the
+    shape and index arrays, ``<f8`` for labels and values), because scipy
+    picks the index dtype and equal datasets must get one key.
+    """
+    X = dataset.features
+    digest = hashlib.sha256()
+    for array, dtype in ((X.shape, "<i8"), (dataset.labels, "<f8"), (X.indptr, "<i8"),
+                         (X.indices, "<i8"), (X.data, "<f8")):
+        digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    return digest.hexdigest()
 
 
 def cache_path(cache_dir, dataset: SparseDataset, kind: str, lam: float, tol: float) -> Path:

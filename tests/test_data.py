@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrgrad.data import (LabelError, LibsvmParseError, SparseDataset,
+from vrgrad.data import (LibsvmParseError, SparseDataset,
                          parse_libsvm, synth_binary, write_libsvm)
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -55,14 +55,6 @@ class TestParse:
         ds = parse_libsvm(text)
         assert list(ds.labels) == [1.0, -1.0, 1.0]
         assert _row(ds, 1) == ([1], [2.0])
-
-    def test_label_map(self):
-        ds = parse_libsvm("3 1:1.0\n8 1:2.0\n", label_map={3.0: -1.0, 8.0: 1.0})
-        assert list(ds.labels) == [-1.0, 1.0]
-
-    def test_label_outside_map(self):
-        with pytest.raises(LabelError):
-            parse_libsvm("5 1:1.0", label_map={3.0: -1.0, 8.0: 1.0})
 
     def test_malformed_token_carries_line_number(self):
         with pytest.raises(LibsvmParseError) as err:

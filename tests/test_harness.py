@@ -129,3 +129,20 @@ def test_mean_gap_is_the_winner_s_gap_averaged_over_seeds():
     table.winners[("SVRG", 1e-3)] = 0.1
     assert table.mean_gap("SVRG", 1e-3) == 2.5
     assert table.mean_gap("SVRG", 1e-3, 1.0) == float("inf")
+
+
+@pytest.mark.parametrize("given, message", [
+    ({"m": 0}, "m must be >= 1"),
+    ({"synth": (0, 5, 0)}, "synth"), ({"synth": (5, 0, 0)}, "synth"),
+    ({"synth": (5, 5, -1)}, "synth"), ({"synth": (5, 5, 0, float("nan"))}, "synth"),
+    ({"model": "huber"}, "unknown loss kind 'huber'"),
+])
+def test_spec_rejects_a_value_before_any_data_is_loaded(given, message):
+    # before, these failed only inside run_experiment, after loading data
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec(**given)
+
+
+def test_spec_maps_a_loss_alias_to_its_kind():
+    assert ExperimentSpec(model="svm").model == "squared_hinge"
+    assert ExperimentSpec(model="lr") == ExperimentSpec(model="logistic")

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from vrgrad.data import SparseDataset, synth_binary
 from vrgrad.losses import LossModel
 from vrgrad.optimizer import RunConfig, optimize
-from vrgrad.reference import (cached_reference, cache_path, load_reference,
-                              save_reference, solve_reference)
+from vrgrad.reference import (cached_reference, cache_path, dataset_fingerprint,
+                              load_reference, save_reference, solve_reference)
 from vrgrad.stepsize import constant
 
 
@@ -184,7 +184,9 @@ class TestCache:
         assert path.exists()
         second = cached_reference(model, tol=1e-10, cache_dir=tmp_path)
         assert second.w_star.tobytes() == first.w_star.tobytes()
-        assert second.f_star == first.f_star
+        assert ((second.f_star, second.grad_norm, second.iterations, second.converged,
+                 second.tol) == (first.f_star, first.grad_norm, first.iterations,
+                                 first.converged, first.tol))
 
     def test_non_converged_entry_is_a_miss(self, tmp_path):
         ds = synth_binary(40, 5, seed=55)
@@ -223,3 +225,52 @@ class TestCache:
         path.write_bytes(b"not a cache file")
         with pytest.raises(ValueError):
             load_reference(path)
+
+
+_ENTRIES = (0.0, 0.5, -1.0, 3.0, 1e-300)
+
+
+@st.composite
+def dataset_pairs(draw):
+    """A dataset, and an equal copy or one that differs in one label, in one
+    entry, or only in d (an empty last column)."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    X = np.array(draw(st.lists(st.sampled_from(_ENTRIES), min_size=n * d, max_size=n * d)))
+    X = X.reshape(n, d)
+    labels = np.array(draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n)))
+    a = SparseDataset.from_dense(X, labels)
+    change = draw(st.sampled_from(("none", "label", "entry", "d")))
+    X2, labels2 = X.copy(), labels.copy()
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))
+    if change == "label":
+        labels2[i] = -labels2[i]
+    elif change == "entry":
+        X2[i, j] = draw(st.sampled_from(_ENTRIES).filter(lambda v: v != X[i, j]))
+    elif change == "d":
+        X2 = np.hstack([X2, np.zeros((n, 1))])
+    return a, SparseDataset.from_dense(X2, labels2), change
+
+
+@settings(max_examples=200, deadline=None)
+@given(dataset_pairs())
+def test_fingerprint_is_equal_exactly_for_equal_datasets(pair):
+    a, b, change = pair
+    assert (a == b) == (change == "none")
+    assert (dataset_fingerprint(a) == dataset_fingerprint(b)) == (a == b)
+
+
+def test_fingerprint_does_not_depend_on_the_index_dtype():
+    narrow, wide = synth_binary(6, 4, seed=1), synth_binary(6, 4, seed=1)
+    wide.features.indptr = wide.features.indptr.astype(np.int64)
+    wide.features.indices = wide.features.indices.astype(np.int64)
+    assert narrow.features.indices.dtype == np.int32
+    assert wide.features.indices.dtype == np.int64 and wide == narrow
+    assert dataset_fingerprint(wide) == dataset_fingerprint(narrow)
+
+
+def test_fingerprint_of_a_fixed_dataset_is_pinned():
+    # a new digest here re-keys every reference cache entry
+    ds = SparseDataset.from_dense([[1.0, 0.0, -2.5], [0.0, 0.0, 0.0], [0.5, 3.0, 0.0]],
+                                  [1.0, -1.0, 1.0])
+    assert dataset_fingerprint(ds) == (
+        "b62030261ac4da04982f29fd6bd371b6c0f13ae2bc525cc6c111ae54e0f3720f")
