@@ -14,12 +14,19 @@ phi' and phi'' come in an array form and a float form.  The float form runs
 on every inner step, so it makes no ufunc call; it returns the same bits.
 At the hinge kink (m = 1) phi'' takes the inactive branch, 0: the event has
 measure zero and the smaller curvature is the conservative choice.
+
+A model builds X^T and X o X (o the element-wise product) once.  X^T of a
+CSR matrix is a CSC view that shares X's arrays; the products that read it
+give the bits they gave when X^T was built on each call.  The Gram matrix
+K = X X^T (:attr:`LossModel.gram`) depends on X alone; it is formed the
+first time it is read and kept for the model's life.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -86,7 +93,10 @@ class LossModel:
         self._b = dataset.labels.tolist()   # floats, for the per-step oracles
         X = dataset.features
         self._indptr, self._indices, self._data = X.indptr, X.indices, X.data
-        self.row_sq_norms = np.asarray(X.multiply(X).sum(axis=1)).ravel()
+        self.XT = X.T
+        X_sq = X.multiply(X)
+        self._X_sq_T = X_sq.T
+        self.row_sq_norms = np.asarray(X_sq.sum(axis=1)).ravel()
 
     # -- shapes ------------------------------------------------------------
 
@@ -165,7 +175,7 @@ class LossModel:
         """(1/n) sum_i grad f_i(w), computed in one dataset pass."""
         w = self._check_dim(w)
         coefs = self.margin_coefs(self.dataset.features @ w)
-        return self.dataset.features.T @ coefs / self.n + self.lam * w
+        return self.XT @ coefs / self.n + self.lam * w
 
     # -- curvature ----------------------------------------------------------
 
@@ -214,8 +224,7 @@ class LossModel:
         """:meth:`mean_hess_vec` from the point's :meth:`curvature_at`,
         written into ``out`` (not ``v``) when given."""
         v = self._check_dim(v, "v")
-        X = self.dataset.features
-        hv = X.T @ (coefs * (X @ v))
+        hv = self.XT @ (coefs * (self.dataset.features @ v))
         hv /= self.n
         out = np.multiply(v, self.lam, out=out)
         out += hv
@@ -235,10 +244,15 @@ class LossModel:
         H.flat[::self.d + 1] += self.lam
         return H
 
+    @cached_property
+    def gram(self):
+        """K = X X^T, the n x n Gram matrix of the rows, as CSR."""
+        X = self.dataset.features
+        return (X @ self.XT).tocsr()
+
     def mean_hess_diag(self, w: np.ndarray) -> np.ndarray:
         """Diagonal of the mean Hessian at w."""
-        X = self.dataset.features
-        diag = X.multiply(X).T @ self.curvature_at(w) / self.n
+        diag = self._X_sq_T @ self.curvature_at(w) / self.n
         return np.asarray(diag).ravel() + self.lam
 
     # -- constants for the rate machinery ------------------------------------

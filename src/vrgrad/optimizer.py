@@ -19,7 +19,7 @@ uniformly random one (option 2) to the next anchor.  Method names:
     SVRGBB        no correction, per-epoch BB step
     SVRG2BBS-M1/2/3  BB-scalar correction, generalized BB step presets
 
-An inner step takes one of four forms, each described on its class:
+An inner step takes one of five forms, each described on its class:
 
 * :class:`_DenseIterate`, w as a vector through :func:`direction`, O(d);
   its bits are the plain formula's;
@@ -27,12 +27,17 @@ An inner step takes one of four forms, each described on its class:
   when the mean row has at most d/4 nonzeros, O(nnz_i);
 * :class:`_DiagIterate`, for ``diag_hessian``, O(nnz_i) with per-column
   catch-up;
-* :class:`_HessIterate`, for ``full_hessian``, one row dot and one H u.
+* :class:`_HessIterate`, for ``full_hessian``, one row dot and one H u, with
+  H formed (d^2 < nnz) or the matrix-free product;
+* :class:`_GramIterate`, for ``full_hessian`` on wide sparse data
+  (sum_j nnz_j^2 < nnz + d, nnz_j the nonzeros of column j), O(n) and one
+  product with K = X X^T.
 
-An epoch whose correction is ``diag_hessian`` or ``full_hessian`` takes that
-form.  The others, the first, uncorrected epoch of SVRG2 and SVRG2D among
-them, take the affine step when it applies and the dense step otherwise.
-All four agree up to rounding.
+An epoch whose correction is ``diag_hessian`` takes the diagonal step; one
+whose correction is ``full_hessian`` takes the form :func:`hessian_form`
+picks by cost.  The others, the first, uncorrected epoch of SVRG2 and SVRG2D
+among them, take the affine step when it applies and the dense step
+otherwise (:func:`step_class`).  All five agree up to rounding.
 
 Variance telemetry (``variance_mode="last"``) is exact at any n and costs a
 few sparse matvecs per epoch (:func:`measure_variance`); it draws no
@@ -412,6 +417,26 @@ class _DiagIterate(_RowIterate):
         return _within_guard(self.z + self.u, limit)
 
 
+def hessian_form(model: LossModel) -> str:
+    """How a ``full_hessian`` epoch applies H to u, by cost:
+
+    * ``"formed"`` when d^2 < nnz: H as a dense d x d array, whose matvec
+      costs less than two sparse matvecs over X;
+    * ``"gram"`` when sum_j nnz_j^2 < nnz + d, with nnz_j the nonzeros of
+      column j: u in the span of g and the rows, through K = X X^T, whose
+      nnz is at most that sum (:class:`_GramIterate`);
+    * ``"matrix_free"`` otherwise, two sparse matvecs over X.  A dense
+      column, a bias feature for one, makes K dense and keeps wide data here.
+    """
+    X = model.dataset.features
+    if model.d * model.d < X.nnz:
+        return "formed"
+    col_nnz = np.bincount(X.indices, minlength=model.d)
+    if int(col_nnz @ col_nnz) < X.nnz + model.d:
+        return "gram"
+    return "matrix_free"
+
+
 class _HessIterate(_RowIterate):
     """The inner iterate of a ``full_hessian`` epoch as u = w - z; a step
     costs one row dot, one H u and O(d) in-place updates.
@@ -419,18 +444,17 @@ class _HessIterate(_RowIterate):
     lam u cancels between grad f_i(w) - grad f_i(z) and A_i u, so with H the
     mean Hessian at the anchor (lam included) and h_i its curvature
     coefficients, v_t = g + H u + (c_i(w) - c_i(z) - h_i a_i.u) a_i.  A step
-    writes into per-epoch buffers and tests w exactly.  When d^2 < nnz, a
-    d x d matvec costs less than two sparse matvecs over X, so H is formed
-    once per epoch as a dense array, summed over blocks of rows, and H u is
-    one matvec; otherwise H u is the matrix-free product.
+    writes into per-epoch buffers and tests w exactly.  H u is a matvec with
+    H formed once per epoch, summed over blocks of rows, or the matrix-free
+    product, as :func:`hessian_form` picks (``form``).
     """
 
     def __init__(self, model, correction, w_anchor, g_anchor):
         super().__init__(model, correction, w_anchor, g_anchor)
         self.model, self.coefs = model, correction.curvature_coefs
         self.h = self.coefs.tolist()
-        self.H = (model.mean_hessian_from(self.coefs)
-                  if model.d * model.d < model.dataset.features.nnz else None)
+        self.form = hessian_form(model)
+        self.H = model.mean_hessian_from(self.coefs) if self.form == "formed" else None
         # per-epoch buffers: a step writes into them and allocates no O(d) array
         self.u = np.zeros(model.d)
         self.v = np.empty(model.d)
@@ -459,6 +483,90 @@ class _HessIterate(_RowIterate):
         return _within_guard(w, limit)
 
 
+class _GramIterate(_RowIterate):
+    """The inner iterate of a ``full_hessian`` epoch in Gram form; a step
+    costs O(n) and one product with K = X X^T.
+
+    With H = X^T diag(h) X / n + lam I, a step moves u = w - z by
+    -eta (lam u + g + X^T t), with
+    t = h o (X u) / n + (c_i(w) - c_i(z) - h_i a_i.u) e_i
+    (see :class:`_HessIterate`).  From u = 0 every iterate stays in
+    span{g} + row-span(X), so the step keeps u = rho g + X^T q with q in R^n,
+    and r = X u; with gamma = 1 - eta lam,
+
+        rho <- gamma rho - eta,  q <- gamma q - eta t,
+        r <- gamma r - eta X g - eta K t,
+
+    and a_i.u is r_i.  With X z and X g from the epoch, ||w||^2 is
+    z.z + 2 rho z.g + rho^2 g.g + 2 (X z).q + rho (X g).q + q.r in O(n)
+    (:meth:`sq_norm`).  When that estimate is not finite or reaches the
+    guard, less ``GUARD_SLACK``, the step forms w and tests it exactly.
+    w itself is formed only there, at the option-2 snapshot and at the
+    epoch's end.
+    """
+
+    form = "gram"
+    # w is tested exactly once the estimate of ||w||^2 reaches this share of
+    # the guard; the slack covers the estimate's rounding and r's drift
+    GUARD_SLACK = 1e-3
+
+    def __init__(self, model, correction, w_anchor, g_anchor):
+        super().__init__(model, correction, w_anchor, g_anchor)
+        self.XT, self.K, self.lam = model.XT, model.gram, model.lam
+        self.h = correction.curvature_coefs.tolist()
+        self.h_n = correction.curvature_coefs / model.n
+        self.z_dot_vec, self.g_dot_vec = correction.anchor_dots, correction.grad_dots
+        self.zz = float(w_anchor @ w_anchor)
+        self.zg = float(w_anchor @ g_anchor)
+        self.gg = float(g_anchor @ g_anchor)
+        self.rho = 0.0
+        self.q = np.zeros(model.n)
+        self.r = np.zeros(model.n)
+        self.t = np.empty(model.n)
+
+    def current(self) -> np.ndarray:
+        return self.z + self.rho * self.g + self.XT @ self.q
+
+    def step(self, i: int, eta: float, limit: float) -> bool:
+        """w -= eta * v_t(i); False when w is non-finite or ||w||^2 > limit."""
+        q, r, t = self.q, self.r, self.t
+        r_i = float(r[i])
+        dc = self.margin_coef_at(i, self.z_dots[i] + r_i) - self.z_coefs[i]
+        # eta t, with t = h o r / n + (dc - h_i r_i) e_i
+        np.multiply(self.h_n, r, out=t)
+        t[i] += dc - self.h[i] * r_i
+        t *= eta
+        gamma = 1.0 - eta * self.lam
+        self.rho = gamma * self.rho - eta
+        q *= gamma
+        q -= t
+        r *= gamma
+        r -= eta * self.g_dot_vec
+        r -= self.K @ t
+        ww = self.sq_norm()
+        if ww < math.inf and ww <= limit * (1.0 - self.GUARD_SLACK):
+            return True
+        return _within_guard(self.current(), limit)
+
+    def sq_norm(self) -> float:
+        """||w||^2, estimated in O(n) from rho, q and r."""
+        rho, q = self.rho, self.q
+        return (self.zz + rho * (2.0 * self.zg + rho * self.gg)
+                + 2.0 * float(self.z_dot_vec @ q) + rho * float(self.g_dot_vec @ q)
+                + float(q @ self.r))
+
+
+def step_class(model: LossModel, correction) -> type:
+    """The inner-step form of the epoch of ``correction`` (module docstring)."""
+    if correction.variant == "diag_hessian":
+        return _DiagIterate
+    if correction.variant == "full_hessian":
+        return _GramIterate if hessian_form(model) == "gram" else _HessIterate
+    if affine_step_applies(model, correction):
+        return _AffineIterate
+    return _DenseIterate
+
+
 def run_epoch(model: LossModel, config: RunConfig, correction,
               schedule_anchors: EpochAnchors | None, epoch: int,
               w_anchor: np.ndarray, g_anchor: np.ndarray,
@@ -472,15 +580,7 @@ def run_epoch(model: LossModel, config: RunConfig, correction,
     the norm guard or turns non-finite.  Curvature failures in BB schedules
     fall back to the last valid BB step, else the schedule's eta0.
     """
-    if correction.variant == "diag_hessian":
-        iterate_cls = _DiagIterate
-    elif correction.variant == "full_hessian":
-        iterate_cls = _HessIterate
-    elif affine_step_applies(model, correction):
-        iterate_cls = _AffineIterate
-    else:
-        iterate_cls = _DenseIterate
-    iterate = iterate_cls(model, correction, w_anchor, g_anchor)
+    iterate = step_class(model, correction)(model, correction, w_anchor, g_anchor)
     option2_t = int(rng.integers(m)) if config.anchor_option == 2 else None
     idx = rng.integers(0, model.n, size=m).tolist()
     limit = norm_guard * norm_guard
@@ -536,7 +636,8 @@ def optimize(model: LossModel, config: RunConfig, w0: np.ndarray,
     n + 2m for plain directions, n + 4m when the BB per-sample scalar is
     active (its two extra anchor gradients per step), and the first epoch
     of every correction method runs uncorrected (no previous anchor).
-    A corrected SVRG2 epoch also takes one mean-Hessian product per step;
+    A corrected SVRG2 step also applies the mean Hessian: one product with
+    H, formed or matrix-free, or in Gram form one product with K = X X^T;
     these are not gradient evaluations and are not included in
     ``grad_evals``.  This accounting is the paper's and counts more than the
     oracle work done: no step form recomputes grad f_i(anchor) or the BB

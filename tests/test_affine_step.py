@@ -1,12 +1,12 @@
-"""The affine, diagonal and full-Hessian inner steps against the dense inner
-step as oracle, and the dense step against the plain formula.
+"""The affine, diagonal, full-Hessian and Gram inner steps against the dense
+inner step as oracle, and the dense step against the plain formula.
 
 Unless a test says otherwise, the data's mean row has at most d/4 nonzeros,
 so ``optimize`` takes the affine step for the ``none`` and ``bb_scalar``
 corrections; it takes the diagonal step for every ``diag_hessian`` epoch and
-the full-Hessian step for every ``full_hessian`` epoch.  The oracle is the
-same run with all three switched off, which takes the dense step: the plain
-formula for v_t on a dense w.
+the full-Hessian or the Gram step, as ``hessian_form`` picks, for every
+``full_hessian`` epoch.  The oracle is the same run with all of them switched
+off, which takes the dense step: the plain formula for v_t on a dense w.
 
 The dense step reads c_i(anchor) and the BB per-sample scalar from the
 epoch's correction, which computes each once per sample.  ``PlainIterate``
@@ -15,6 +15,7 @@ the same bits.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from vrgrad.data import SparseDataset, synth_binary
 from vrgrad.harness import schedule_for
 from vrgrad.losses import LossModel
 from vrgrad.optimizer import (METHODS, DivergenceError, RunConfig,
-                              affine_step_applies, optimize)
+                              affine_step_applies, hessian_form, optimize, step_class)
 from vrgrad.stepsize import CurvatureError, EpochAnchors, constant
 
 RTOL = 1e-10
@@ -69,6 +70,7 @@ def run_both(monkeypatch, model, config, w0=None):
                 patch.setattr(optimizer, "affine_step_applies", lambda *a: False)
                 patch.setattr(optimizer, "_DiagIterate", optimizer._DenseIterate)
                 patch.setattr(optimizer, "_HessIterate", optimizer._DenseIterate)
+                patch.setattr(optimizer, "_GramIterate", optimizer._DenseIterate)
             try:
                 _, records = optimize(model, config, w0)
             except DivergenceError as err:
@@ -219,7 +221,9 @@ def test_empty_rows(monkeypatch, kind):
 @pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
 def test_single_sample(monkeypatch, kind):
     model = LossModel(sparse_dataset(1, 12, 3, seed=4), 1e-2, kind)
-    # one row: d^2 >= nnz always, so SVRG2 takes the matrix-free product
+    # one row: d^2 >= nnz, and sum_j nnz_j^2 = nnz < nnz + d, so SVRG2
+    # takes the Gram step
+    assert hessian_form(model) == "gram"
     for method in ("SVRG", "SVRGBB", "SVRG2BB", "SVRG2D", "SVRG2", "SVRG2BBS-M3"):
         assert_same_run(monkeypatch, model, config_for(method, model, m=7))
 
@@ -397,15 +401,17 @@ def test_diag_runs_are_seeded(n, d, density, data_seed, seed, lam, kind, anchor_
 
 
 def hess_iterates(monkeypatch):
-    """Every full-Hessian iterate ``optimize`` builds from now on, in order."""
+    """Every full-Hessian and Gram iterate ``optimize`` builds from now on,
+    in order."""
     built = []
+    for name in ("_HessIterate", "_GramIterate"):
 
-    class Recorded(optimizer._HessIterate):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
+        class Recorded(getattr(optimizer, name)):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
 
-    monkeypatch.setattr(optimizer, "_HessIterate", Recorded)
+        monkeypatch.setattr(optimizer, name, Recorded)
     return built
 
 
@@ -414,10 +420,19 @@ def dense_rows(n=40, d=8, seed=3):
     return synth_binary(n, d, seed=seed, separability=0.8)
 
 
-# (dataset, whether the step forms H): d^2 = 64 < nnz = 320, and the
-# ``data`` fixture's d^2 = 6400 >= nnz = 360
-BRANCHES = {"formed": (dense_rows, True),
-            "matrix_free": (lambda: sparse_dataset(60, 80, 6, seed=11), False)}
+def wide_rows():
+    """Three nonzeros in each of 60 rows over 250 columns: d^2 >= nnz and
+    sum_j nnz_j^2 = 288 < nnz + d = 430, so the step takes the Gram form;
+    K has 108 nonzeros off its diagonal."""
+    return sparse_dataset(60, 250, 3, seed=11)
+
+
+# the form the gate picks -> a dataset it picks it for: d^2 = 64 < nnz = 320
+# forms H; the ``data`` fixture's d^2 = 6400 >= nnz = 360 and its
+# sum_j nnz_j^2 = 1918 >= nnz + d = 440 keep the matrix-free product
+BRANCHES = {"formed": dense_rows,
+            "matrix_free": lambda: sparse_dataset(60, 80, 6, seed=11),
+            "gram": wide_rows}
 
 
 @pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
@@ -428,17 +443,27 @@ def test_hess_step_on_dense_rows(monkeypatch, kind, anchor_option):
     built = hess_iterates(monkeypatch)
     assert_same_run(monkeypatch, model,
                     config_for("SVRG2", model, epochs=5, anchor_option=anchor_option))
-    assert len(built) == 4 and all(it.H is not None for it in built)
+    assert len(built) == 4 and all(it.form == "formed" for it in built)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+@pytest.mark.parametrize("anchor_option", [1, 2])
+def test_gram_step_on_wide_rows(monkeypatch, kind, anchor_option):
+    model = LossModel(wide_rows(), 1e-2, kind)
+    built = hess_iterates(monkeypatch)
+    assert_same_run(monkeypatch, model,
+                    config_for("SVRG2", model, epochs=5, anchor_option=anchor_option))
+    assert len(built) == 4 and all(it.form == "gram" for it in built)
 
 
 @pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
 @pytest.mark.parametrize("branch", list(BRANCHES))
 def test_hess_step_lambda_zero(monkeypatch, branch, kind):
-    make, formed = BRANCHES[branch]
+    make = BRANCHES[branch]
     model = LossModel(make(), 0.0, kind)
     built = hess_iterates(monkeypatch)
     assert_same_run(monkeypatch, model, config_for("SVRG2", model, anchor_option=2))
-    assert built and all((it.H is not None) == formed for it in built)
+    assert built and all(it.form == branch for it in built)
 
 
 @pytest.mark.parametrize("branch", list(BRANCHES))
@@ -446,20 +471,22 @@ def test_hess_step_lambda_zero(monkeypatch, branch, kind):
 def test_hess_step_divergence_raises_at_the_same_step(monkeypatch, branch, step):
     # eta * lam = 1.5 or 2.1: the first epoch passes and a corrected one
     # grows until the guard
-    make, _ = BRANCHES[branch]
+    make = BRANCHES[branch]
     model = LossModel(make(), 1e-2)
+    built = hess_iterates(monkeypatch)
     (fast, _), (dense, _) = run_both(monkeypatch, model,
                                      config_for("SVRG2", model, step, epochs=6))
     assert isinstance(fast, DivergenceError) and isinstance(dense, DivergenceError)
     assert (fast.epoch, fast.step) == (dense.epoch, dense.step) and fast.epoch >= 2
     assert [r.fval for r in fast.records] == pytest.approx(
         [r.fval for r in dense.records], rel=RTOL)
+    assert built and all(it.form == branch for it in built)
 
 
 @pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
 @pytest.mark.parametrize("branch", list(BRANCHES))
 def test_hess_step_guard_fires_with_the_dense_guard(branch, kind):
-    make, formed = BRANCHES[branch]
+    make = BRANCHES[branch]
     # eta = 2.2 / lambda_max(H): the iterate grows along the top eigenvector
     # and crosses the guard tens to hundreds of steps in
     model = LossModel(make(), 1e-2, kind)
@@ -468,19 +495,20 @@ def test_hess_step_guard_fires_with_the_dense_guard(branch, kind):
     limit = 1e4 * float(corr.anchor @ corr.anchor)
     idx = np.random.default_rng(1).integers(0, model.n, 400).tolist()
     failed, hess = step_both(model, corr, idx, 2.2 / top, limit,
-                             fast_cls=optimizer._HessIterate)
-    assert failed is not None and failed > 10 and (hess.H is not None) == formed
+                             fast_cls=step_class(model, corr))
+    assert failed is not None and failed > 10 and hess.form == branch
 
 
 @pytest.mark.parametrize("branch", list(BRANCHES))
 def test_hess_step_guard_with_an_infinite_limit(branch):
     # ||w||^2 <= inf cannot fail: both steps pass until w overflows to a
     # non-finite value, then both fail
-    make, _ = BRANCHES[branch]
+    make = BRANCHES[branch]
     model = LossModel(make(), 1e-2)
     corr = epoch_correction(model, variant="full_hessian")
     fast, dense = (cls(model, corr, corr.anchor, corr.g_anchor)
-                   for cls in (optimizer._HessIterate, optimizer._DenseIterate))
+                   for cls in (step_class(model, corr), optimizer._DenseIterate))
+    assert fast.form == branch
     results = []
     with np.errstate(all="ignore"):
         for i in np.random.default_rng(4).integers(0, model.n, 20).tolist():
@@ -497,7 +525,16 @@ def test_hess_step_empty_rows_with_h_formed(monkeypatch, kind):
     model = LossModel(sparse_dataset(60, 6, 3, seed=3, empty_rows={0, 7, 59}), 1e-2, kind)
     built = hess_iterates(monkeypatch)
     assert_same_run(monkeypatch, model, config_for("SVRG2", model))
-    assert built and all(it.H is not None for it in built)
+    assert built and all(it.form == "formed" for it in built)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+def test_gram_step_empty_rows_and_columns(monkeypatch, kind):
+    # 300 columns for 171 nonzeros: most columns are empty
+    model = LossModel(sparse_dataset(60, 300, 3, seed=3, empty_rows={0, 7, 59}), 1e-2, kind)
+    built = hess_iterates(monkeypatch)
+    assert_same_run(monkeypatch, model, config_for("SVRG2", model, anchor_option=2))
+    assert built and all(it.form == "gram" for it in built)
 
 
 def test_hess_step_hinge_kink_with_h_formed(monkeypatch):
@@ -511,17 +548,87 @@ def test_hess_step_hinge_kink_with_h_formed(monkeypatch):
     assert np.all(model.dataset.labels * (model.dataset.features @ w0) == 1.0)
     built = hess_iterates(monkeypatch)
     assert_same_run(monkeypatch, model, config_for("SVRG2", model), w0)
-    assert built and all(it.H is not None for it in built)
+    assert built and all(it.form == "formed" for it in built)
 
 
 @pytest.mark.parametrize("n, nnz_per_row, formed", [(5, 5, False), (13, 2, True)])
 def test_hess_step_gate_at_d_squared_equal_nnz(monkeypatch, n, nnz_per_row, formed):
-    # d = 5: nnz = 25 = d^2 keeps the matrix-free product, 26 forms H
+    # d = 5: nnz = 25 = d^2 keeps the matrix-free product (sum_j nnz_j^2 =
+    # 125 >= nnz + d), 26 forms H
     model = LossModel(sparse_dataset(n, 5, nnz_per_row, seed=2), 1e-2)
     assert model.dataset.features.nnz == 25 + formed
     built = hess_iterates(monkeypatch)
     assert_same_run(monkeypatch, model, config_for("SVRG2", model))
-    assert built and all((it.H is not None) == formed for it in built)
+    form = "formed" if formed else "matrix_free"
+    assert built and all(it.form == form for it in built)
+
+
+@pytest.mark.parametrize("d, form", [(6, "matrix_free"), (7, "gram")])
+def test_hess_step_gate_at_column_squares_equal_nnz_plus_d(monkeypatch, d, form):
+    # column 0 in all three rows, columns 1-3 in one each: nnz = 6 and
+    # sum_j nnz_j^2 = 9 + 3 = 12.  With d = 6 that is nnz + d, which keeps
+    # the matrix-free product; one more (empty) column takes the Gram step
+    X = sp.csr_matrix(([1.0, 0.5, -0.5, 1.0, 0.75, -1.0], [0, 1, 0, 2, 0, 3], [0, 2, 4, 6]),
+                      shape=(3, d))
+    model = LossModel(SparseDataset(X, np.array([1.0, -1.0, 1.0])), 1e-2)
+    assert hessian_form(model) == form
+    built = hess_iterates(monkeypatch)
+    assert_same_run(monkeypatch, model, config_for("SVRG2", model, anchor_option=2))
+    assert built and all(it.form == form for it in built)
+
+
+def test_hess_step_dense_bias_column_keeps_wide_data_matrix_free(monkeypatch):
+    # a bias column in every row makes K dense: sum_j nnz_j^2 >= n^2
+    ds = wide_rows()
+    X = sp.hstack([ds.features, np.ones((ds.n, 1))], format="csr")
+    model = LossModel(SparseDataset(X, ds.labels), 1e-2)
+    assert hessian_form(LossModel(ds, 1e-2)) == "gram"
+    assert hessian_form(model) == "matrix_free"
+    built = hess_iterates(monkeypatch)
+    assert_same_run(monkeypatch, model, config_for("SVRG2", model))
+    assert built and all(it.form == "matrix_free" for it in built)
+
+
+@pytest.mark.parametrize("rho", [math.inf, math.nan])
+def test_gram_step_tests_w_when_the_estimate_is_not_finite(rho):
+    # a non-finite rho makes w and the estimate of ||w||^2 non-finite; even
+    # against an infinite limit the step must then fail
+    model = LossModel(wide_rows(), 1e-2)
+    corr = epoch_correction(model, variant="full_hessian")
+    gram = optimizer._GramIterate(model, corr, corr.anchor, corr.g_anchor)
+    gram.rho, gram.q[:] = rho, corr.grad_dots
+    with np.errstate(invalid="ignore"):
+        assert not math.isfinite(gram.sq_norm())
+        assert not gram.step(0, 0.5, math.inf)
+
+
+def test_gram_step_forms_w_only_at_the_snapshot_and_the_end(monkeypatch):
+    # far from the guard, every step tests the O(n) estimate of ||w||^2
+    model = LossModel(wide_rows(), 1e-2)
+    formed = []
+    real_current = optimizer._GramIterate.current
+
+    def current(self):
+        formed.append(self.rho)
+        return real_current(self)
+
+    monkeypatch.setattr(optimizer._GramIterate, "current", current)
+    monkeypatch.setattr(optimizer, "_within_guard", None)
+    optimize(model, config_for("SVRG2", model, epochs=3, anchor_option=2), np.zeros(model.d))
+    assert len(formed) == 4
+
+
+def test_gram_matrix_is_formed_once_per_model_and_not_at_construction(monkeypatch):
+    model = LossModel(wide_rows(), 1e-2)
+    model.grad_full(np.zeros(model.d))
+    assert "gram" not in vars(model)
+    config = config_for("SVRG2", model, epochs=3)
+    optimize(model, config, np.zeros(model.d))
+    K = vars(model)["gram"]
+    optimize(model, config, np.zeros(model.d))
+    assert model.gram is K
+    X = model.dataset.features.toarray()
+    np.testing.assert_allclose(K.toarray(), X @ X.T, rtol=1e-15, atol=1e-15)
 
 
 def test_hess_step_block_rows_not_dividing_n(monkeypatch):
@@ -530,7 +637,41 @@ def test_hess_step_block_rows_not_dividing_n(monkeypatch):
     model = LossModel(dense_rows(), 1e-2)
     built = hess_iterates(monkeypatch)
     assert_same_run(monkeypatch, model, config_for("SVRG2", model, anchor_option=2))
-    assert built and all(it.H is not None for it in built)
+    assert built and all(it.form == "formed" for it in built)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 15), d=st.integers(1, 40), density=st.floats(0.02, 1.0),
+       data_seed=st.integers(0, 2**16), empty_rows=st.sets(st.integers(0, 14), max_size=4),
+       lam=st.sampled_from([0.0, 1e-3]), kind=st.sampled_from(["logistic", "squared_hinge"]),
+       eta_scale=st.floats(0.05, 3.0), limit_factor=st.sampled_from([1e2, 1e6, math.inf]),
+       draws=st.lists(st.integers(0, 2**16), min_size=1, max_size=40))
+def test_gram_step_tracks_the_matrix_free_step(n, d, density, data_seed, empty_rows, lam,
+                                               kind, eta_scale, limit_factor, draws):
+    # one more, empty, column; eta up to 3 / lambda_max(H) makes some
+    # iterates grow until the guard
+    ds = sparse_dataset(n, d, max(1, round(density * d)), data_seed, empty_rows)
+    X = sp.hstack([ds.features, sp.csr_matrix((n, 1))], format="csr")
+    model = LossModel(SparseDataset(X, ds.labels), lam, kind)
+    corr = epoch_correction(model, seed=data_seed, variant="full_hessian")
+    top = np.linalg.eigvalsh(model.mean_hessian_from(corr.curvature_coefs)).max()
+    eta = eta_scale / max(top, 1e-3)
+    limit = limit_factor * (1.0 + float(corr.anchor @ corr.anchor))
+    gram = optimizer._GramIterate(model, corr, corr.anchor, corr.g_anchor)
+    with mock.patch.object(optimizer, "hessian_form", lambda model: "matrix_free"):
+        hess = optimizer._HessIterate(model, corr, corr.anchor, corr.g_anchor)
+    assert hess.form == "matrix_free"
+    z_norm = np.linalg.norm(corr.anchor)
+    for t, draw in enumerate(draws):
+        ok = gram.step(draw % n, eta, limit)
+        assert ok == hess.step(draw % n, eta, limit), t
+        # relative to ||z|| + ||w||: w = z + u can cancel to far below z
+        w = hess.current()
+        scale = z_norm + np.linalg.norm(w)
+        assert gram.sq_norm() == pytest.approx(w @ w, rel=0.0, abs=1e-10 * scale ** 2), t
+        if not ok:
+            break
+    np.testing.assert_allclose(gram.current(), w, rtol=0.0, atol=1e-12 * scale)
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 40, 1000])

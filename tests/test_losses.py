@@ -271,6 +271,39 @@ def test_mean_hess_diag_is_mean_of_samples(instances):
 # -- spectral invariants ----------------------------------------------------
 
 
+def transposes_built(monkeypatch, X):
+    """Every transpose of X's class built from now on."""
+    built = []
+    real = type(X).transpose
+
+    def transpose(self, *args, **kwargs):
+        built.append(self.shape)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(X), "transpose", transpose)
+    return built
+
+
+def test_dataset_oracles_build_no_transpose(monkeypatch, instances):
+    # X^T and (X o X)^T are built with the model; the results are the bits
+    # of the products with a transpose built on each call
+    for model in instances:
+        X = model.dataset.features
+        rng = np.random.default_rng(3)
+        w, v = rng.standard_normal(model.d), rng.standard_normal(model.d)
+        coefs = model.curvature_at(w)
+        built = transposes_built(monkeypatch, X)
+        got = [model.grad_full(w), model.grad_full(w), model.mean_hess_vec_from(coefs, v),
+               model.mean_hess_diag(w)]
+        assert built == []
+        monkeypatch.undo()
+        hv = X.T @ (coefs * (X @ v)) / model.n
+        want = [X.T @ model.margin_coefs(X @ w) / model.n + model.lam * w] * 2 + [
+            model.lam * v + hv,
+            np.asarray(X.multiply(X).T @ coefs / model.n).ravel() + model.lam]
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
 def test_hessian_symmetry_proxy(instances):
     rng = np.random.default_rng(16)
     for model in instances:
