@@ -15,18 +15,19 @@ on every inner step, so it makes no ufunc call; it returns the same bits.
 At the hinge kink (m = 1) phi'' takes the inactive branch, 0: the event has
 measure zero and the smaller curvature is the conservative choice.
 
-A model builds X^T and X o X (o the element-wise product) once.  X^T of a
-CSR matrix is a CSC view that shares X's arrays; the products that read it
-give the bits they gave when X^T was built on each call.  The Gram matrix
-K = X X^T (:attr:`LossModel.gram`) depends on X alone; it is formed the
-first time it is read and kept for the model's life.
+A model builds X^T once, with the model: X^T of a CSR matrix is a CSC view
+that shares X's arrays.  (X o X)^T (o the element-wise product), which only
+:meth:`LossModel.mean_hess_diag` reads, and the Gram matrix K = X X^T
+(:attr:`LossModel.gram`), which only the Gram step reads, are copies the
+size of X or more; each is formed the first time it is read and kept for
+the model's life.  The products give the bits they gave when each
+transpose was built on every call.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -94,9 +95,11 @@ class LossModel:
         X = dataset.features
         self._indptr, self._indices, self._data = X.indptr, X.indices, X.data
         self.XT = X.T
-        X_sq = X.multiply(X)
-        self._X_sq_T = X_sq.T
-        self.row_sq_norms = np.asarray(X_sq.sum(axis=1)).ravel()
+        self.row_sq_norms = np.asarray(X.multiply(X).sum(axis=1)).ravel()
+        # formed on first read.  Not functools.cached_property: it writes
+        # through the instance __dict__, and once that is read CPython takes
+        # a slower path for every attribute read on the model
+        self._gram = self._X_sq_T = None
 
     # -- shapes ------------------------------------------------------------
 
@@ -244,14 +247,18 @@ class LossModel:
         H.flat[::self.d + 1] += self.lam
         return H
 
-    @cached_property
+    @property
     def gram(self):
         """K = X X^T, the n x n Gram matrix of the rows, as CSR."""
-        X = self.dataset.features
-        return (X @ self.XT).tocsr()
+        if self._gram is None:
+            self._gram = (self.dataset.features @ self.XT).tocsr()
+        return self._gram
 
     def mean_hess_diag(self, w: np.ndarray) -> np.ndarray:
         """Diagonal of the mean Hessian at w."""
+        if self._X_sq_T is None:
+            X = self.dataset.features
+            self._X_sq_T = X.multiply(X).T
         diag = self._X_sq_T @ self.curvature_at(w) / self.n
         return np.asarray(diag).ravel() + self.lam
 

@@ -27,8 +27,9 @@ An inner step takes one of five forms, each described on its class:
   when the mean row has at most d/4 nonzeros, O(nnz_i);
 * :class:`_DiagIterate`, for ``diag_hessian``, O(nnz_i) with per-column
   catch-up;
-* :class:`_HessIterate`, for ``full_hessian``, one row dot and one H u, with
-  H formed (d^2 < nnz) or the matrix-free product;
+* :class:`_HessIterate`, for ``full_hessian``, one row dot and one H u by
+  the matrix-free product, or, in :class:`_FormedHessIterate`, by a matvec
+  with H formed (d^2 < nnz);
 * :class:`_GramIterate`, for ``full_hessian`` on wide sparse data
   (sum_j nnz_j^2 < nnz + d, nnz_j the nonzeros of column j), O(n) and one
   product with K = X X^T.
@@ -54,6 +55,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -424,9 +426,14 @@ def hessian_form(model: LossModel) -> str:
       costs less than two sparse matvecs over X;
     * ``"gram"`` when sum_j nnz_j^2 < nnz + d, with nnz_j the nonzeros of
       column j: u in the span of g and the rows, through K = X X^T, whose
-      nnz is at most that sum (:class:`_GramIterate`);
-    * ``"matrix_free"`` otherwise, two sparse matvecs over X.  A dense
-      column, a bias feature for one, makes K dense and keeps wide data here.
+      nnz is at most that sum, so K is never larger than X
+      (:class:`_GramIterate`);
+    * ``"matrix_free"`` otherwise, two sparse matvecs over X.
+
+    The sum grows with the square of the most frequent columns' counts.  A
+    bias column, or Zipf-distributed column counts as in text data, make K
+    dense or nearly so, and a product with it costs O(n^2) against the
+    matrix-free O(nnz + d); such data takes the matrix-free step.
     """
     X = model.dataset.features
     if model.d * model.d < X.nnz:
@@ -444,17 +451,16 @@ class _HessIterate(_RowIterate):
     lam u cancels between grad f_i(w) - grad f_i(z) and A_i u, so with H the
     mean Hessian at the anchor (lam included) and h_i its curvature
     coefficients, v_t = g + H u + (c_i(w) - c_i(z) - h_i a_i.u) a_i.  A step
-    writes into per-epoch buffers and tests w exactly.  H u is a matvec with
-    H formed once per epoch, summed over blocks of rows, or the matrix-free
-    product, as :func:`hessian_form` picks (``form``).
+    writes into per-epoch buffers and tests w exactly.  H u is the
+    matrix-free product, two sparse matvecs over X.
     """
 
     def __init__(self, model, correction, w_anchor, g_anchor):
         super().__init__(model, correction, w_anchor, g_anchor)
-        self.model, self.coefs = model, correction.curvature_coefs
-        self.h = self.coefs.tolist()
-        self.form = hessian_form(model)
-        self.H = model.mean_hessian_from(self.coefs) if self.form == "formed" else None
+        coefs = correction.curvature_coefs
+        self.h = coefs.tolist()
+        # hess_vec(u, out=v) writes H u into v
+        self.hess_vec = partial(model.mean_hess_vec_from, coefs)
         # per-epoch buffers: a step writes into them and allocates no O(d) array
         self.u = np.zeros(model.d)
         self.v = np.empty(model.d)
@@ -471,16 +477,22 @@ class _HessIterate(_RowIterate):
         au = float(vals.dot(u.take(cols)))
         dc = self.margin_coef_at(i, self.z_dots[i] + au) - self.z_coefs[i]
         # v = H u + g + (dc - h_i a_i.u) a_i
-        if self.H is None:
-            self.model.mean_hess_vec_from(self.coefs, u, out=v)
-        else:
-            np.matmul(self.H, u, out=v)
+        self.hess_vec(u, out=v)
         v += self.g
         v[cols] += (dc - self.h[i] * au) * vals
         v *= eta
         u -= v
         np.add(self.z, u, out=w)
         return _within_guard(w, limit)
+
+
+class _FormedHessIterate(_HessIterate):
+    """:class:`_HessIterate` with H formed once per epoch as a dense d x d
+    array, summed over blocks of rows, so that H u is one matvec."""
+
+    def __init__(self, model, correction, w_anchor, g_anchor):
+        super().__init__(model, correction, w_anchor, g_anchor)
+        self.hess_vec = partial(np.matmul, model.mean_hessian_from(correction.curvature_coefs))
 
 
 class _GramIterate(_RowIterate):
@@ -505,7 +517,6 @@ class _GramIterate(_RowIterate):
     epoch's end.
     """
 
-    form = "gram"
     # w is tested exactly once the estimate of ||w||^2 reaches this share of
     # the guard; the slack covers the estimate's rounding and r's drift
     GUARD_SLACK = 1e-3
@@ -561,7 +572,8 @@ def step_class(model: LossModel, correction) -> type:
     if correction.variant == "diag_hessian":
         return _DiagIterate
     if correction.variant == "full_hessian":
-        return _GramIterate if hessian_form(model) == "gram" else _HessIterate
+        return {"formed": _FormedHessIterate, "gram": _GramIterate,
+                "matrix_free": _HessIterate}[hessian_form(model)]
     if affine_step_applies(model, correction):
         return _AffineIterate
     return _DenseIterate

@@ -15,7 +15,6 @@ the same bits.
 """
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -70,6 +69,7 @@ def run_both(monkeypatch, model, config, w0=None):
                 patch.setattr(optimizer, "affine_step_applies", lambda *a: False)
                 patch.setattr(optimizer, "_DiagIterate", optimizer._DenseIterate)
                 patch.setattr(optimizer, "_HessIterate", optimizer._DenseIterate)
+                patch.setattr(optimizer, "_FormedHessIterate", optimizer._DenseIterate)
                 patch.setattr(optimizer, "_GramIterate", optimizer._DenseIterate)
             try:
                 _, records = optimize(model, config, w0)
@@ -218,27 +218,52 @@ def test_empty_rows(monkeypatch, kind):
         assert_same_run(monkeypatch, model, config_for(method, model))
 
 
-@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
-def test_single_sample(monkeypatch, kind):
+def check_single_sample(monkeypatch, kind, form):
     model = LossModel(sparse_dataset(1, 12, 3, seed=4), 1e-2, kind)
-    # one row: d^2 >= nnz, and sum_j nnz_j^2 = nnz < nnz + d, so SVRG2
-    # takes the Gram step
+    # one row: d^2 >= nnz, and sum_j nnz_j^2 = nnz < nnz + d, so the gate
+    # picks the Gram step
     assert hessian_form(model) == "gram"
+    monkeypatch.setattr(optimizer, "hessian_form", lambda model: form)
+    built = hess_iterates(monkeypatch)
     for method in ("SVRG", "SVRGBB", "SVRG2BB", "SVRG2D", "SVRG2", "SVRG2BBS-M3"):
         assert_same_run(monkeypatch, model, config_for(method, model, m=7))
+    assert built and all(form_of(it) == form for it in built)
 
 
-def test_hinge_kink(monkeypatch):
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+def test_single_sample(monkeypatch, kind):
+    check_single_sample(monkeypatch, kind, "gram")
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+def test_single_sample_matrix_free(monkeypatch, kind):
+    check_single_sample(monkeypatch, kind, "matrix_free")
+
+
+def check_hinge_kink(monkeypatch, form):
     # unit-vector rows and w0 = b_j e_j: every margin starts exactly at 1,
-    # where the squared hinge switches branch
+    # where the squared hinge switches branch.  The gate picks the Gram
+    # step: sum_j nnz_j^2 = 16 < nnz + d = 32
     n = d = 16
     labels = np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
     model = LossModel(SparseDataset(sp.identity(n, format="csr"), labels),
                       1e-2, "squared_hinge")
     w0 = labels.copy()
     assert np.all(labels * (model.dataset.features @ w0) == 1.0)
+    assert hessian_form(model) == "gram"
+    monkeypatch.setattr(optimizer, "hessian_form", lambda model: form)
+    built = hess_iterates(monkeypatch)
     for method in ("SVRG", "SVRG2BB", "SVRG2D", "SVRG2", "SVRG2BBS-M2"):
         assert_same_run(monkeypatch, model, config_for(method, model), w0)
+    assert built and all(form_of(it) == form for it in built)
+
+
+def test_hinge_kink(monkeypatch):
+    check_hinge_kink(monkeypatch, "gram")
+
+
+def test_hinge_kink_matrix_free(monkeypatch):
+    check_hinge_kink(monkeypatch, "matrix_free")
 
 
 # -- the diagonal step ----------------------------------------------------------------------
@@ -400,11 +425,22 @@ def test_diag_runs_are_seeded(n, d, density, data_seed, seed, lam, kind, anchor_
 # -- the full-Hessian step ------------------------------------------------------------------
 
 
+# each full-Hessian step class -> the form of ``hessian_form`` it implements
+FORMS = {optimizer._FormedHessIterate: "formed", optimizer._GramIterate: "gram",
+         optimizer._HessIterate: "matrix_free"}
+
+
+def form_of(iterate):
+    """The form a full-Hessian iterate (or one recorded by
+    :func:`hess_iterates`) takes."""
+    return next(FORMS[cls] for cls in type(iterate).__mro__ if cls in FORMS)
+
+
 def hess_iterates(monkeypatch):
     """Every full-Hessian and Gram iterate ``optimize`` builds from now on,
     in order."""
     built = []
-    for name in ("_HessIterate", "_GramIterate"):
+    for name in ("_HessIterate", "_FormedHessIterate", "_GramIterate"):
 
         class Recorded(getattr(optimizer, name)):
             def __init__(self, *args):
@@ -443,7 +479,7 @@ def test_hess_step_on_dense_rows(monkeypatch, kind, anchor_option):
     built = hess_iterates(monkeypatch)
     assert_same_run(monkeypatch, model,
                     config_for("SVRG2", model, epochs=5, anchor_option=anchor_option))
-    assert len(built) == 4 and all(it.form == "formed" for it in built)
+    assert len(built) == 4 and all(form_of(it) == "formed" for it in built)
 
 
 @pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
@@ -453,7 +489,7 @@ def test_gram_step_on_wide_rows(monkeypatch, kind, anchor_option):
     built = hess_iterates(monkeypatch)
     assert_same_run(monkeypatch, model,
                     config_for("SVRG2", model, epochs=5, anchor_option=anchor_option))
-    assert len(built) == 4 and all(it.form == "gram" for it in built)
+    assert len(built) == 4 and all(form_of(it) == "gram" for it in built)
 
 
 @pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
@@ -463,7 +499,7 @@ def test_hess_step_lambda_zero(monkeypatch, branch, kind):
     model = LossModel(make(), 0.0, kind)
     built = hess_iterates(monkeypatch)
     assert_same_run(monkeypatch, model, config_for("SVRG2", model, anchor_option=2))
-    assert built and all(it.form == branch for it in built)
+    assert built and all(form_of(it) == branch for it in built)
 
 
 @pytest.mark.parametrize("branch", list(BRANCHES))
@@ -480,7 +516,7 @@ def test_hess_step_divergence_raises_at_the_same_step(monkeypatch, branch, step)
     assert (fast.epoch, fast.step) == (dense.epoch, dense.step) and fast.epoch >= 2
     assert [r.fval for r in fast.records] == pytest.approx(
         [r.fval for r in dense.records], rel=RTOL)
-    assert built and all(it.form == branch for it in built)
+    assert built and all(form_of(it) == branch for it in built)
 
 
 @pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
@@ -496,7 +532,7 @@ def test_hess_step_guard_fires_with_the_dense_guard(branch, kind):
     idx = np.random.default_rng(1).integers(0, model.n, 400).tolist()
     failed, hess = step_both(model, corr, idx, 2.2 / top, limit,
                              fast_cls=step_class(model, corr))
-    assert failed is not None and failed > 10 and hess.form == branch
+    assert failed is not None and failed > 10 and form_of(hess) == branch
 
 
 @pytest.mark.parametrize("branch", list(BRANCHES))
@@ -508,7 +544,7 @@ def test_hess_step_guard_with_an_infinite_limit(branch):
     corr = epoch_correction(model, variant="full_hessian")
     fast, dense = (cls(model, corr, corr.anchor, corr.g_anchor)
                    for cls in (step_class(model, corr), optimizer._DenseIterate))
-    assert fast.form == branch
+    assert form_of(fast) == branch
     results = []
     with np.errstate(all="ignore"):
         for i in np.random.default_rng(4).integers(0, model.n, 20).tolist():
@@ -525,7 +561,7 @@ def test_hess_step_empty_rows_with_h_formed(monkeypatch, kind):
     model = LossModel(sparse_dataset(60, 6, 3, seed=3, empty_rows={0, 7, 59}), 1e-2, kind)
     built = hess_iterates(monkeypatch)
     assert_same_run(monkeypatch, model, config_for("SVRG2", model))
-    assert built and all(it.form == "formed" for it in built)
+    assert built and all(form_of(it) == "formed" for it in built)
 
 
 @pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
@@ -534,7 +570,7 @@ def test_gram_step_empty_rows_and_columns(monkeypatch, kind):
     model = LossModel(sparse_dataset(60, 300, 3, seed=3, empty_rows={0, 7, 59}), 1e-2, kind)
     built = hess_iterates(monkeypatch)
     assert_same_run(monkeypatch, model, config_for("SVRG2", model, anchor_option=2))
-    assert built and all(it.form == "gram" for it in built)
+    assert built and all(form_of(it) == "gram" for it in built)
 
 
 def test_hess_step_hinge_kink_with_h_formed(monkeypatch):
@@ -548,7 +584,7 @@ def test_hess_step_hinge_kink_with_h_formed(monkeypatch):
     assert np.all(model.dataset.labels * (model.dataset.features @ w0) == 1.0)
     built = hess_iterates(monkeypatch)
     assert_same_run(monkeypatch, model, config_for("SVRG2", model), w0)
-    assert built and all(it.form == "formed" for it in built)
+    assert built and all(form_of(it) == "formed" for it in built)
 
 
 @pytest.mark.parametrize("n, nnz_per_row, formed", [(5, 5, False), (13, 2, True)])
@@ -560,7 +596,7 @@ def test_hess_step_gate_at_d_squared_equal_nnz(monkeypatch, n, nnz_per_row, form
     built = hess_iterates(monkeypatch)
     assert_same_run(monkeypatch, model, config_for("SVRG2", model))
     form = "formed" if formed else "matrix_free"
-    assert built and all(it.form == form for it in built)
+    assert built and all(form_of(it) == form for it in built)
 
 
 @pytest.mark.parametrize("d, form", [(6, "matrix_free"), (7, "gram")])
@@ -574,19 +610,22 @@ def test_hess_step_gate_at_column_squares_equal_nnz_plus_d(monkeypatch, d, form)
     assert hessian_form(model) == form
     built = hess_iterates(monkeypatch)
     assert_same_run(monkeypatch, model, config_for("SVRG2", model, anchor_option=2))
-    assert built and all(it.form == form for it in built)
+    assert built and all(form_of(it) == form for it in built)
 
 
-def test_hess_step_dense_bias_column_keeps_wide_data_matrix_free(monkeypatch):
-    # a bias column in every row makes K dense: sum_j nnz_j^2 >= n^2
+@pytest.mark.parametrize("every", [1, 2])
+def test_hess_step_dense_column_keeps_wide_data_matrix_free(monkeypatch, every):
+    # a bias column (in every row) or a common term (in every other row)
+    # makes K dense or half dense: sum_j nnz_j^2 >= (n / every)^2
     ds = wide_rows()
-    X = sp.hstack([ds.features, np.ones((ds.n, 1))], format="csr")
-    model = LossModel(SparseDataset(X, ds.labels), 1e-2)
+    column = sp.csr_matrix(np.arange(ds.n)[:, None] % every == 0, dtype=np.float64)
+    model = LossModel(SparseDataset(sp.hstack([ds.features, column], format="csr"),
+                                    ds.labels), 1e-2)
     assert hessian_form(LossModel(ds, 1e-2)) == "gram"
     assert hessian_form(model) == "matrix_free"
     built = hess_iterates(monkeypatch)
     assert_same_run(monkeypatch, model, config_for("SVRG2", model))
-    assert built and all(it.form == "matrix_free" for it in built)
+    assert built and all(form_of(it) == "matrix_free" for it in built)
 
 
 @pytest.mark.parametrize("rho", [math.inf, math.nan])
@@ -621,10 +660,10 @@ def test_gram_step_forms_w_only_at_the_snapshot_and_the_end(monkeypatch):
 def test_gram_matrix_is_formed_once_per_model_and_not_at_construction(monkeypatch):
     model = LossModel(wide_rows(), 1e-2)
     model.grad_full(np.zeros(model.d))
-    assert "gram" not in vars(model)
+    assert model._gram is None
     config = config_for("SVRG2", model, epochs=3)
     optimize(model, config, np.zeros(model.d))
-    K = vars(model)["gram"]
+    K = model._gram
     optimize(model, config, np.zeros(model.d))
     assert model.gram is K
     X = model.dataset.features.toarray()
@@ -637,7 +676,7 @@ def test_hess_step_block_rows_not_dividing_n(monkeypatch):
     model = LossModel(dense_rows(), 1e-2)
     built = hess_iterates(monkeypatch)
     assert_same_run(monkeypatch, model, config_for("SVRG2", model, anchor_option=2))
-    assert built and all(it.form == "formed" for it in built)
+    assert built and all(form_of(it) == "formed" for it in built)
 
 
 @settings(max_examples=60, deadline=None)
@@ -658,9 +697,7 @@ def test_gram_step_tracks_the_matrix_free_step(n, d, density, data_seed, empty_r
     eta = eta_scale / max(top, 1e-3)
     limit = limit_factor * (1.0 + float(corr.anchor @ corr.anchor))
     gram = optimizer._GramIterate(model, corr, corr.anchor, corr.g_anchor)
-    with mock.patch.object(optimizer, "hessian_form", lambda model: "matrix_free"):
-        hess = optimizer._HessIterate(model, corr, corr.anchor, corr.g_anchor)
-    assert hess.form == "matrix_free"
+    hess = optimizer._HessIterate(model, corr, corr.anchor, corr.g_anchor)
     z_norm = np.linalg.norm(corr.anchor)
     for t, draw in enumerate(draws):
         ok = gram.step(draw % n, eta, limit)

@@ -285,22 +285,25 @@ def transposes_built(monkeypatch, X):
 
 
 def test_dataset_oracles_build_no_transpose(monkeypatch, instances):
-    # X^T and (X o X)^T are built with the model; the results are the bits
-    # of the products with a transpose built on each call
-    for model in instances:
+    # X^T is built with the model and (X o X)^T on the first mean_hess_diag,
+    # which only SVRG2D calls; the results are the bits of the products with
+    # a transpose built on each call
+    for shared in instances:
+        model = LossModel(shared.dataset, shared.lam, shared.kind)
         X = model.dataset.features
         rng = np.random.default_rng(3)
         w, v = rng.standard_normal(model.d), rng.standard_normal(model.d)
         coefs = model.curvature_at(w)
         built = transposes_built(monkeypatch, X)
-        got = [model.grad_full(w), model.grad_full(w), model.mean_hess_vec_from(coefs, v),
-               model.mean_hess_diag(w)]
-        assert built == []
+        got = [model.grad_full(w), model.grad_full(w), model.mean_hess_vec_from(coefs, v)]
+        assert built == [] and model._X_sq_T is None
+        got += [model.mean_hess_diag(w), model.mean_hess_diag(w)]
+        assert built == [X.shape]
         monkeypatch.undo()
         hv = X.T @ (coefs * (X @ v)) / model.n
+        diag = np.asarray(X.multiply(X).T @ coefs / model.n).ravel() + model.lam
         want = [X.T @ model.margin_coefs(X @ w) / model.n + model.lam * w] * 2 + [
-            model.lam * v + hv,
-            np.asarray(X.multiply(X).T @ coefs / model.n).ravel() + model.lam]
+            model.lam * v + hv, diag, diag]
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
 
