@@ -19,8 +19,7 @@ from .stepsize import (CurvatureError, EpochAnchors, StepSizeSchedule,
                        constant, epoch_bb, generalized_bb, preset, step)
 from .theory import (ProblemConstants, RateEstimate, alpha_bb_diag,
                      alpha_full_hessian, beta_theorem1,
-                     estimate_alpha_empirical, estimate_hessian_lipschitz,
-                     gamma_theorem2, gamma_theorem3)
+                     estimate_alpha_empirical, gamma_theorem2, gamma_theorem3)
 
 __version__ = "0.1.0"
 
@@ -34,6 +33,6 @@ __all__ = [
     "CurvatureError", "EpochAnchors", "StepSizeSchedule", "constant",
     "epoch_bb", "generalized_bb", "preset", "step",
     "ProblemConstants", "RateEstimate", "alpha_bb_diag", "alpha_full_hessian",
-    "beta_theorem1", "estimate_alpha_empirical", "estimate_hessian_lipschitz",
-    "gamma_theorem2", "gamma_theorem3",
+    "beta_theorem1", "estimate_alpha_empirical", "gamma_theorem2",
+    "gamma_theorem3",
 ]

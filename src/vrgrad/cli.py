@@ -12,7 +12,8 @@ key share its converter (``--scale`` is a switch; the key takes 1/true/yes
 or 0/false/no).  Converters only parse text: the value checks, and the
 mapping of a loss alias to its kind, are
 :class:`~vrgrad.harness.ExperimentSpec`'s.  Precedence: CLI flag > spec
-file > ExperimentSpec's defaults.
+file > ExperimentSpec's defaults; ``data`` and ``synth`` are two sources of
+one input, so giving both, by any route, is a usage error.
 """
 
 from __future__ import annotations

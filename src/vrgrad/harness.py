@@ -89,6 +89,8 @@ class ExperimentSpec:
             if meth not in METHODS:
                 raise ValueError(f"unknown method {meth!r}; choose from {', '.join(METHODS)}")
         self.model = loss_kind(self.model)
+        if self.data_path is not None and self.synth is not None:
+            raise ValueError("give one data source, data_path or synth, not both")
         if self.data_path is None and self.synth is None:
             self.synth = DEFAULT_SYNTH
         if self.synth is not None:
@@ -189,6 +191,10 @@ def run_experiment(spec: ExperimentSpec, cache_dir=None) -> ResultTable:
     table = ResultTable(metadata={
         "format": 1,
         "model": spec.model,
+        "data_path": spec.data_path,
+        "synth": None if spec.synth is None else list(spec.synth),
+        "scale_features": spec.scale_features,
+        "subsample": spec.subsample,
         "n": n,
         "d": dataset.d,
         "m": m,
@@ -199,6 +205,7 @@ def run_experiment(spec: ExperimentSpec, cache_dir=None) -> ResultTable:
         "methods": list(spec.methods),
         "lambdas": [float(l) for l in spec.lambdas],
         "variance_mode": spec.variance_mode,
+        "reference_tol": spec.reference_tol,
         "generalized_bb_eta0": "1/L",
         "decay_c2": "c1*lambda",
     })

@@ -7,9 +7,11 @@ that F(w) = (1/n) sum_i f_i(w) carries the l2 term exactly once.
 * ``"logistic"``:      phi(m) = log(1 + exp(-m)),       sup phi'' = 1/4
 * ``"squared_hinge"``: phi(m) = (1/2) max(0, 1 - m)^2,  sup phi'' = 1
 
-Each kind is one link in ``_LINKS``: phi, phi', phi'' and sup phi''.  Every
-oracle reads it: grad f_i(w) = b_i phi'(m_i) a_i + lam w,
-hess f_i(w) = phi''(m_i) a_i a_i^T + lam I and L_i = sup phi'' ||a_i||^2 + lam.
+Each kind is one link in ``_LINKS``: phi, phi', phi'', sup phi'' and sup |phi'''|
+(1/(6 sqrt 3) for logistic; inf for squared hinge, whose phi'' jumps at the kink).
+Every oracle reads it: grad f_i(w) = b_i phi'(m_i) a_i + lam w,
+hess f_i(w) = phi''(m_i) a_i a_i^T + lam I, L_i = sup phi'' ||a_i||^2 + lam, and
+L_tilde = sup |phi'''| max_i ||a_i||^3 bounds (not estimates) every Lip(hess f_i).
 phi' and phi'' come in an array form and a float form.  The float form runs
 on every inner step, so it makes no ufunc call; it returns the same bits.
 At the hinge kink (m = 1) phi'' takes the inactive branch, 0: the event has
@@ -44,7 +46,7 @@ def _expit_at(m: float) -> float:
 
 
 # phi, phi', phi'' on arrays; phi', phi'' on a float (suffix _at)
-_Link = namedtuple("_Link", "phi dphi d2phi dphi_at d2phi_at sup_d2phi")
+_Link = namedtuple("_Link", "phi dphi d2phi dphi_at d2phi_at sup_d2phi sup_d3phi")
 _LINKS = {
     "logistic": _Link(
         phi=lambda m: np.logaddexp(0.0, -m),
@@ -52,14 +54,16 @@ _LINKS = {
         d2phi=lambda m: (s := expit(m)) * (1.0 - s),
         dphi_at=lambda m: -_expit_at(-m),
         d2phi_at=lambda m: (s := _expit_at(m)) * (1.0 - s),
-        sup_d2phi=0.25),
+        sup_d2phi=0.25,
+        sup_d3phi=1.0 / (6.0 * math.sqrt(3.0))),
     "squared_hinge": _Link(
         phi=lambda m: 0.5 * np.square(np.maximum(0.0, 1.0 - m)),
         dphi=lambda m: -np.maximum(0.0, 1.0 - m),
         d2phi=lambda m: ((1.0 - m) > 0.0).astype(np.float64),
         dphi_at=lambda m: -max(0.0, 1.0 - m),
         d2phi_at=lambda m: 1.0 if 1.0 - m > 0.0 else 0.0,
-        sup_d2phi=1.0),
+        sup_d2phi=1.0,
+        sup_d3phi=math.inf),
 }
 KINDS = tuple(_LINKS)
 _ALIASES = {"svm": "squared_hinge", "squared-hinge": "squared_hinge", "lr": "logistic"}
@@ -271,6 +275,12 @@ class LossModel:
     def smoothness(self) -> float:
         """L = max_i L_i."""
         return float(self.per_sample_smoothness().max())
+
+    def hessian_lipschitz(self) -> float:
+        """L_tilde = sup |phi'''| max_i ||a_i||^3, a bound on the Lipschitz
+        constant of every hess f_i; 0 when every row is empty."""
+        cube = float(self.row_sq_norms.max()) ** 1.5
+        return self._link.sup_d3phi * cube if cube else 0.0
 
     def strong_convexity(self) -> float:
         """mu = lam (each f_i is lam-strongly convex)."""

@@ -2,8 +2,9 @@
 
 The rate machinery needs four problem constants: the strong-convexity
 modulus mu (= lambda by construction), the max per-sample gradient-smoothness
-L, a Hessian-Lipschitz estimate L_tilde (smooth losses only), and a bound M
-on the squared anchor displacement along a trajectory.  From these:
+L, a bound L_tilde on the Lipschitz constant of every per-sample Hessian
+(``LossModel.hessian_lipschitz``, closed form; inf for the squared hinge), and
+a bound M on the squared anchor displacement along a trajectory.  From these:
 
 * full-Hessian correction satisfies the residual-ratio bound with
   alpha = L_tilde^2 * M / (4 mu^2);
@@ -36,7 +37,7 @@ class ProblemConstants:
     def __post_init__(self):
         if not (0.0 < self.mu <= self.L):
             raise ValueError("need 0 < mu <= L")
-        if self.L_tilde < 0 or self.M < 0:
+        if not (self.L_tilde >= 0 and self.M >= 0):
             raise ValueError("L_tilde and M must be >= 0")
 
 
@@ -50,7 +51,9 @@ class RateEstimate:
 
 def alpha_full_hessian(constants: ProblemConstants) -> float:
     """Residual-ratio constant for the exact-Hessian correction:
-    L_tilde^2 * M / (4 mu^2)."""
+    L_tilde^2 * M / (4 mu^2), or 0 when L_tilde or M is 0 (never NaN)."""
+    if constants.L_tilde == 0.0 or constants.M == 0.0:
+        return 0.0
     return constants.L_tilde ** 2 * constants.M / (4.0 * constants.mu ** 2)
 
 
@@ -77,6 +80,17 @@ def beta_theorem1(mu: float, L: float, alpha: float, eta: float, m: int) -> Rate
     return RateEstimate(beta, beta < 1.0)
 
 
+def _gamma(mu: float, L: float, alpha: float, eta0: float, eta1: float,
+           m: int) -> RateEstimate:
+    """Theorem 3's gamma~ for steps in [eta0, eta1], and Theorem 2's at eta0 = eta1."""
+    denom = 1.0 - eta1 * L * (2.0 * alpha + 1.0)
+    if denom <= 0.0:
+        return RateEstimate(float("inf"), False, eta0, eta1)
+    base = 1.0 - 2.0 * eta0 * mu * denom
+    gamma = base ** m + 2.0 * alpha * eta1 ** 2 * L ** 2 / (eta0 * mu * denom)
+    return RateEstimate(gamma, (0.0 <= base < 1.0) and gamma < 1.0, eta0, eta1)
+
+
 def gamma_theorem2(mu: float, L: float, alpha: float, eta: float, m: int) -> RateEstimate:
     """Contraction of E||w - w*||^2 per epoch under the last-iterate option:
 
@@ -89,13 +103,7 @@ def gamma_theorem2(mu: float, L: float, alpha: float, eta: float, m: int) -> Rat
         return RateEstimate(1.0, False)
     if eta < 0:
         raise ValueError("need eta >= 0")
-    denom = 1.0 - eta * L * (2.0 * alpha + 1.0)
-    if denom <= 0.0:
-        return RateEstimate(float("inf"), False)
-    base = 1.0 - 2.0 * eta * mu * denom
-    gamma = base ** m + 2.0 * alpha * eta * L ** 2 / (mu * denom)
-    feasible = (0.0 <= base < 1.0) and gamma < 1.0
-    return RateEstimate(gamma, feasible)
+    return _gamma(mu, L, alpha, eta, eta, m)
 
 
 def gamma_theorem3(mu: float, L: float, alpha: float, xi0: float, xi1: float,
@@ -110,15 +118,7 @@ def gamma_theorem3(mu: float, L: float, alpha: float, xi0: float, xi1: float,
         raise ValueError("need 0 < xi0 <= xi1")
     if m1 < 1 or m < 1:
         raise ValueError("need m1 >= 1 and m >= 1")
-    eta0 = xi0 / (m1 * L)
-    eta1 = xi1 / (m1 * mu)
-    denom = 1.0 - eta1 * L * (2.0 * alpha + 1.0)
-    if denom <= 0.0:
-        return RateEstimate(float("inf"), False, eta0, eta1)
-    base = 1.0 - 2.0 * eta0 * mu * denom
-    gamma = base ** m + 2.0 * alpha * eta1 ** 2 * L ** 2 / (eta0 * mu * denom)
-    feasible = (0.0 <= base < 1.0) and gamma < 1.0
-    return RateEstimate(gamma, feasible, eta0, eta1)
+    return _gamma(mu, L, alpha, xi0 / (m1 * L), xi1 / (m1 * mu), m)
 
 
 def estimate_alpha_empirical(model: LossModel, correction, points) -> float:
@@ -148,30 +148,7 @@ def estimate_alpha_empirical(model: LossModel, correction, points) -> float:
     return best
 
 
-def estimate_hessian_lipschitz(model: LossModel, seed: int = 0, n_pairs: int = 50,
-                               radius: float = 1.0) -> float:
-    """Numerical lower estimate of max_i Lip(hess f_i) by random probing.
-
-    Samples pairs (w, z) and probe directions v, maxing
-    ||(hess f_i(w) - hess f_i(z)) v|| / (||w - z|| ||v||).
-    """
-    rng = np.random.default_rng(seed)
-    d = model.d
-    best = 0.0
-    for _ in range(n_pairs):
-        i = int(rng.integers(model.n))
-        w = radius * rng.standard_normal(d)
-        z = radius * rng.standard_normal(d)
-        v = rng.standard_normal(d)
-        dist = float(np.linalg.norm(w - z))
-        if dist == 0.0:
-            continue
-        hv = model.hess_vec_sample(i, w, v) - model.hess_vec_sample(i, z, v)
-        best = max(best, float(np.linalg.norm(hv)) / (dist * float(np.linalg.norm(v))))
-    return best
-
-
-def empirical_variance_bound(mu: float, L: float, alpha: float,
-                             f_curr: float, f_anchor: float, f_star: float) -> float:
+def empirical_variance_bound(L: float, alpha: float, f_curr: float, f_anchor: float,
+                             f_star: float) -> float:
     """The variance envelope 4 alpha L (F(w) - F* + F(anchor) - F*)."""
     return 4.0 * alpha * L * ((f_curr - f_star) + (f_anchor - f_star))

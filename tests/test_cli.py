@@ -352,3 +352,46 @@ def test_plot_from_a_damaged_results_directory_is_a_data_error(tmp_path, capsys,
     capsys.readouterr()
     assert main(["plot", "--from", str(out)]) == 3
     assert f"data error: {path} is malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("in_file", [(), ("data", "synth"), ("synth",), ("data",)],
+                         ids=["flags", "spec-file", "data-flag-synth-key",
+                              "synth-flag-data-key"])
+def test_run_rejects_a_second_data_source(tmp_path, capsys, in_file):
+    data = tmp_path / "small.svm"
+    data.write_text(write_libsvm(synth_binary(4, 3, 0)))
+    values = {"data": str(data), "synth": "50,3,0"}
+    spec = tmp_path / "spec.txt"
+    spec.write_text("".join(f"{key} = {values[key]}\n" for key in in_file))
+    out = tmp_path / "results"
+    argv = ["run", "--spec", str(spec), "--epochs", "1", "--out", str(out)]
+    for key, value in values.items():
+        if key not in in_file:
+            argv += [f"--{key}", value]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "not both" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["synth", "data"])
+def test_run_metadata_names_its_data(tmp_path, source):
+    if source == "synth":
+        argv, want = ["--synth", "20,3,0"], {"synth": [20, 3, 0], "data_path": None}
+    else:
+        path = tmp_path / "small.svm"
+        path.write_text(write_libsvm(synth_binary(20, 3, 0)))
+        argv, want = ["--data", str(path)], {"synth": None, "data_path": str(path)}
+    out = tmp_path / "results"
+    code = main(["run", *argv, "--epochs", "1", "--lambda", "1e-2", "--grid", "0.1",
+                 "--scale", "--subsample", "15", "--out", str(out),
+                 "--cache-dir", str(tmp_path / "cache")])
+    assert code == 0
+    meta = _metadata(out)
+    assert {key: meta[key] for key in want} == want
+    assert (meta["scale_features"], meta["subsample"], meta["reference_tol"], meta["n"]) \
+        == (True, 15, 1e-10, 15)
+    table = load_table(out)
+    assert table.metadata == {k: v for k, v in meta.items() if k != "references"}
+    assert [(r.method, r.step_param, len(r.records)) for r in table.rows] == [("SVRG", 0.1, 1)]

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrgrad.correction import build_correction
-from vrgrad.data import synth_binary
+from vrgrad.data import SparseDataset, synth_binary
 from vrgrad.losses import LossModel
 from vrgrad.optimizer import RunConfig, measure_variance, optimize
 from vrgrad.reference import solve_reference
@@ -10,8 +15,7 @@ from vrgrad.stepsize import constant
 from vrgrad.theory import (ProblemConstants, alpha_bb_diag,
                            alpha_full_hessian, beta_theorem1,
                            empirical_variance_bound, estimate_alpha_empirical,
-                           estimate_hessian_lipschitz, gamma_theorem2,
-                           gamma_theorem3)
+                           gamma_theorem2, gamma_theorem3)
 
 # -- residual-ratio constants ----------------------------------------------------
 
@@ -254,9 +258,8 @@ def test_variance_envelope_holds_along_trajectory():
         for _ in range(5):
             w = w_anchor + 0.3 * rng.standard_normal(6)
             var = measure_variance(model, corr, w)
-            bound = empirical_variance_bound(model.lam, L, alpha,
-                                             model.value(w), model.value(w_anchor),
-                                             sol.f_star)
+            bound = empirical_variance_bound(L, alpha, model.value(w),
+                                             model.value(w_anchor), sol.f_star)
             assert var <= bound
 
 
@@ -287,25 +290,144 @@ def test_epoch_contraction_within_gamma_bound():
     assert mean <= est.value + 2 * sem
 
 
-# -- numerical Hessian-Lipschitz estimate ----------------------------------------------
+# -- Hessian-Lipschitz bound ------------------------------------------------------------
+
+
+def probe_ratio(model, i, w, z, v):
+    """||(hess f_i(w) - hess f_i(z)) v|| / (||w - z|| ||v||), a lower bound on
+    the Lipschitz constant of hess f_i."""
+    hv = model.hess_vec_sample(i, w, v) - model.hess_vec_sample(i, z, v)
+    return float(np.linalg.norm(hv)) / (float(np.linalg.norm(w - z)) * float(np.linalg.norm(v)))
+
+
+def probe_hessian_lipschitz(model, seed, n_pairs, radius=1.0):
+    """The largest probe ratio over random samples, pairs (w, z) and
+    directions v: a lower estimate of max_i Lip(hess f_i)."""
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(n_pairs):
+        i = int(rng.integers(model.n))
+        w, z, v = radius * rng.standard_normal((3, model.d))
+        best = max(best, probe_ratio(model, i, w, z, v))
+    return best
 
 
 def test_hessian_lipschitz_estimate_bounds():
     ds = synth_binary(40, 5, seed=75)
     model = LossModel(ds, 1e-2, "logistic")
-    est = estimate_hessian_lipschitz(model, seed=0, n_pairs=100)
+    est = probe_hessian_lipschitz(model, seed=0, n_pairs=100)
     assert est > 0
     # analytic ceiling: max third-derivative of the margin loss is 1/(6 sqrt 3)
     row_norms = np.sqrt(np.asarray(
         ds.features.multiply(ds.features).sum(axis=1)).ravel())
     ceiling = row_norms.max() ** 3 / (6 * np.sqrt(3))
-    assert est <= ceiling * (1 + 1e-9)
+    assert model.hessian_lipschitz() == pytest.approx(ceiling, rel=1e-14)
+    assert est <= model.hessian_lipschitz() * (1 + 1e-9)
 
 
 def test_hessian_lipschitz_zero_for_pure_quadratic_region():
     # squared hinge Hessian is piecewise constant; probes inside one branch
-    # see zero Lipschitz modulus almost always, never a negative one
+    # see zero Lipschitz modulus almost always, never a negative one, while
+    # the jump at the kink makes the bound infinite
     ds = synth_binary(40, 5, seed=76)
     model = LossModel(ds, 1e-2, "squared_hinge")
-    est = estimate_hessian_lipschitz(model, seed=1, n_pairs=20, radius=1e-3)
+    est = probe_hessian_lipschitz(model, seed=1, n_pairs=20, radius=1e-3)
     assert est >= 0.0
+    assert model.hessian_lipschitz() == math.inf
+
+
+# a feature is 0 or at least 0.1 in magnitude, so a nonzero row's bound
+# stays far above the rounding of the probe's Hessian difference
+_ENTRY = st.one_of(st.just(0.0), st.floats(0.1, 2.0), st.floats(-2.0, -0.1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["logistic", "squared_hinge"]),
+       lam=st.sampled_from([0.0, 1e-2]))
+def test_no_probe_ratio_exceeds_the_hessian_lipschitz_bound(data, kind, lam):
+    n = data.draw(st.integers(1, 5), label="n")
+    d = data.draw(st.integers(1, 4), label="d")
+    X = np.array(data.draw(st.lists(_ENTRY, min_size=n * d, max_size=n * d),
+                           label="X")).reshape(n, d)
+    empty = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="empty rows")
+    X[np.array(empty)] = 0.0
+    labels = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n),
+                       label="labels")
+    model = LossModel(SparseDataset(sp.csr_matrix(X), labels), lam, kind)
+    bound = model.hessian_lipschitz()
+    assert not math.isnan(bound)
+    vec = st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d).map(np.array)
+    w, z, v = (data.draw(vec, label=name) for name in "wzv")
+    if np.linalg.norm(w - z) < 0.1 or np.linalg.norm(v) < 0.1:
+        return
+    for i in range(n):
+        assert probe_ratio(model, i, w, z, v) <= bound * (1 + 1e-9)
+
+
+def test_hessian_lipschitz_is_reached_by_one_row_at_the_peak_of_phi3():
+    # |phi'''| of the logistic link peaks at sigma(m) = 1/2 + 1/(2 sqrt 3);
+    # margins m* -/+ h along a give the central difference quotient of phi''
+    a = np.array([0.6, -1.2, 0.8])
+    model = LossModel(SparseDataset.from_dense(a[None, :], [1.0]), 1e-2, "logistic")
+    s = 0.5 + 0.5 / math.sqrt(3.0)
+    peak, h = math.log(s / (1.0 - s)), 1e-5
+    along = a / float(a @ a)             # a^T (t * along) = t
+    w, z = (peak + h) * along, (peak - h) * along
+    assert probe_ratio(model, 0, w, z, a) == pytest.approx(model.hessian_lipschitz(),
+                                                           rel=1e-9)
+
+
+def test_squared_hinge_hessian_lipschitz_is_inf_or_zero_never_nan():
+    X = sp.csr_matrix(np.array([[0.0, 0.0], [0.5, 0.0]]))
+    hinge = LossModel(SparseDataset(X, [1.0, -1.0]), 1e-2, "squared_hinge")
+    assert hinge.hessian_lipschitz() == math.inf
+    empty = LossModel(SparseDataset(sp.csr_matrix((2, 2)), [1.0, -1.0]), 1e-2,
+                      "squared_hinge")
+    assert empty.hessian_lipschitz() == 0.0
+    assert LossModel(empty.dataset, 1e-2, "logistic").hessian_lipschitz() == 0.0
+
+
+@pytest.mark.parametrize("L_tilde, M, want", [
+    (0.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, math.inf, 0.0),
+    (3.0, 0.0, 0.0), (math.inf, 0.0, 0.0),
+    (3.0, 2.0, 9.0 * 2.0 / (4.0 * 0.25)),
+    (math.inf, 2.0, math.inf), (3.0, math.inf, math.inf),
+    (math.inf, math.inf, math.inf)])
+def test_alpha_full_hessian_is_never_nan(L_tilde, M, want):
+    alpha = alpha_full_hessian(ProblemConstants(mu=0.5, L=1.0, L_tilde=L_tilde, M=M))
+    assert alpha == pytest.approx(want, rel=1e-15)
+
+
+def test_constants_reject_a_nan_curvature_bound():
+    for L_tilde, M in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            ProblemConstants(mu=0.5, L=1.0, L_tilde=L_tilde, M=M)
+
+
+def test_alpha_full_hessian_from_the_model_bound():
+    ds = synth_binary(40, 5, seed=77)
+    for kind, finite in (("logistic", True), ("squared_hinge", False)):
+        model = LossModel(ds, 1e-2, kind)
+        c = ProblemConstants(model.strong_convexity(), model.smoothness(),
+                             model.hessian_lipschitz(), M=1.0)
+        alpha = alpha_full_hessian(c)
+        assert math.isfinite(alpha) == finite and alpha > 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(mu=st.floats(1e-4, 1.0), kappa=st.floats(0.25, 1e3), alpha=st.floats(0.0, 10.0),
+       eta_scale=st.floats(1e-4, 2.0), m=st.integers(1, 2000))
+def test_gamma2_is_the_two_term_formula(mu, kappa, alpha, eta_scale, m):
+    # L/mu < 1/2 is outside the theorem, but there the base can be negative,
+    # which the feasible flag must report; L/mu >= 1/4 keeps it >= -1
+    L = mu * kappa
+    eta = eta_scale / L
+    est = gamma_theorem2(mu, L, alpha, eta, m)
+    denom = 1.0 - eta * L * (2.0 * alpha + 1.0)
+    if denom <= 0.0:
+        assert est.value == math.inf and not est.feasible
+        return
+    base = 1.0 - 2.0 * eta * mu * denom
+    want = base ** m + 2.0 * alpha * eta * L ** 2 / (mu * denom)
+    assert est.value == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert est.feasible == ((0.0 <= base < 1.0) and want < 1.0)
