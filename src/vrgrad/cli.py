@@ -28,24 +28,20 @@ from .harness import (DataSourceError, ExperimentSpec, ReferenceError,
                       run_experiment)
 from .losses import LossModel
 from .optimizer import METHODS, DivergenceError
-from .reference import save_reference, solve_reference
+from .reference import DEFAULT_TOL, save_reference, solve_reference
 
 EXIT_DATA = 3
 EXIT_REFERENCE = 4
 EXIT_DIVERGENCE = 5
 
 
-def _parse_floats(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
-def _parse_ints(text: str) -> tuple:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
-
-
-def _parse_methods(text: str) -> tuple:
-    """Comma-separated names; blanks around a name and empty items are dropped."""
-    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+def _parse_list(convert):
+    """A converter of comma-separated items, each by ``convert``; blanks
+    around an item and empty items are dropped."""
+    def parse(text: str) -> tuple:
+        return tuple(convert(tok.strip()) for tok in text.split(",") if tok.strip())
+    parse.__name__ = f"{convert.__name__} list"     # argparse's "invalid ... value"
+    return parse
 
 
 def _parse_synth(text: str) -> tuple:
@@ -92,12 +88,12 @@ _RUN_FIELDS = {
     "data_path": ("data", str, "LIBSVM text file"),
     "synth": ("synth", _parse_synth, "n,d,seed[,separability]"),
     "model": ("model", str.strip, "loss kind or alias"),
-    "lambdas": ("lambda", _parse_floats, "comma-separated regularization weights"),
-    "methods": ("methods", _parse_methods, f"comma-separated from {', '.join(METHODS)}"),
-    "grid": ("grid", _parse_floats, "step-parameter grid"),
+    "lambdas": ("lambda", _parse_list(float), "comma-separated regularization weights"),
+    "methods": ("methods", _parse_list(str), f"comma-separated from {', '.join(METHODS)}"),
+    "grid": ("grid", _parse_list(float), "step-parameter grid"),
     "epochs": ("epochs", int, "number of epochs"),
     "m": ("m", _parse_m, "inner length (integer or '2n')"),
-    "seeds": ("seeds", _parse_ints, "comma-separated seeds"),
+    "seeds": ("seeds", _parse_list(int), "comma-separated seeds"),
     "out_dir": ("out", str, "output directory"),
     "scale_features": ("scale", _parse_switch, "per-feature max-abs scaling"),
     "subsample": ("subsample", int, "random subsample size"),
@@ -203,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--synth", type=_parse_synth, help="n,d,seed[,separability]")
     ref_p.add_argument("--model", type=str.strip, default="logistic")
     ref_p.add_argument("--lambda", dest="lam", type=float, required=True)
-    ref_p.add_argument("--tol", type=float, default=1e-10)
+    ref_p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     ref_p.add_argument("--out", help="write the solution cache file here")
     ref_p.set_defaults(func=cmd_reference)
 

@@ -27,7 +27,7 @@ from .data import SparseDataset, parse_libsvm, synth_binary
 from .losses import LossModel, loss_kind
 from .optimizer import (METHODS, DivergenceError, EpochRecord, RunConfig,
                         optimize)
-from .reference import cached_reference
+from .reference import DEFAULT_TOL, cached_reference
 from .stepsize import StepSizeSchedule
 
 DEFAULT_GRID = (1e0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
@@ -58,11 +58,12 @@ class ExperimentSpec:
     out_dir: str = "results"
     scale_features: bool = False
     anchor_option: int = 1
-    reference_tol: float = 1e-10
+    reference_tol: float = DEFAULT_TOL
     subsample: int | None = None
     variance_mode: str = "last"
 
     def __post_init__(self):
+        self.lambdas, self.grid = tuple(map(float, self.lambdas)), tuple(map(float, self.grid))
         for name, values in (("method", self.methods), ("lambda", self.lambdas),
                              ("grid", self.grid), ("seed", self.seeds)):
             if not values:
@@ -85,6 +86,10 @@ class ExperimentSpec:
             raise ValueError(f"subsample must be >= 1, got {self.subsample}")
         if self.m is not None and self.m < 1:
             raise ValueError(f"inner length m must be >= 1 or None (2n), got {self.m}")
+        if self.anchor_option not in (1, 2):
+            raise ValueError(f"anchor_option must be 1 or 2, got {self.anchor_option!r}")
+        if self.variance_mode not in ("last", "none"):
+            raise ValueError(f"variance_mode must be 'last' or 'none', got {self.variance_mode!r}")
         for meth in self.methods:
             if meth not in METHODS:
                 raise ValueError(f"unknown method {meth!r}; choose from {', '.join(METHODS)}")
@@ -182,33 +187,22 @@ def run_experiment(spec: ExperimentSpec, cache_dir=None) -> ResultTable:
     """Run every (method, lambda, step, seed) cell of the spec.
 
     The winner of each (method, lambda) cell minimizes the final-epoch gap
-    averaged over seeds; diverged runs count as +inf.  All curves are kept.
+    averaged over seeds; a run that diverged, one with fewer records than
+    epochs, counts as +inf.  All curves are kept.
+
+    The table's metadata, which ``emit_csv`` writes as ``metadata.json``, is
+    the spec: every :class:`ExperimentSpec` field but ``out_dir``, with m
+    resolved, plus ``format``, the dataset's ``n`` and ``d`` and the two
+    schedule notes of :func:`schedule_for`.
     """
     dataset = load_dataset(spec)
     n = dataset.n
     m = spec.m if spec.m is not None else 2 * n
 
-    table = ResultTable(metadata={
-        "format": 1,
-        "model": spec.model,
-        "data_path": spec.data_path,
-        "synth": None if spec.synth is None else list(spec.synth),
-        "scale_features": spec.scale_features,
-        "subsample": spec.subsample,
-        "n": n,
-        "d": dataset.d,
-        "m": m,
-        "epochs": spec.epochs,
-        "anchor_option": spec.anchor_option,
-        "seeds": list(spec.seeds),
-        "grid": [float(g) for g in spec.grid],
-        "methods": list(spec.methods),
-        "lambdas": [float(l) for l in spec.lambdas],
-        "variance_mode": spec.variance_mode,
-        "reference_tol": spec.reference_tol,
-        "generalized_bb_eta0": "1/L",
-        "decay_c2": "c1*lambda",
-    })
+    meta = {f.name: getattr(spec, f.name) for f in fields(spec) if f.name != "out_dir"}
+    table = ResultTable(metadata=meta | {
+        "format": 1, "n": n, "d": dataset.d, "m": m,
+        "generalized_bb_eta0": "1/L", "decay_c2": "c1*lambda"})
 
     for lam in spec.lambdas:
         model = LossModel(dataset, lam, spec.model)
@@ -217,7 +211,7 @@ def run_experiment(spec: ExperimentSpec, cache_dir=None) -> ResultTable:
             raise ReferenceError(
                 f"reference solve for lambda={lam:g} stopped at "
                 f"||grad||={ref.grad_norm:.3e} > {spec.reference_tol:g}")
-        table.references[float(lam)] = ref.f_star
+        table.references[lam] = ref.f_star
         L = model.smoothness()
         w0 = np.zeros(model.d)
 
@@ -231,16 +225,14 @@ def run_experiment(spec: ExperimentSpec, cache_dir=None) -> ResultTable:
                                        seed=seed,
                                        variance_mode=spec.variance_mode)
                     try:
-                        _, records = optimize(model, config, w0, ref.w_star)
-                        row = RunRow(method, float(lam), float(g), seed, records)
+                        records = optimize(model, config, w0, ref.w_star)[1]
                     except DivergenceError as err:
-                        row = RunRow(method, float(lam), float(g), seed,
-                                     err.records, diverged=True)
-                    table.rows.append(row)
+                        records = err.records
+                    table.rows.append(RunRow(method, lam, g, seed, records,
+                                             diverged=len(records) < spec.epochs))
 
-            table.winners[(method, float(lam))] = min(
-                sorted(map(float, spec.grid)),
-                key=lambda s: table.mean_gap(method, float(lam), s))
+            table.winners[(method, lam)] = min(
+                sorted(spec.grid), key=lambda s: table.mean_gap(method, lam, s))
 
     return table
 
@@ -375,16 +367,15 @@ def emit_plots(table: ResultTable, out_dir) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     model = table.metadata.get("model", "model")
     lambdas = sorted({row.lam for row in table.rows})
-    methods = [m for m in table.metadata.get("methods", []) ] or \
-        sorted({row.method for row in table.rows})
+    methods = table.metadata.get("methods") or sorted({row.method for row in table.rows})
     paths = []
 
     for lam in lambdas:
         gap_epoch, gap_time, var_epoch = [], [], []
         for method in methods:
-            for row in sorted(table.winner_rows(method, lam), key=lambda r: r.seed):
-                label = method if len({r.seed for r in table.winner_rows(method, lam)}) == 1 \
-                    else f"{method} (seed {row.seed})"
+            rows = sorted(table.winner_rows(method, lam), key=attrgetter("seed"))
+            for row in rows:
+                label = method if len(rows) == 1 else f"{method} (seed {row.seed})"
                 epochs = [rec.epoch for rec in row.records]
                 gap_epoch.append((label, epochs, [rec.gap for rec in row.records]))
                 gap_time.append((label, [rec.wall_time for rec in row.records],

@@ -40,6 +40,13 @@ picks by cost.  The others, the first, uncorrected epoch of SVRG2 and SVRG2D
 among them, take the affine step when it applies and the dense step
 otherwise (:func:`step_class`).  All five agree up to rounding.
 
+A run diverges when an iterate is not finite or ||w||^2 exceeds the square of
+the guard 1e8 (1 + ||w0||).  The dense and full-Hessian steps form w and test
+it (:func:`_within_guard`).  The affine, diagonal and Gram steps estimate
+||w||^2 and follow one rule, :meth:`_RowIterate._guard`: the estimate decides
+when it is finite and below the guard less ``GUARD_SLACK``; otherwise w
+itself is tested.
+
 Variance telemetry (``variance_mode="last"``) is exact at any n and costs a
 few sparse matvecs per epoch (:func:`measure_variance`); it draws no
 random number and leaves the trajectory unchanged.
@@ -216,16 +223,35 @@ class _DenseIterate:
 
 class _RowIterate:
     """The epoch data of a step form that reads the drawn row alone: the CSR
-    arrays, the anchor z and its full gradient g, and X @ z and c_i(z) as
-    Python floats, for scalar arithmetic."""
+    arrays, the anchor z and its full gradient g, z.z, z.g and g.g, and
+    X @ z and c_i(z) as Python floats, for scalar arithmetic.
+
+    A form that estimates ||w||^2 (or a bound on it) instead of forming w
+    tests the divergence guard by one rule, :meth:`_guard`: the estimate
+    decides when it is finite and below the guard less ``GUARD_SLACK``;
+    otherwise w itself goes through :func:`_within_guard`.
+    """
+
+    # an estimate of ||w||^2 decides only below this share of the guard; the
+    # slack covers the estimate's rounding
+    GUARD_SLACK = 1e-3
 
     def __init__(self, model, correction, w_anchor, g_anchor):
         X = model.dataset.features
         self.indptr, self.indices, self.data = X.indptr, X.indices, X.data
         self.margin_coef_at = model.margin_coef_at
         self.z, self.g = w_anchor, g_anchor
+        self.zz = float(w_anchor @ w_anchor)
+        self.zg = float(w_anchor @ g_anchor)
+        self.gg = float(g_anchor @ g_anchor)
         self.z_dots = correction.anchor_dots.tolist()
         self.z_coefs = correction.anchor_coefs.tolist()
+
+    def _guard(self, ww: float, limit: float) -> bool:
+        """Whether w is within the guard, given ww, an estimate of ||w||^2."""
+        if ww < math.inf and ww <= limit * (1.0 - self.GUARD_SLACK):
+            return True
+        return _within_guard(self.current(), limit)
 
 
 class _AffineIterate(_RowIterate):
@@ -235,8 +261,8 @@ class _AffineIterate(_RowIterate):
     a scalar times u = w - z or times g:  v_t = k_i u + (c_i(w) - c_i(z)) a_i
     + g with k_i = lam (``none``) or bb_scalar - kappa_i (``bb_scalar``).  So
     a step rescales sigma and rho and writes y only on the row's support,
-    takes margins from the epoch's ``X @ z`` and ``X @ g``, and tracks
-    ||w||^2 for the divergence guard from ||y||^2, y.z and y.g.
+    takes margins from the epoch's ``X @ z`` and ``X @ g``, and estimates
+    ||w||^2 for the divergence guard from running sums of y.y, y.z and y.g.
     """
 
     # sigma is folded into y when |sigma| leaves this range (or gamma = 0)
@@ -253,9 +279,6 @@ class _AffineIterate(_RowIterate):
         self.y = np.zeros(model.d)
         self.sigma, self.rho = 1.0, 0.0
         self.yy = self.yz = self.yg = 0.0       # y.y, y.z, y.g
-        self.zz = float(w_anchor @ w_anchor)
-        self.zg = float(w_anchor @ g_anchor)
-        self.gg = float(g_anchor @ g_anchor)
 
     def current(self) -> np.ndarray:
         return self.z + self.sigma * self.y + self.rho * self.g
@@ -267,7 +290,7 @@ class _AffineIterate(_RowIterate):
         self.yy, self.yz, self.yg = float(y @ y), float(y @ self.z), float(y @ self.g)
 
     def step(self, i: int, eta: float, limit: float) -> bool:
-        """w -= eta * v_t(i); False when ||w||^2 is non-finite or > limit."""
+        """w -= eta * v_t(i); False when w is non-finite or ||w||^2 > limit."""
         lo, hi = self.indptr[i], self.indptr[i + 1]
         cols, vals = self.indices[lo:hi], self.data[lo:hi]
         y = self.y
@@ -291,7 +314,7 @@ class _AffineIterate(_RowIterate):
             self.yg += alpha * g_dot
         ww = (self.zz + sigma * sigma * self.yy + rho * rho * self.gg
               + 2.0 * (sigma * self.yz + rho * self.zg + sigma * rho * self.yg))
-        return ww <= limit
+        return self._guard(ww, limit)
 
 
 class _DiagIterate(_RowIterate):
@@ -317,22 +340,17 @@ class _DiagIterate(_RowIterate):
     k |eta D_j u_j + eta g_j|, so
     ||w|| <= ||z|| + ||u|| + k (max_j eta D_j ||u|| + eta ||g||), with u the
     written values, ||u||^2 a running sum over the written columns and k the
-    steps since all columns were last brought up.  When that bound reaches
-    the guard (less ``BOUND_SLACK``) or is not finite, and on every step
-    when some eta D_j >= 1, the step brings up all columns and tests w
-    exactly.
+    steps since all columns were last brought up.  The bound's square is the
+    estimate of :meth:`_RowIterate._guard`; when some eta D_j >= 1 there is
+    no bound, and every step brings up all columns and tests w exactly.
     """
-
-    # ||w|| is tested exactly once its bound reaches this share of the guard
-    # radius; the slack covers the rounding of the bound's running sum
-    BOUND_SLACK = 1e-3
 
     def __init__(self, model, correction, w_anchor, g_anchor):
         super().__init__(model, correction, w_anchor, g_anchor)
         self.diag = correction.diag_mean
         # h_i a_ij^2 for every nonzero a_ij
         self.h_sq = np.repeat(correction.curvature_coefs, np.diff(self.indptr)) * self.data ** 2
-        self.znorm = float(np.linalg.norm(w_anchor))
+        self.znorm = math.sqrt(self.zz)
         self.u = np.zeros(model.d)      # u_j as of step stamp_j
         self.stamp = np.zeros(model.d)
         self.t = 0                      # steps taken
@@ -356,7 +374,7 @@ class _DiagIterate(_RowIterate):
         self.log_r = np.log1p(-self.E) if E.max() < 1.0 else None
         # a step on row i multiplies u_j by 1 - eta D_j + eta h_i a_ij^2
         self.row_coef = 1.0 - self.E[self.indices] + eta * self.h_sq
-        self.move_scale = (float(self.E.max()), eta * float(np.linalg.norm(self.g)))
+        self.move_scale = (float(self.E.max()), eta * math.sqrt(self.gg))
         self._reset_bound()
 
     @staticmethod
@@ -405,18 +423,14 @@ class _DiagIterate(_RowIterate):
         self.u.put(cols, u_new)
         self.t += 1
         self.stamp.put(cols, self.t)
-        if self.log_r is not None:
-            # a column waiting k steps moves at most k |eta D_j u_j + eta g_j|
-            self.usq += float(u_new.dot(u_new) - u_old.dot(u_old))
-            u_norm = math.sqrt(abs(self.usq))
-            e_max, g_move = self.move_scale
-            bound = self.znorm + u_norm + (self.t - self.t0) * (e_max * u_norm + g_move)
-            if bound <= math.sqrt(limit) * (1.0 - self.BOUND_SLACK):
-                return True
-        # the bound is not finite or reaches the limit, or there is none:
-        # test w itself
-        self._sync()
-        return _within_guard(self.z + self.u, limit)
+        if self.log_r is None:
+            return _within_guard(self.current(), limit)    # no bound: test w
+        # a column waiting k steps moves at most k |eta D_j u_j + eta g_j|
+        self.usq += float(u_new.dot(u_new) - u_old.dot(u_old))
+        u_norm = math.sqrt(abs(self.usq))
+        e_max, g_move = self.move_scale
+        bound = self.znorm + u_norm + (self.t - self.t0) * (e_max * u_norm + g_move)
+        return self._guard(bound * bound, limit)
 
 
 def hessian_form(model: LossModel) -> str:
@@ -511,15 +525,10 @@ class _GramIterate(_RowIterate):
 
     and a_i.u is r_i.  With X z and X g from the epoch, ||w||^2 is
     z.z + 2 rho z.g + rho^2 g.g + 2 (X z).q + rho (X g).q + q.r in O(n)
-    (:meth:`sq_norm`).  When that estimate is not finite or reaches the
-    guard, less ``GUARD_SLACK``, the step forms w and tests it exactly.
-    w itself is formed only there, at the option-2 snapshot and at the
-    epoch's end.
+    (:meth:`sq_norm`), the estimate of :meth:`_RowIterate._guard`.  w itself
+    is formed only where that rule tests it, at the option-2 snapshot and at
+    the epoch's end.
     """
-
-    # w is tested exactly once the estimate of ||w||^2 reaches this share of
-    # the guard; the slack covers the estimate's rounding and r's drift
-    GUARD_SLACK = 1e-3
 
     def __init__(self, model, correction, w_anchor, g_anchor):
         super().__init__(model, correction, w_anchor, g_anchor)
@@ -527,9 +536,6 @@ class _GramIterate(_RowIterate):
         self.h = correction.curvature_coefs.tolist()
         self.h_n = correction.curvature_coefs / model.n
         self.z_dot_vec, self.g_dot_vec = correction.anchor_dots, correction.grad_dots
-        self.zz = float(w_anchor @ w_anchor)
-        self.zg = float(w_anchor @ g_anchor)
-        self.gg = float(g_anchor @ g_anchor)
         self.rho = 0.0
         self.q = np.zeros(model.n)
         self.r = np.zeros(model.n)
@@ -554,10 +560,7 @@ class _GramIterate(_RowIterate):
         r *= gamma
         r -= eta * self.g_dot_vec
         r -= self.K @ t
-        ww = self.sq_norm()
-        if ww < math.inf and ww <= limit * (1.0 - self.GUARD_SLACK):
-            return True
-        return _within_guard(self.current(), limit)
+        return self._guard(self.sq_norm(), limit)
 
     def sq_norm(self) -> float:
         """||w||^2, estimated in O(n) from rho, q and r."""

@@ -23,6 +23,7 @@ import numpy as np
 from .data import SparseDataset, write_libsvm  # noqa: F401 (bench/spans.py patches it here)
 from .losses import LossModel
 
+DEFAULT_TOL = 1e-10   # the gradient-norm tolerance of a reference solve
 _DECREASE = 1e-4      # share of the first-order decrease a step must achieve
 _MAX_BACKTRACKS = 60
 
@@ -37,7 +38,7 @@ class ReferenceSolution:
     tol: float
 
 
-def solve_reference(model, tol: float = 1e-10, max_iter: int = 1000) -> ReferenceSolution:
+def solve_reference(model, tol: float = DEFAULT_TOL, max_iter: int = 1000) -> ReferenceSolution:
     """Minimize ``model`` (with ``d``, ``value(w)``, ``grad_full(w)``,
     ``curvature_at(w)`` and ``mean_hess_vec_from(curvature, v)``) from w = 0
     by inexact Newton-CG.
@@ -168,7 +169,7 @@ def load_reference(path) -> ReferenceSolution:
     )
 
 
-def cached_reference(model: LossModel, tol: float = 1e-10,
+def cached_reference(model: LossModel, tol: float = DEFAULT_TOL,
                      cache_dir=None) -> ReferenceSolution:
     """solve_reference with a bit-exact disk cache keyed by
     (dataset hash, model kind, lambda, tol).

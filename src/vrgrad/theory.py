@@ -71,6 +71,7 @@ def beta_theorem1(mu: float, L: float, alpha: float, eta: float, m: int) -> Rate
 
     Feasible iff the denominator is positive and beta < 1.
     """
+    ProblemConstants(mu, L)     # 0 < mu <= L
     if eta <= 0 or m < 1:
         raise ValueError("need eta > 0 and m >= 1")
     denom = 1.0 - eta * L * (2.0 * alpha + 1.0)
@@ -97,6 +98,7 @@ def gamma_theorem2(mu: float, L: float, alpha: float, eta: float, m: int) -> Rat
         gamma = (1 - 2 eta mu (1 - eta L (2 alpha + 1)))^m
                 + 2 alpha eta L^2 / (mu (1 - eta L (2 alpha + 1))).
     """
+    ProblemConstants(mu, L)     # 0 < mu <= L
     if m < 1:
         raise ValueError("need m >= 1")
     if eta == 0.0:
@@ -114,6 +116,7 @@ def gamma_theorem3(mu: float, L: float, alpha: float, xi0: float, xi1: float,
         gamma~ = (1 - 2 eta0 mu (1 - eta1 L (2 alpha + 1)))^m
                  + 2 alpha eta1^2 L^2 / (eta0 mu (1 - eta1 L (2 alpha + 1))).
     """
+    ProblemConstants(mu, L)     # 0 < mu <= L
     if not (0.0 < xi0 <= xi1):
         raise ValueError("need 0 < xi0 <= xi1")
     if m1 < 1 or m < 1:

@@ -167,6 +167,24 @@ def test_divergence_raises_in_the_same_epoch(monkeypatch, data):
             [r.fval for r in dense.records], rel=RTOL)
 
 
+@pytest.mark.parametrize("zz", [math.nan, math.inf, "past"])
+def test_affine_step_tests_w_when_its_estimate_is_not_below_the_guard(data, zz):
+    # z.z is corrupted so that the running estimate of ||w||^2 reads NaN, inf
+    # or twice the limit while w is far inside: the step must test w itself
+    # and pass, not let the estimate decide alone
+    model = LossModel(data, 1e-2)
+    corr = epoch_correction(model, variant="none")
+    affine = optimizer._AffineIterate(model, corr, corr.anchor, corr.g_anchor)
+    assert affine.step(3, 0.5, math.inf)
+    w = affine.current()
+    limit = 1e6 * (1.0 + float(w @ w))
+    affine.zz = 2.0 * limit if zz == "past" else zz
+    assert affine.step(4, 0.5, limit)
+    # a w that is truly outside still fails
+    w = affine.current()
+    assert not affine.step(5, 0.5, 1e-6 * float(w @ w))
+
+
 # -- edge cases --------------------------------------------------------------------------
 
 

@@ -78,6 +78,30 @@ def test_run_methods_flag_strips_names_and_drops_empty_items(tmp_path):
     assert {r.method for r in load_table(out).rows} == {"SVRG", "SVRG2"}
 
 
+@pytest.mark.parametrize("key, text, field, want", [
+    ("lambda", " 1e-2 ,, 1e-3,", "lambdas", (1e-2, 1e-3)),
+    ("grid", ",0.5 , 2", "grid", (0.5, 2.0)),
+    ("seeds", " 3, ,1 ", "seeds", (3, 1)),
+    ("methods", "SVRG , ,SVRG2BB,", "methods", ("SVRG", "SVRG2BB")),
+])
+def test_list_values_drop_blanks_and_empty_items(tmp_path, key, text, field, want):
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text(f"{key} = {text}\n")
+    for argv in (["run", f"--{key}", text], ["run", "--spec", str(spec_file)]):
+        assert getattr(_spec_from_args(build_parser().parse_args(argv)), field) == want
+
+
+@pytest.mark.parametrize("flag, text", [("--lambda", "1e-2,x"), ("--grid", "0.1,,1e"),
+                                        ("--seeds", "0, 1.5")])
+def test_a_bad_list_item_is_a_usage_error_naming_its_flag(tmp_path, capsys, flag, text):
+    out = tmp_path / "results"
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--synth", "20,3,0", flag, text, "--out", str(out)])
+    assert err.value.code == 2
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("via_spec", [False, True])
 def test_unknown_method_is_a_usage_error(tmp_path, capsys, via_spec):
     argv = ["run", "--synth", "20,3,0", "--epochs", "1", "--out", str(tmp_path / "results")]

@@ -2,13 +2,14 @@
 
 import dataclasses
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vrgrad.harness import (ExperimentSpec, ResultTable, RunRow, emit_csv, load_table,
-                            parse_run_csv)
+                            parse_run_csv, run_experiment)
 from vrgrad.losses import KINDS
 from vrgrad.optimizer import METHODS, EpochRecord
 
@@ -136,6 +137,8 @@ def test_mean_gap_is_the_winner_s_gap_averaged_over_seeds():
     ({"synth": (0, 5, 0)}, "synth"), ({"synth": (5, 0, 0)}, "synth"),
     ({"synth": (5, 5, -1)}, "synth"), ({"synth": (5, 5, 0, float("nan"))}, "synth"),
     ({"model": "huber"}, "unknown loss kind 'huber'"),
+    ({"anchor_option": 3}, "anchor_option must be 1 or 2"),
+    ({"variance_mode": "all"}, "variance_mode must be 'last' or 'none'"),
 ])
 def test_spec_rejects_a_value_before_any_data_is_loaded(given, message):
     # before, these failed only inside run_experiment, after loading data
@@ -146,3 +149,44 @@ def test_spec_rejects_a_value_before_any_data_is_loaded(given, message):
 def test_spec_maps_a_loss_alias_to_its_kind():
     assert ExperimentSpec(model="svm").model == "squared_hinge"
     assert ExperimentSpec(model="lr") == ExperimentSpec(model="logistic")
+
+
+def test_spec_holds_lambdas_and_grid_as_tuples_of_floats():
+    spec = ExperimentSpec(lambdas=[1, 0], grid=[2, 0.5])
+    assert spec.lambdas == (1.0, 0.0) and spec.grid == (2.0, 0.5)
+    assert all(type(x) is float for x in spec.lambdas + spec.grid)
+
+
+@pytest.fixture(scope="module")
+def diverging_run(tmp_path_factory):
+    """A small run whose step 1e8 diverges at once, and SVRG2's step 150
+    with seed 1 in its third epoch; and the directory it was written to."""
+    out = tmp_path_factory.mktemp("run")
+    spec = ExperimentSpec(synth=(20, 3, 0), lambdas=(1e-2,), methods=("SVRG", "SVRG2"),
+                          grid=(0.1, 150.0, 1e8), epochs=3, seeds=(0, 1), out_dir=str(out))
+    table = run_experiment(spec)
+    emit_csv(table, out)
+    return spec, table, out
+
+
+def test_metadata_json_is_the_spec(diverging_run):
+    spec, table, out = diverging_run
+    meta = json.loads((out / "metadata.json").read_text())
+    spec_keys = {f.name for f in dataclasses.fields(ExperimentSpec)} - {"out_dir"}
+    assert set(meta) == spec_keys | {"format", "n", "d", "generalized_bb_eta0", "decay_c2",
+                                     "references"}
+    assert (meta["n"], meta["d"], meta["m"]) == (20, 3, 40)
+    for key in spec_keys - {"m"}:
+        assert meta[key] == json.loads(json.dumps(getattr(spec, key))), key
+    assert load_table(out).metadata == {k: v for k, v in meta.items() if k != "references"}
+
+
+def test_a_diverged_run_has_fewer_records_than_epochs(diverging_run):
+    spec, table, out = diverging_run
+    for rows in (table.rows, load_table(out).rows):
+        assert len(rows) == 12
+        for row in rows:
+            assert row.diverged == (len(row.records) < spec.epochs)
+            assert row.diverged or row.step_param != 1e8
+        assert [(r.method, r.step_param, r.seed, len(r.records))
+                for r in rows if 0 < len(r.records) < spec.epochs] == [("SVRG2", 150.0, 1, 2)]

@@ -62,6 +62,19 @@ def test_constants_validation():
 # -- contraction factors ----------------------------------------------------------
 
 
+@pytest.mark.parametrize("rate", [
+    lambda mu, L: beta_theorem1(mu, L, 0.0, 0.1, 10),
+    lambda mu, L: gamma_theorem2(mu, L, 0.0, 10.0, 2000),
+    lambda mu, L: gamma_theorem3(mu, L, 0.0, 0.5, 0.5, 1, 2000),
+], ids=["beta_theorem1", "gamma_theorem2", "gamma_theorem3"])
+def test_rate_formulas_reject_mu_outside_0_L(rate):
+    # unchecked, mu = 1 > L = 0.05 overflows base ** m in the gamma formulas,
+    # and beta_theorem1 at mu = -1 gives beta = -1.11 marked feasible
+    for mu, L in ((1.0, 0.05), (-1.0, 1.0), (0.0, 1.0), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="mu <= L"):
+            rate(mu, L)
+
+
 def test_beta_frozen_value():
     # mu = L = 1, alpha = 0, eta = 0.1, m = 100:
     # beta = 1 / (0.1 * 0.9 * 100) = 1/9
@@ -415,11 +428,11 @@ def test_alpha_full_hessian_from_the_model_bound():
 
 
 @settings(max_examples=300, deadline=None)
-@given(mu=st.floats(1e-4, 1.0), kappa=st.floats(0.25, 1e3), alpha=st.floats(0.0, 10.0),
+@given(mu=st.floats(1e-4, 1.0), kappa=st.floats(1.0, 1e3), alpha=st.floats(0.0, 10.0),
        eta_scale=st.floats(1e-4, 2.0), m=st.integers(1, 2000))
 def test_gamma2_is_the_two_term_formula(mu, kappa, alpha, eta_scale, m):
-    # L/mu < 1/2 is outside the theorem, but there the base can be negative,
-    # which the feasible flag must report; L/mu >= 1/4 keeps it >= -1
+    # L/mu < 1 is outside the theorem and rejected (see
+    # test_rate_formulas_reject_mu_outside_0_L)
     L = mu * kappa
     eta = eta_scale / L
     est = gamma_theorem2(mu, L, alpha, eta, m)
