@@ -25,13 +25,15 @@ the per-sample scalars
 
     kappa_i = (c_i(z) - c_i(z_prev)) (a_i^T s) / ||s||^2,
 
-so that A_i = (lam + kappa_i) I.  Two more n-vectors are filled one entry
-at a time, the first time a sample is asked for: c_i(z) from the row dot
+so that A_i = (lam + kappa_i) I.  Two more n-vectors, the dense step's memos,
+are plain arrays made with the operator and filled one entry at a time, the
+first time a sample is asked for: c_i(z) from the row dot
 a_i^T z (``anchor_coef_at``) and the scalar lam + kappa_i from
 ``grad_sample_delta`` at the anchor pair (``sample_scalar_at``), each by
 the per-sample oracles' expression, which can differ from the matvec forms
 above in the last bits.  ``apply_sample`` takes its ``bb_scalar`` scalar
-from the latter.
+from the latter.  A ``cached_property`` memo would slow every later
+attribute read of the operator, the dense step's included.
 
 From the same data, ``sample_parts`` gives every A_i at once as n-vectors
 (p, q, h), A_i u = p_i u + q_i a_i + h_i (a_i o a_i o u) with o the
@@ -79,6 +81,10 @@ class CorrectionOperator:
         self.anchors = anchors        # EpochAnchors, None in the first epoch
         self.bb_raw = bb_raw          # unfloored secant ratio
         self.bb_scalar = bb_scalar    # floored; used by apply_mean
+        # the dense step's memos: NaN marks an entry not yet filled, and a
+        # NaN value is computed again on each call, to the same NaN
+        self._anchor_coef_memo = np.full(model.n, np.nan)
+        self._sample_scalar_memo = np.full(model.n, np.nan)
 
     # -- per-epoch data, computed on first use --------------------------------
 
@@ -115,16 +121,6 @@ class CorrectionOperator:
         return change * (X @ pair.s) / pair.secant[0]
 
     # -- the dense step's per-sample data, each entry on first use ------------
-    # NaN marks an entry not yet filled; a NaN value is computed again on
-    # each call, to the same NaN.
-
-    @cached_property
-    def _anchor_coef_memo(self) -> np.ndarray:
-        return np.full(self.model.n, np.nan)
-
-    @cached_property
-    def _sample_scalar_memo(self) -> np.ndarray:
-        return np.full(self.model.n, np.nan)
 
     def anchor_coef_at(self, i: int) -> float:
         """c_i(anchor) from the row dot a_i^T anchor, as
@@ -251,7 +247,8 @@ def residual_sqnorms(model: LossModel, x: np.ndarray, u: np.ndarray,
     """||x + gamma_i u + beta_i a_i - h_i (a_i o a_i o u)||^2 for every i,
     in O(nnz + d), given ``u_dots`` = X @ u (gamma, beta, h: n-vectors or
     scalars).  The expansion reads ``X @ x``, ``u_dots`` and the row norms;
-    the diagonal term (``h`` given) adds products with X^2, X^3 and X^4.
+    the diagonal term (``h`` given) adds products with X^2, X^3 and X^4,
+    which the model keeps (:meth:`~vrgrad.losses.LossModel.power`).
     Values are clamped at 0, which the expansion can round just below.
     """
     X = model.dataset.features
@@ -259,8 +256,8 @@ def residual_sqnorms(model: LossModel, x: np.ndarray, u: np.ndarray,
            + beta * beta * model.row_sq_norms + 2.0 * gamma * float(x @ u)
            + 2.0 * beta * (X @ x) + 2.0 * gamma * beta * u_dots)
     if h is not None:
-        X2 = X.power(2)
+        X2 = model.power(2)
         uu = u * u
-        out = out + h * (h * (X.power(4) @ uu) - 2.0 * (X2 @ (x * u))
-                         - 2.0 * gamma * (X2 @ uu) - 2.0 * beta * (X.power(3) @ u))
+        out = out + h * (h * (model.power(4) @ uu) - 2.0 * (X2 @ (x * u))
+                         - 2.0 * gamma * (X2 @ uu) - 2.0 * beta * (model.power(3) @ u))
     return np.maximum(out, 0.0)

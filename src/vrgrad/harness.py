@@ -25,7 +25,7 @@ import numpy as np
 from . import stepsize, svgplot
 from .data import SparseDataset, parse_libsvm, synth_binary
 from .losses import LossModel, loss_kind
-from .optimizer import (METHODS, DivergenceError, EpochRecord, RunConfig,
+from .optimizer import (DivergenceError, EpochRecord, RunConfig, check_run_options,
                         optimize)
 from .reference import DEFAULT_TOL, cached_reference
 from .stepsize import StepSizeSchedule
@@ -80,19 +80,10 @@ class ExperimentSpec:
             raise ValueError(f"every lambda must be finite and >= 0, got {self.lambdas}")
         if not 0.0 < self.reference_tol < np.inf:
             raise ValueError(f"reference_tol must be finite and > 0, got {self.reference_tol}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.subsample is not None and self.subsample < 1:
             raise ValueError(f"subsample must be >= 1, got {self.subsample}")
-        if self.m is not None and self.m < 1:
-            raise ValueError(f"inner length m must be >= 1 or None (2n), got {self.m}")
-        if self.anchor_option not in (1, 2):
-            raise ValueError(f"anchor_option must be 1 or 2, got {self.anchor_option!r}")
-        if self.variance_mode not in ("last", "none"):
-            raise ValueError(f"variance_mode must be 'last' or 'none', got {self.variance_mode!r}")
-        for meth in self.methods:
-            if meth not in METHODS:
-                raise ValueError(f"unknown method {meth!r}; choose from {', '.join(METHODS)}")
+        check_run_options(self.methods, self.epochs, self.m, self.anchor_option,
+                          self.variance_mode)
         self.model = loss_kind(self.model)
         if self.data_path is not None and self.synth is not None:
             raise ValueError("give one data source, data_path or synth, not both")

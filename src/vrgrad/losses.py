@@ -12,18 +12,21 @@ Each kind is one link in ``_LINKS``: phi, phi', phi'', sup phi'' and sup |phi'''
 Every oracle reads it: grad f_i(w) = b_i phi'(m_i) a_i + lam w,
 hess f_i(w) = phi''(m_i) a_i a_i^T + lam I, L_i = sup phi'' ||a_i||^2 + lam, and
 L_tilde = sup |phi'''| max_i ||a_i||^3 bounds (not estimates) every Lip(hess f_i).
-phi' and phi'' come in an array form and a float form.  The float form runs
-on every inner step, so it makes no ufunc call; it returns the same bits.
+phi' comes in an array form and a float form, which runs on every inner step
+and so makes no ufunc call; it returns the same bits.  phi'' has one form, on
+arrays; the per-sample oracles call it on one np.float64 (the squared
+hinge's calls ``.astype``, which a Python float lacks).
 At the hinge kink (m = 1) phi'' takes the inactive branch, 0: the event has
 measure zero and the smaller curvature is the conservative choice.
 
 A model builds X^T once, with the model: X^T of a CSR matrix is a CSC view
-that shares X's arrays.  (X o X)^T (o the element-wise product), which only
-:meth:`LossModel.mean_hess_diag` reads, and the Gram matrix K = X X^T
-(:attr:`LossModel.gram`), which only the Gram step reads, are copies the
-size of X or more; each is formed the first time it is read and kept for
-the model's life.  The products give the bits they gave when each
-transpose was built on every call.
+that shares X's arrays.  The element-wise powers X^2, X^3 and X^4
+(:meth:`LossModel.power`), which the diagonal variance reads, and the Gram
+matrix K = X X^T (:attr:`LossModel.gram`), which only the Gram step reads,
+are copies the size of X or more; each is formed the first time it is read
+and kept for the model's life, as is the view (X^2)^T that only
+:meth:`LossModel.mean_hess_diag` reads.  The products give the bits they
+gave when each was built on every call.
 """
 
 from __future__ import annotations
@@ -45,15 +48,14 @@ def _expit_at(m: float) -> float:
         return 0.0
 
 
-# phi, phi', phi'' on arrays; phi', phi'' on a float (suffix _at)
-_Link = namedtuple("_Link", "phi dphi d2phi dphi_at d2phi_at sup_d2phi sup_d3phi")
+# phi, phi', phi'' on arrays; phi' on a float (suffix _at)
+_Link = namedtuple("_Link", "phi dphi d2phi dphi_at sup_d2phi sup_d3phi")
 _LINKS = {
     "logistic": _Link(
         phi=lambda m: np.logaddexp(0.0, -m),
         dphi=lambda m: -expit(-m),
         d2phi=lambda m: (s := expit(m)) * (1.0 - s),
         dphi_at=lambda m: -_expit_at(-m),
-        d2phi_at=lambda m: (s := _expit_at(m)) * (1.0 - s),
         sup_d2phi=0.25,
         sup_d3phi=1.0 / (6.0 * math.sqrt(3.0))),
     "squared_hinge": _Link(
@@ -61,7 +63,6 @@ _LINKS = {
         dphi=lambda m: -np.maximum(0.0, 1.0 - m),
         d2phi=lambda m: ((1.0 - m) > 0.0).astype(np.float64),
         dphi_at=lambda m: -max(0.0, 1.0 - m),
-        d2phi_at=lambda m: 1.0 if 1.0 - m > 0.0 else 0.0,
         sup_d2phi=1.0,
         sup_d3phi=math.inf),
 }
@@ -104,6 +105,7 @@ class LossModel:
         # through the instance __dict__, and once that is read CPython takes
         # a slower path for every attribute read on the model
         self._gram = self._X_sq_T = None
+        self._powers = {}                   # exponent k -> X^k, element-wise
 
     # -- shapes ------------------------------------------------------------
 
@@ -189,7 +191,7 @@ class LossModel:
     def _curv_coef(self, i: int, w: np.ndarray) -> float:
         """Scalar c with hess f_i = c * a_i a_i^T + lam * I."""
         idx, vals = self._row(i)
-        return self._link.d2phi_at(self._b[i] * float(vals @ w[idx]))
+        return self._link.d2phi(np.float64(self._b[i] * float(vals @ w[idx])))
 
     def hess_vec_sample(self, i: int, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         """hess f_i(w) @ v."""
@@ -258,11 +260,16 @@ class LossModel:
             self._gram = (self.dataset.features @ self.XT).tocsr()
         return self._gram
 
+    def power(self, k: int):
+        """X^k, the k-th element-wise power of X, as CSR."""
+        if k not in self._powers:
+            self._powers[k] = self.dataset.features.power(k)
+        return self._powers[k]
+
     def mean_hess_diag(self, w: np.ndarray) -> np.ndarray:
         """Diagonal of the mean Hessian at w."""
         if self._X_sq_T is None:
-            X = self.dataset.features
-            self._X_sq_T = X.multiply(X).T
+            self._X_sq_T = self.power(2).T
         diag = self._X_sq_T @ self.curvature_at(w) / self.n
         return np.asarray(diag).ravel() + self.lam
 

@@ -34,11 +34,11 @@ An inner step takes one of five forms, each described on its class:
   (sum_j nnz_j^2 < nnz + d, nnz_j the nonzeros of column j), O(n) and one
   product with K = X X^T.
 
-An epoch whose correction is ``diag_hessian`` takes the diagonal step; one
-whose correction is ``full_hessian`` takes the form :func:`hessian_form`
-picks by cost.  The others, the first, uncorrected epoch of SVRG2 and SVRG2D
-among them, take the affine step when it applies and the dense step
-otherwise (:func:`step_class`).  All five agree up to rounding.
+One function, :func:`step_class`, picks an epoch's form: ``diag_hessian``
+takes the diagonal step, ``full_hessian`` the form :func:`hessian_form` picks
+by cost, and the others, the first epoch of SVRG2 and SVRG2D among them, the
+affine step when the mean row has at most d/4 nonzeros (4 nnz <= n d) and
+the dense step otherwise.  All five agree up to rounding.
 
 A run diverges when an iterate is not finite or ||w||^2 exceeds the square of
 the guard 1e8 (1 + ||w0||).  The dense and full-Hessian steps form w and test
@@ -95,6 +95,22 @@ class DivergenceError(RuntimeError):
         self.records = records or []
 
 
+def check_run_options(methods, epochs, m, anchor_option, variance_mode) -> None:
+    """Raise ValueError on a bad run option; :class:`RunConfig` and the
+    experiment spec both call it, so each option has one message."""
+    for meth in methods:
+        if meth not in METHODS:
+            raise ValueError(f"unknown method {meth!r}; choose from {', '.join(METHODS)}")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if m is not None and m < 1:
+        raise ValueError(f"inner length m must be >= 1 or None (2n), got {m}")
+    if anchor_option not in (1, 2):
+        raise ValueError(f"anchor_option must be 1 or 2, got {anchor_option!r}")
+    if variance_mode not in ("last", "none"):
+        raise ValueError(f"variance_mode must be 'last' or 'none', got {variance_mode!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     method: str
@@ -106,16 +122,8 @@ class RunConfig:
     variance_mode: str = "last"   # "last" (exact, at the epoch's last iterate) | "none"
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.m is not None and self.m < 1:
-            raise ValueError("inner length m must be >= 1")
-        if self.anchor_option not in (1, 2):
-            raise ValueError("anchor_option must be 1 or 2")
-        if self.variance_mode not in ("last", "none"):
-            raise ValueError(f"unknown variance mode {self.variance_mode!r}")
+        check_run_options((self.method,), self.epochs, self.m, self.anchor_option,
+                          self.variance_mode)
         want = _FORMS[self.method][1]
         if self.schedule.kind != want:
             raise ValueError(
@@ -182,13 +190,6 @@ def direction(model: LossModel, correction, w_curr: np.ndarray, i: int) -> np.nd
         v += correction.apply_mean(u)
         v -= correction.apply_sample(i, u)
     return v
-
-
-def affine_step_applies(model: LossModel, correction) -> bool:
-    """Whether the epoch takes the O(nnz_i) affine step: the correction is
-    ``none`` or ``bb_scalar`` and the mean row has at most d/4 nonzeros."""
-    return (correction.variant in ("none", "bb_scalar")
-            and 4 * model.dataset.features.nnz <= model.n * model.d)
 
 
 def _within_guard(w: np.ndarray, limit: float) -> bool:
@@ -357,8 +358,8 @@ class _DiagIterate(_RowIterate):
         self.eta = None
 
     def _set_eta(self, eta: float) -> None:
-        """Bring every column up to date, then take steps of size ``eta``."""
-        self._sync()
+        """Take steps of size ``eta``, set once by the first step: only SVRG2D
+        takes this step, and its schedule is constant (:class:`RunConfig`)."""
         self.eta = eta
         E = eta * self.diag                         # 1 - r
         self.eta_g = eta * self.g
@@ -405,7 +406,7 @@ class _DiagIterate(_RowIterate):
 
     def step(self, i: int, eta: float, limit: float) -> bool:
         """w -= eta * v_t(i); False when w is non-finite or ||w||^2 > limit."""
-        if eta != self.eta:
+        if self.eta is None:
             self._set_eta(eta)
         lo, hi = self.indptr[i], self.indptr[i + 1]
         cols, vals = self.indices[lo:hi], self.data[lo:hi]
@@ -571,13 +572,15 @@ class _GramIterate(_RowIterate):
 
 
 def step_class(model: LossModel, correction) -> type:
-    """The inner-step form of the epoch of ``correction`` (module docstring)."""
+    """The inner-step form of the epoch of ``correction``, chosen here alone
+    (module docstring); ``none`` and ``bb_scalar`` take the affine step when
+    the mean row has at most d/4 nonzeros."""
     if correction.variant == "diag_hessian":
         return _DiagIterate
     if correction.variant == "full_hessian":
         return {"formed": _FormedHessIterate, "gram": _GramIterate,
                 "matrix_free": _HessIterate}[hessian_form(model)]
-    if affine_step_applies(model, correction):
+    if 4 * model.dataset.features.nnz <= model.n * model.d:
         return _AffineIterate
     return _DenseIterate
 

@@ -5,8 +5,9 @@ Unless a test says otherwise, the data's mean row has at most d/4 nonzeros,
 so ``optimize`` takes the affine step for the ``none`` and ``bb_scalar``
 corrections; it takes the diagonal step for every ``diag_hessian`` epoch and
 the full-Hessian or the Gram step, as ``hessian_form`` picks, for every
-``full_hessian`` epoch.  The oracle is the same run with all of them switched
-off, which takes the dense step: the plain formula for v_t on a dense w.
+``full_hessian`` epoch.  The oracle is the same run with ``step_class``, the
+one selector, patched to the dense step: the plain formula for v_t on a
+dense w.
 
 The dense step reads c_i(anchor) and the BB per-sample scalar from the
 epoch's correction, which computes each once per sample.  ``PlainIterate``
@@ -27,8 +28,8 @@ from vrgrad.correction import DegenerateAnchorError, build_correction
 from vrgrad.data import SparseDataset, synth_binary
 from vrgrad.harness import schedule_for
 from vrgrad.losses import LossModel
-from vrgrad.optimizer import (METHODS, DivergenceError, RunConfig,
-                              affine_step_applies, hessian_form, optimize, step_class)
+from vrgrad.optimizer import (METHODS, DivergenceError, RunConfig, hessian_form, optimize,
+                              step_class)
 from vrgrad.stepsize import CurvatureError, EpochAnchors, constant
 
 RTOL = 1e-10
@@ -66,11 +67,7 @@ def run_both(monkeypatch, model, config, w0=None):
         with monkeypatch.context() as patch:
             patch.setattr(optimizer, "run_epoch", spy)
             if not fast:
-                patch.setattr(optimizer, "affine_step_applies", lambda *a: False)
-                patch.setattr(optimizer, "_DiagIterate", optimizer._DenseIterate)
-                patch.setattr(optimizer, "_HessIterate", optimizer._DenseIterate)
-                patch.setattr(optimizer, "_FormedHessIterate", optimizer._DenseIterate)
-                patch.setattr(optimizer, "_GramIterate", optimizer._DenseIterate)
+                patch.setattr(optimizer, "step_class", lambda *a: optimizer._DenseIterate)
             try:
                 _, records = optimize(model, config, w0)
             except DivergenceError as err:
@@ -116,19 +113,43 @@ def data():
 # -- the rule ----------------------------------------------------------------------
 
 
-def test_rule_takes_short_rows_and_scalar_corrections_only(data):
-    model = LossModel(data, 1e-2)
+def epoch_of(variant, model):
+    """A ``variant`` operator at 0, with a previous anchor off 0."""
     w = np.zeros(model.d)
     g = model.grad_full(w)
-    for variant, want in (("none", True), ("bb_scalar", True),
-                          ("full_hessian", False), ("diag_hessian", False)):
-        corr = build_correction(variant, model, w, w - 0.1 * g - 0.01, g_curr=g)
-        assert affine_step_applies(model, corr) is want, variant
-    # d/4 is the boundary: 20 of 80 columns per row is short, 21 is not
-    short = LossModel(sparse_dataset(10, 80, 20, seed=1), 1e-2)
-    long = LossModel(sparse_dataset(10, 80, 21, seed=1), 1e-2)
-    assert affine_step_applies(short, build_correction("none", short, w))
-    assert not affine_step_applies(long, build_correction("none", long, w))
+    return build_correction(variant, model, w, w - 0.1 * g - 0.01, g_curr=g)
+
+
+# the rows of STEP_TABLE: short rows, dense rows (d^2 < nnz), rows at the d/4
+# boundary and one nonzero past it, and wide rows (Gram)
+STEP_DATA = {
+    "short": lambda: sparse_dataset(60, 80, 6, seed=11),
+    "dense": lambda: dense_rows(),
+    "20 of 80": lambda: sparse_dataset(10, 80, 20, seed=1),
+    "21 of 80": lambda: sparse_dataset(10, 80, 21, seed=1),
+    "wide": lambda: wide_rows(),
+}
+# rows -> the step class of a none, bb_scalar, diag_hessian and full_hessian epoch
+STEP_TABLE = {
+    "short": ("_AffineIterate", "_AffineIterate", "_DiagIterate", "_HessIterate"),
+    "dense": ("_DenseIterate", "_DenseIterate", "_DiagIterate", "_FormedHessIterate"),
+    "20 of 80": ("_AffineIterate", "_AffineIterate", "_DiagIterate", "_HessIterate"),
+    "21 of 80": ("_DenseIterate", "_DenseIterate", "_DiagIterate", "_HessIterate"),
+    "wide": ("_AffineIterate", "_AffineIterate", "_DiagIterate", "_GramIterate"),
+}
+
+
+def test_rule_takes_short_rows_and_scalar_corrections_only():
+    # step_class alone picks the form; d/4 is the boundary of its last branch
+    for rows, want in STEP_TABLE.items():
+        for kind in ("logistic", "squared_hinge"):
+            model = LossModel(STEP_DATA[rows](), 1e-2, kind)
+            got = tuple(step_class(model, epoch_of(variant, model)).__name__
+                        for variant in ("none", "bb_scalar", "diag_hessian", "full_hessian"))
+            assert got == want, (rows, kind)
+            # a first, uncorrected epoch takes the none form
+            first = build_correction("full_hessian", model, np.zeros(model.d))
+            assert step_class(model, first).__name__ == want[0], (rows, kind)
 
 
 # -- full runs against the dense step ------------------------------------------------
@@ -782,7 +803,8 @@ def test_formed_hessian_product_matches_the_matrix_free_one(n, d, density, data_
 def test_affine_runs_are_seeded(n, d, data_seed, seed, method, kind, anchor_option):
     ds = sparse_dataset(n, d, max(1, d // 4), data_seed)
     model = LossModel(ds, 1e-2, kind)
-    assert affine_step_applies(model, build_correction("none", model, np.zeros(d)))
+    assert step_class(model, build_correction("none", model, np.zeros(d))) \
+        is optimizer._AffineIterate
     config = config_for(method, model, epochs=3, anchor_option=anchor_option, seed=seed)
     w1, recs1 = optimize(model, config, np.zeros(d))
     w2, recs2 = optimize(model, config, np.zeros(d))
@@ -848,8 +870,7 @@ def dense_runs(monkeypatch, model, config, w0=None):
     out = []
     for iterate_cls in (optimizer._DenseIterate, PlainIterate):
         with monkeypatch.context() as patch:
-            patch.setattr(optimizer, "affine_step_applies", lambda *a: False)
-            patch.setattr(optimizer, "_DenseIterate", iterate_cls)
+            patch.setattr(optimizer, "step_class", lambda *a: iterate_cls)
             try:
                 w, records = optimize(model, config, w0)
                 out.append((w, records, None))
@@ -886,8 +907,8 @@ DENSE_STEP_METHODS = ("SVRG", "SVRGBB", "SVRG2BB", "SVRG2BBS-M1", "SVRG2BBS-M2",
 @pytest.mark.parametrize("method", DENSE_STEP_METHODS)
 def test_dense_step_is_the_plain_formula_bit_for_bit(monkeypatch, method, anchor_option,
                                                      kind, lam):
-    # dense rows and short rows; SVRG2 and SVRG2D take the dense step in
-    # their first, uncorrected epoch only
+    # dense rows and short rows; every epoch takes the dense step, the
+    # corrected epochs of SVRG2 and SVRG2D included
     for dataset in (dense_rows(), sparse_dataset(60, 80, 6, seed=11)):
         model = LossModel(dataset, lam, kind)
         config = config_for(method, model, anchor_option=anchor_option, variance_mode="last")

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from vrgrad.harness import (ExperimentSpec, ResultTable, RunRow, emit_csv, load_table,
                             parse_run_csv, run_experiment)
 from vrgrad.losses import KINDS
-from vrgrad.optimizer import METHODS, EpochRecord
+from vrgrad.optimizer import METHODS, EpochRecord, RunConfig
+from vrgrad.stepsize import constant
 
 # every float: nan, +-inf, -0.0, subnormals and the extremes included
 _ANY = st.one_of(st.floats(), st.sampled_from(
@@ -144,6 +145,19 @@ def test_spec_rejects_a_value_before_any_data_is_loaded(given, message):
     # before, these failed only inside run_experiment, after loading data
     with pytest.raises(ValueError, match=message):
         ExperimentSpec(**given)
+
+
+@pytest.mark.parametrize("option, value", [
+    ("method", "SAGA"), ("epochs", -1), ("m", 0), ("anchor_option", 3),
+    ("variance_mode", "all"),
+])
+def test_run_config_and_spec_reject_a_run_option_with_one_message(option, value):
+    given = {"methods": (value,)} if option == "method" else {option: value}
+    with pytest.raises(ValueError) as spec_error:
+        ExperimentSpec(**given)
+    with pytest.raises(ValueError) as config_error:
+        RunConfig(**{"method": "SVRG", "schedule": constant(0.1), "epochs": 1, option: value})
+    assert str(config_error.value) == str(spec_error.value)
 
 
 def test_spec_maps_a_loss_alias_to_its_kind():

@@ -373,8 +373,9 @@ def test_kind_aliases():
 # -- the link: phi, phi' and phi'' of the margin, per kind ---------------------
 
 # 0, the hinge kink m = 1 and its neighbours, and margins far out
-LINK_MARGINS = [-1e3, -50.0, -1.0, -1e-9, 0.0, 1e-9, 0.5, np.nextafter(1.0, 0.0),
-                1.0, np.nextafter(1.0, 2.0), 2.0, 36.0, 50.0, 1e3]
+LINK_MARGINS = [-1e3, -745.0, -50.0, -40.5, -1.0, -1e-9, 0.0, 1e-9, 0.5,
+                np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 2.0, 36.0, 40.5, 50.0,
+                745.0, 1e3]
 
 
 def margin_model(kind, margins, lam):
@@ -395,7 +396,13 @@ def test_link_float_and_array_forms_agree_bit_for_bit(kind):
     coefs, curvs = model.margin_coefs(dots), model.curvature_coefs(dots)
     for i in range(model.n):
         assert float(model.margin_coef_at(i, float(dots[i]))).hex() == float(coefs[i]).hex()
-        assert float(model._curv_coef(i, w)).hex() == float(curvs[i]).hex()
+        # phi'' has one form: the per-sample oracles call it on one np.float64
+        c = model._curv_coef(i, w)
+        assert isinstance(c, np.float64) and c.hex() == float(curvs[i]).hex()
+        # with a_i = [a] and v = [1]: lam v + c (a_i.v) a_i and lam + c a^2
+        a = float(dots[i])
+        assert model.hess_vec_sample(i, w, np.ones(1))[0].hex() == (model.lam + c * a * a).hex()
+        assert model.hess_diag_sample(i, w)[0].hex() == (model.lam + c * a * a).hex()
         alone = LossModel(model.dataset.subsample([i]), model.lam, kind)
         assert float(model.value_sample(i, w)).hex() == alone.value(w).hex()
 
