@@ -101,61 +101,42 @@ def parse_libsvm(source) -> SparseDataset:
     ----------
     source : str, or an iterable of lines such as a text file object
 
-    The dimension d is the largest index seen.  Duplicate or non-increasing
-    indices within a line, and non-finite labels or values (``inf``,
-    ``nan``), are a parse error.
+    An index is an integer in 1 .. 2**63 - 1, strictly increasing within a
+    line; the dimension d is the largest index seen.  Blank lines are
+    skipped but counted in line numbers.  Any other token, and a
+    non-finite label or value (``inf``, ``nan``), is a parse error.
     """
     lines = io.StringIO(source) if isinstance(source, str) else source
-
-    labels: list[float] = []
-    line_nos: list[int] = []
-    rows_idx: list[np.ndarray] = []
-    rows_val: list[np.ndarray] = []
-    max_index = -1
-
+    # the CSR arrays as flat lists, and each row's line number for messages
+    labels, line_nos, indptr, indices, values = [], [], [0], [], []
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         try:
-            label = float(tokens[0])
+            labels.append(float(tokens[0]))
         except ValueError:
             raise LibsvmParseError(f"non-numeric label {tokens[0]!r}", line_no) from None
-
-        idx = np.empty(len(tokens) - 1, dtype=np.int64)
-        val = np.empty(len(tokens) - 1)
         prev = 0
-        for j, tok in enumerate(tokens[1:]):
-            part = tok.split(":", 1)
-            if len(part) != 2:
+        for tok in tokens[1:]:
+            k, colon, v = tok.partition(":")
+            if not colon:
                 raise LibsvmParseError(f"expected idx:val, got {tok!r}", line_no)
             try:
-                k = int(part[0])
-                v = float(part[1])
+                k = int(k)
+                values.append(float(v))
             except ValueError:
                 raise LibsvmParseError(f"non-numeric token {tok!r}", line_no) from None
             if k <= prev:
                 raise LibsvmParseError(f"index {k} not strictly increasing (after {prev})", line_no)
+            if k > 2**63 - 1:               # d = k must fit in an int64
+                raise LibsvmParseError(f"index {k} above 2**63 - 1", line_no)
             prev = k
-            idx[j] = k - 1
-            val[j] = v
-        if idx.size:
-            max_index = max(max_index, int(idx[-1]))
-
-        labels.append(label)
+            indices.append(k - 1)
         line_nos.append(line_no)
-        rows_idx.append(idx)
-        rows_val.append(val)
+        indptr.append(len(indices))
 
-    d = max_index + 1
-    n = len(labels)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for i, idx in enumerate(rows_idx):
-        indptr[i + 1] = indptr[i] + idx.size
-    indices = np.concatenate(rows_idx) if rows_idx else np.zeros(0, dtype=np.int64)
-    values = np.concatenate(rows_val) if rows_val else np.zeros(0)
-    labels = np.asarray(labels)
+    labels, values = np.array(labels), np.array(values)
     # one pass over the assembled arrays rather than a check per token
     if not np.isfinite(labels).all():
         row = int(np.argmin(np.isfinite(labels)))
@@ -164,7 +145,8 @@ def parse_libsvm(source) -> SparseDataset:
         k = int(np.argmin(np.isfinite(values)))
         row = int(np.searchsorted(indptr, k, side="right")) - 1
         raise LibsvmParseError(f"non-finite value {float(values[k])!r}", line_nos[row])
-    X = sp.csr_matrix((values, indices, indptr), shape=(n, d))
+    d = max(indices, default=-1) + 1
+    X = sp.csr_matrix((values, indices, indptr), shape=(len(labels), d))
     return SparseDataset(X, labels)
 
 

@@ -142,7 +142,7 @@ def load_dataset(spec: ExperimentSpec) -> SparseDataset:
         try:
             with open(spec.data_path, "r") as fh:
                 ds = parse_libsvm(fh)
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise DataSourceError(f"cannot read {spec.data_path}: {err}") from err
         if ds.n == 0:
             raise DataSourceError(f"{spec.data_path} holds no sample")

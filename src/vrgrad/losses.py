@@ -100,12 +100,12 @@ class LossModel:
         X = dataset.features
         self._indptr, self._indices, self._data = X.indptr, X.indices, X.data
         self.XT = X.T
-        self.row_sq_norms = np.asarray(X.multiply(X).sum(axis=1)).ravel()
         # formed on first read.  Not functools.cached_property: it writes
         # through the instance __dict__, and once that is read CPython takes
         # a slower path for every attribute read on the model
         self._gram = self._X_sq_T = None
         self._powers = {}                   # exponent k -> X^k, element-wise
+        self.row_sq_norms = np.asarray(self.power(2).sum(axis=1)).ravel()
 
     # -- shapes ------------------------------------------------------------
 
@@ -263,7 +263,11 @@ class LossModel:
     def power(self, k: int):
         """X^k, the k-th element-wise power of X, as CSR."""
         if k not in self._powers:
-            self._powers[k] = self.dataset.features.power(k)
+            Xk = self.dataset.features.power(k)
+            # no entry that underflowed to 0, as X.multiply(X) leaves none:
+            # the entries a row sum adds up, and so its bits, are the same
+            Xk.eliminate_zeros()
+            self._powers[k] = Xk
         return self._powers[k]
 
     def mean_hess_diag(self, w: np.ndarray) -> np.ndarray:

@@ -340,6 +340,37 @@ def test_a_data_file_without_a_sample_is_a_data_error(tmp_path, capsys, text, co
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("content, messages", [
+    (b"+1 1:0.5\n-1 \xff:1\n", ["cannot read {path}: ", "codec can't decode byte 0xff"]),
+    (f"+1 1:0.5\n-1 {2**70}:1\n".encode(), [f"line 2: index {2**70} above 2**63 - 1"]),
+], ids=["byte-0xff", "index-2**70"])
+@pytest.mark.parametrize("command", ["run", "reference"])
+def test_an_undecodable_or_out_of_range_data_file_is_a_data_error(tmp_path, capsys, command,
+                                                                   content, messages):
+    # a UnicodeDecodeError is a ValueError, which main maps to exit 1 unless
+    # it is taken as a data error
+    data = tmp_path / "bad.svm"
+    data.write_bytes(content)
+    argv = [command, "--data", str(data), "--lambda", "1e-2"]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out"), "--cache-dir", str(tmp_path / "cache")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {messages[0].format(path=data)}")
+    assert all(message in err for message in messages[1:])
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_undecodable_spec_file_is_a_data_error(tmp_path, capsys):
+    # as a missing spec file does
+    spec = tmp_path / "spec.txt"
+    spec.write_bytes(b"synth = 20,3,0\nepochs = \xff\n")
+    assert main(["run", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "codec can't decode byte 0xff" in err
+    assert not (tmp_path / "out").exists()
+
+
 def _damage_header(out):
     run = next(out.glob("run_*.csv"))
     run.write_text("epoch,fval\n" + run.read_text().split("\n", 1)[1])

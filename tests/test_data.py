@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -86,6 +88,47 @@ class TestParse:
         with pytest.raises(LibsvmParseError) as err:
             parse_libsvm("+1 1:0.5\nnan 2:1.0\n")
         assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("text, line_no, message", [
+        ("+1 1:0.5\n\nfoo 1:1\n", 3, "non-numeric label 'foo'"),
+        ("+1 1:0.5\r\n-1 2\r\n", 2, "expected idx:val, got '2'"),
+        ("+1\t1:0.5\t2:x\n", 1, "non-numeric token '2:x'"),
+        ("+1 1:\n", 1, "non-numeric token '1:'"),
+        ("+1 :1\n", 1, "non-numeric token ':1'"),
+        ("+1 1:2:3\n", 1, "non-numeric token '1:2:3'"),
+        ("\n-1 0:1\n", 2, "index 0 not strictly increasing (after 0)"),
+        ("+1 -1:1\n", 1, "index -1 not strictly increasing (after 0)"),
+        ("+1 2:1 2:3\n", 1, "index 2 not strictly increasing (after 2)"),
+        ("+1 3:1\t2:3\r\n", 1, "index 2 not strictly increasing (after 3)"),
+        ("+1 1:1\n\n-1 9223372036854775808:1\n", 3,
+         "index 9223372036854775808 above 2**63 - 1"),
+        (f"+1 1:1 {2**70}:1\n", 1, f"index {2**70} above 2**63 - 1"),
+        ("+1 1:1\n\nnan 1:1\n", 3, "non-finite label nan"),
+        ("+1 1:1\r\n\r\n-1 1:1\t2:inf\r\n", 3, "non-finite value inf"),
+    ])
+    def test_malformed_input_names_its_line(self, text, line_no, message):
+        # blank lines count; CRLF endings and tabs separate like spaces
+        with pytest.raises(LibsvmParseError) as err:
+            parse_libsvm(text)
+        assert err.value.line_no == line_no
+        assert str(err.value) == f"line {line_no}: {message}"
+
+    def test_largest_index_is_2_to_the_63_minus_1(self):
+        ds = parse_libsvm(f"+1 1:1 {2**63 - 1}:2\n")
+        assert ds.d == 2**63 - 1
+        assert _row(ds, 0) == ([0, 2**63 - 2], [1.0, 2.0])
+
+    def test_a_string_and_a_file_of_it_parse_alike(self, tmp_path):
+        text = "+1 1:0.5\t3:-2\r\n\r\n-1\n \n+1 2:1e-300 4:7\n-1 4:0.25"
+        path = tmp_path / "mixed.svm"
+        path.write_bytes(text.encode())
+        with open(path) as fh:
+            from_file = parse_libsvm(fh)
+        from_string = parse_libsvm(text)
+        assert from_string.n == 4 and from_string.d == 4
+        assert from_file == from_string
+        assert parse_libsvm(io.StringIO(text)) == from_string
+        assert parse_libsvm(text.splitlines(keepends=True)) == from_string
 
     def test_labels_stored_as_reals(self):
         # the parser accepts any numeric label; models enforce {-1,+1}

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from vrgrad.correction import build_correction
 from vrgrad.data import SparseDataset, synth_binary
 from vrgrad.losses import _LINKS, KINDS, LossModel
+from vrgrad.optimizer import measure_variance
 
 # -- independent oracles -------------------------------------------------------
 
@@ -305,6 +308,58 @@ def test_dataset_oracles_build_no_transpose(monkeypatch, instances):
         want = [X.T @ model.margin_coefs(X @ w) / model.n + model.lam * w] * 2 + [
             model.lam * v + hv, diag, diag]
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+def squares_formed(monkeypatch, X):
+    """Every X o X of X's class formed from now on, by power(2) or multiply."""
+    formed = []
+    cls = type(X)
+    real_power, real_multiply = cls.power, cls.multiply
+
+    def power(self, n, *args, **kwargs):
+        if n == 2:
+            formed.append("power")
+        return real_power(self, n, *args, **kwargs)
+
+    def multiply(self, other):
+        if other is self:
+            formed.append("multiply")
+        return real_multiply(self, other)
+
+    monkeypatch.setattr(cls, "power", power)
+    monkeypatch.setattr(cls, "multiply", multiply)
+    return formed
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_x_squared_is_formed_once_per_model(monkeypatch, kind):
+    # the row norms and SVRG2D's diagonal and variance terms read one X o X
+    ds = synth_binary(40, 6, seed=2)
+    formed = squares_formed(monkeypatch, ds.features)
+    model = LossModel(ds, 1e-2, kind)
+    assert formed == ["power"]
+    rng = np.random.default_rng(4)
+    w_prev, w = rng.standard_normal(6), rng.standard_normal(6)
+    corr = build_correction("diag_hessian", model, w, w_prev)
+    measure_variance(model, corr, w + 0.1 * rng.standard_normal(6))
+    model.mean_hess_diag(w_prev)
+    assert formed == ["power"]
+
+
+def test_row_norms_keep_the_bits_of_x_multiply_x_when_squares_underflow():
+    # X.power(2) keeps an entry whose square underflows to 0 and
+    # X.multiply(X) drops it; numpy sums a row pairwise, so one entry more or
+    # less can move the sum's bits
+    rng = np.random.default_rng(1)
+    X = sp.random(300, 2000, density=0.01, format="csr", random_state=1)
+    X.data = rng.standard_normal(X.nnz) * 10.0 ** rng.integers(-200, 0, X.nnz)
+    ds = SparseDataset(X, np.where(rng.random(300) < 0.5, 1.0, -1.0))
+    model = LossModel(ds, 1e-3)
+    X = ds.features
+    want = np.asarray(X.multiply(X).sum(axis=1)).ravel()
+    assert (X.power(2).data == 0.0).any()
+    assert model.row_sq_norms.tobytes() == want.tobytes()
+    assert not (model.power(2).data == 0.0).any()
 
 
 def test_hessian_symmetry_proxy(instances):

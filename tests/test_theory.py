@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vrgrad.correction import build_correction
@@ -430,6 +430,8 @@ def test_alpha_full_hessian_from_the_model_bound():
 @settings(max_examples=300, deadline=None)
 @given(mu=st.floats(1e-4, 1.0), kappa=st.floats(1.0, 1e3), alpha=st.floats(0.0, 10.0),
        eta_scale=st.floats(1e-4, 2.0), m=st.integers(1, 2000))
+# gamma is subnormal here, and the two sides round it one grid spacing apart
+@example(mu=1.0, kappa=1.0, alpha=2.2250738585e-313, eta_scale=0.75, m=1529)
 def test_gamma2_is_the_two_term_formula(mu, kappa, alpha, eta_scale, m):
     # L/mu < 1 is outside the theorem and rejected (see
     # test_rate_formulas_reject_mu_outside_0_L)
@@ -442,5 +444,8 @@ def test_gamma2_is_the_two_term_formula(mu, kappa, alpha, eta_scale, m):
         return
     base = 1.0 - 2.0 * eta * mu * denom
     want = base ** m + 2.0 * alpha * eta * L ** 2 / (mu * denom)
-    assert est.value == pytest.approx(want, rel=1e-12, abs=0.0)
+    # below the smallest normal float, 2.2e-308, the spacing of the grid is
+    # 4.9e-324 and rel=1e-12 asks for less than one; abs=1e-320 is below
+    # rel=1e-12 of every normal float, so it loosens nothing above that
+    assert est.value == pytest.approx(want, rel=1e-12, abs=1e-320)
     assert est.feasible == ((0.0 <= base < 1.0) and want < 1.0)
