@@ -1,10 +1,10 @@
 """Command-line front end: ``run``, ``plot`` and ``reference`` subcommands.
 
 Exit codes: 0 success, 2 usage error (a bad flag or spec-file value), 3 data
-error (a missing, undecodable or malformed file, or a label outside
-{-1, +1}), 4 reference-solver failure, 5 divergence, 1 anything else.  The
-reference cache directory comes from --cache-dir or the VRGRAD_CACHE_DIR env
-var.
+error (a missing, undecodable or malformed file, a results directory missing
+a file or a winner, or a label outside {-1, +1}), 4 reference-solver failure,
+5 divergence, 1 anything else.  The reference cache directory comes from
+--cache-dir or the VRGRAD_CACHE_DIR env var.
 
 Config files for ``run --spec`` are flat ``key = value`` text; list values
 are comma-separated, and a key that is not a ``run`` flag is a usage error.

@@ -103,13 +103,15 @@ def parse_libsvm(source) -> SparseDataset:
 
     An index is an integer in 1 .. 2**63 - 1, strictly increasing within a
     line; the dimension d is the largest index seen.  Blank lines are
-    skipped but counted in line numbers.  Any other token, and a
-    non-finite label or value (``inf``, ``nan``), is a parse error.
+    skipped but counted in line numbers.  Any other token, a ``_`` or
+    non-ASCII character, or a non-finite label or value is a parse error.
     """
     lines = io.StringIO(source) if isinstance(source, str) else source
     # the CSR arrays as flat lists, and each row's line number for messages
     labels, line_nos, indptr, indices, values = [], [], [0], [], []
     for line_no, raw in enumerate(lines, start=1):
+        if "_" in raw or not raw.isascii():     # int() takes 1_0 and other scripts' digits
+            raise LibsvmParseError("'_' or a non-ASCII character in the line", line_no)
         tokens = raw.split()
         if not tokens:
             continue

@@ -5,7 +5,8 @@ family, regularization weights, methods, a step-parameter grid, and seeds.
 ``run_experiment`` solves the reference per lambda, runs every
 (method, lambda, step, seed) cell, and picks each cell's winner by final
 optimality gap.  ``emit_csv``/``load_table`` round-trip the telemetry
-exactly; ``emit_plots`` renders gap-vs-epoch, gap-vs-time and
+exactly, and ``load_table`` takes only the whole layout ``emit_csv``
+writes; ``emit_plots`` renders gap-vs-epoch, gap-vs-time and
 variance-vs-epoch figures for the winners.
 
 All outputs except wall-time columns are byte-deterministic given the spec
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from itertools import product
 from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
@@ -126,7 +128,7 @@ class ResultTable:
         return [r for r in self.cell(method, lam) if r.step_param == step]
 
     def winner_rows(self, method: str, lam: float):
-        return self.step_rows(method, lam, self.winners.get((method, lam)))
+        return self.step_rows(method, lam, self.winners[(method, lam)])
 
     def mean_gap(self, method: str, lam: float, step: float | None = None) -> float:
         """The final gap of a cell's step, averaged over seeds (diverged
@@ -263,7 +265,7 @@ def emit_csv(table: ResultTable, out_dir) -> list[Path]:
         raise ValueError("empty result table")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model = table.metadata.get("model", "model")
+    model = table.metadata["model"]
     paths = []
 
     for row in table.rows:
@@ -307,42 +309,48 @@ def parse_run_csv(path) -> list[EpochRecord]:
 def load_table(out_dir) -> ResultTable:
     """Rebuild a ResultTable from a directory written by emit_csv.
 
-    A file there that does not parse raises :class:`DataSourceError`
-    naming it.
+    That is metadata.json, the run CSV of each cell it names, and one line
+    per (method, lambda) in winners.csv with a step of the grid; a file
+    missing or malformed raises :class:`DataSourceError` naming it.
     """
     out = Path(out_dir)
     path = out / "metadata.json"    # the file being read, for the error
     try:
         meta = json.loads(path.read_text())
-        references = {float(k): float(v) for k, v in meta.pop("references", {}).items()}
+        references = {float(k): float(v) for k, v in meta.pop("references").items()}
         table = ResultTable(metadata=meta, references=references)
-        model, epochs = meta.get("model", "model"), meta["epochs"]
+        model, epochs = meta["model"], meta["epochs"]
 
-        for lam in meta["lambdas"]:
-            for method in meta["methods"]:
-                for g in meta["grid"]:
-                    for seed in meta["seeds"]:
-                        path = out / run_filename(model, lam, method, g, seed)
-                        if not path.exists():
-                            continue
-                        records = parse_run_csv(path)
-                        diverged = len(records) < epochs
-                        table.rows.append(RunRow(method, float(lam), float(g),
-                                                 int(seed), records, diverged))
+        for lam, method, g, seed in product(meta["lambdas"], meta["methods"], meta["grid"],
+                                            meta["seeds"]):
+            path = out / run_filename(model, lam, method, g, seed)
+            records = parse_run_csv(path)
+            table.rows.append(RunRow(method, float(lam), float(g), int(seed), records,
+                                     diverged=len(records) < epochs))
 
         path = out / "winners.csv"
-        for line in path.read_text().strip().splitlines()[1:]:
+        lines = path.read_text().strip().splitlines()[1:]
+        for line in lines:
             f = line.split(",")
             table.winners[(f[0], float(f[1]))] = float(f[2])
-    except (ValueError, KeyError, TypeError, IndexError) as err:
+        cells = list(product(meta["methods"], map(float, meta["lambdas"])))
+        if len(lines) != len(cells) or not all(table.winner_rows(*cell) for cell in cells):
+            raise ValueError("not one line per (method, lambda) with a step of the grid")
+    except (OSError, ValueError, KeyError, TypeError, IndexError) as err:
         raise DataSourceError(f"{path} is malformed: {type(err).__name__}: {err}") from err
     return table
 
 
 # -- figures -------------------------------------------------------------------
 
-def _plot_token(lam: float) -> str:
-    return _param_token(lam).replace("-", "m").replace(".", "p")
+# each figure: file stem, title, axis labels, EpochRecord fields on x and y
+_FIGURES = (
+    ("gap_vs_epoch", "optimality gap vs epoch", "epoch", "optimality gap", "epoch", "gap"),
+    ("gap_vs_time", "optimality gap vs wall time", "wall time (s)", "optimality gap",
+     "wall_time", "gap"),
+    ("variance_vs_epoch", "direction variance vs epoch", "epoch", "variance",
+     "epoch", "variance"),
+)
 
 
 def emit_plots(table: ResultTable, out_dir) -> list[Path]:
@@ -351,43 +359,28 @@ def emit_plots(table: ResultTable, out_dir) -> list[Path]:
     One series per (method, lambda) winner, seeds overlaid.  Output bytes
     are a pure function of the table contents.
     """
-    if not table.rows:
-        print("emit_plots: empty table, nothing to plot")
-        return []
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model = table.metadata.get("model", "model")
-    lambdas = sorted({row.lam for row in table.rows})
-    methods = table.metadata.get("methods") or sorted({row.method for row in table.rows})
+    model = table.metadata["model"]
     paths = []
 
-    for lam in lambdas:
-        gap_epoch, gap_time, var_epoch = [], [], []
-        for method in methods:
+    for lam in sorted({row.lam for row in table.rows}):
+        token = _param_token(lam).replace("-", "m").replace(".", "p")
+        curves = []     # (label, records), one per winning run
+        for method in table.metadata["methods"]:
             rows = sorted(table.winner_rows(method, lam), key=attrgetter("seed"))
-            for row in rows:
-                label = method if len(rows) == 1 else f"{method} (seed {row.seed})"
-                epochs = [rec.epoch for rec in row.records]
-                gap_epoch.append((label, epochs, [rec.gap for rec in row.records]))
-                gap_time.append((label, [rec.wall_time for rec in row.records],
-                                 [rec.gap for rec in row.records]))
-                var_epoch.append((label, epochs, [rec.variance for rec in row.records]))
+            curves += [(method if len(rows) == 1 else f"{method} (seed {row.seed})",
+                        row.records) for row in rows]
 
-        specs = [
-            (f"gap_vs_epoch_lam{_plot_token(lam)}.svg", gap_epoch,
-             "optimality gap vs epoch", "epoch", "optimality gap"),
-            (f"gap_vs_time_lam{_plot_token(lam)}.svg", gap_time,
-             "optimality gap vs wall time", "wall time (s)", "optimality gap"),
-            (f"variance_vs_epoch_lam{_plot_token(lam)}.svg", var_epoch,
-             "direction variance vs epoch", "epoch", "variance"),
-        ]
-        for fname, series, title, xlabel, ylabel in specs:
+        for stem, title, xlabel, ylabel, x, y in _FIGURES:
+            path = out / f"{stem}_lam{token}.svg"
+            series = [(label, [getattr(rec, x) for rec in records],
+                       [getattr(rec, y) for rec in records]) for label, records in curves]
             svg = svgplot.line_chart(series, f"{title} ({model}, lambda={lam:g})",
                                      xlabel, ylabel)
             if svg is None:
-                print(f"emit_plots: no positive data for {fname}, skipped")
+                print(f"emit_plots: no positive data for {path.name}, skipped")
                 continue
-            path = out / fname
             path.write_text(svg)
             paths.append(path)
     return paths

@@ -6,11 +6,12 @@ Its line search accepts a sufficient decrease of F or of ||grad F||: near
 the minimum F's decrease rounds away in float64, and where a step crosses
 a hinge kink ||grad F|| can grow while F falls.  Solutions for loss models
 can be cached to disk in a small versioned binary format; cache hits
-reproduce them bit-exactly.
+reproduce them bit-exactly, and a damaged entry is a miss.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -151,22 +152,24 @@ def save_reference(path, sol: ReferenceSolution) -> None:
 
 
 def load_reference(path) -> ReferenceSolution:
+    """save_reference's entry at ``path``; a damaged one raises ValueError."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a reference cache file")
-        header = json.loads(fh.readline().decode())
-        w = np.frombuffer(fh.read(), dtype="<f8").copy()
-    if w.size != header["d"]:
-        raise ValueError(f"{path}: truncated vector payload")
-    return ReferenceSolution(
-        w_star=w,
-        f_star=float.fromhex(header["f_star"]),
-        grad_norm=float.fromhex(header["grad_norm"]),
-        iterations=int(header["iterations"]),
-        converged=bool(header["converged"]),
-        tol=float.fromhex(header["tol"]),
-    )
+        magic, header, payload = fh.read(len(_MAGIC)), fh.readline(), fh.read()
+    try:
+        header = json.loads(header)
+        w = np.frombuffer(payload, dtype="<f8").copy()
+        if magic != _MAGIC or w.size != header["d"]:
+            raise ValueError("not one whole reference cache entry")
+        return ReferenceSolution(
+            w_star=w,
+            f_star=float.fromhex(header["f_star"]),
+            grad_norm=float.fromhex(header["grad_norm"]),
+            iterations=int(header["iterations"]),
+            converged=bool(header["converged"]),
+            tol=float.fromhex(header["tol"]),
+        )
+    except (ValueError, KeyError, TypeError) as err:
+        raise ValueError(f"{path}: damaged cache entry: {type(err).__name__}: {err}") from err
 
 
 def cached_reference(model: LossModel, tol: float = DEFAULT_TOL,
@@ -174,8 +177,8 @@ def cached_reference(model: LossModel, tol: float = DEFAULT_TOL,
     """solve_reference with a bit-exact disk cache keyed by
     (dataset hash, model kind, lambda, tol).
 
-    Only converged solutions are saved; a cached one that is not converged
-    counts as a miss and is solved again.
+    Only converged solutions are saved; a damaged entry, or one not
+    converged, counts as a miss: it is solved again and overwritten.
     """
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV_VAR)
@@ -183,9 +186,10 @@ def cached_reference(model: LossModel, tol: float = DEFAULT_TOL,
         return solve_reference(model, tol=tol)
     path = cache_path(cache_dir, model.dataset, model.kind, float(model.lam), float(tol))
     if path.exists():
-        sol = load_reference(path)
-        if sol.converged:
-            return sol
+        with contextlib.suppress(ValueError):   # a damaged entry is a miss
+            sol = load_reference(path)
+            if sol.converged:
+                return sol
     sol = solve_reference(model, tol=tol)
     if sol.converged:
         save_reference(path, sol)

@@ -396,9 +396,45 @@ def _damage_lambdas(out):
     return out / "metadata.json"
 
 
-@pytest.mark.parametrize("damage", [_damage_header, _damage_row, _damage_json, _damage_lambdas])
+def _drop_run(out):
+    run = next(out.glob("run_*.csv"))
+    run.unlink()
+    return run
+
+
+def _rewrite_winners(out, edit):
+    winners = out / "winners.csv"
+    header, row = winners.read_text().splitlines()
+    winners.write_text("\n".join([header, *edit(row)]) + "\n")
+    return winners
+
+
+def _drop_winner(out):
+    return _rewrite_winners(out, lambda row: [])
+
+
+def _add_winner(out):
+    return _rewrite_winners(out, lambda row: [row, row.replace("SVRG", "SVRG2", 1)])
+
+
+def _winner_off_the_grid(out):
+    return _rewrite_winners(out, lambda row: [row.replace(",1.00000000000000006e-01,",
+                                                          ",2.00000000000000011e-01,", 1)])
+
+
+def _drop_model(out):
+    meta = _metadata(out)
+    del meta["model"]
+    (out / "metadata.json").write_text(json.dumps(meta))
+    return out / "metadata.json"
+
+
+@pytest.mark.parametrize("damage", [_damage_header, _damage_row, _damage_json, _damage_lambdas,
+                                    _drop_run, _drop_winner, _add_winner,
+                                    _winner_off_the_grid, _drop_model])
 def test_plot_from_a_damaged_results_directory_is_a_data_error(tmp_path, capsys, damage):
-    # before, each of these exited 1, and a missing "lambdas" with a traceback
+    # before, the first four exited 1, and a missing "lambdas" with a
+    # traceback; the last five exited 0 with a curve or a figure left out
     out = tmp_path / "results"
     assert main(["run", "--synth", "20,3,0", "--epochs", "2", "--lambda", "1e-2",
                  "--grid", "0.1", "--out", str(out),

@@ -105,6 +105,12 @@ class TestParse:
         (f"+1 1:1 {2**70}:1\n", 1, f"index {2**70} above 2**63 - 1"),
         ("+1 1:1\n\nnan 1:1\n", 3, "non-finite label nan"),
         ("+1 1:1\r\n\r\n-1 1:1\t2:inf\r\n", 3, "non-finite value inf"),
+        # forms that only Python's int() and float() take: before, these read
+        # as index 10, index 1, value 15 and label 10
+        ("+1 1:1\n\n+1 1_0:1\n", 3, "'_' or a non-ASCII character in the line"),
+        ("-1 1:1\n+1 \u0661:1\n", 2, "'_' or a non-ASCII character in the line"),
+        ("+1 1:\u0661_5\n", 1, "'_' or a non-ASCII character in the line"),
+        ("+1_0 1:1\n", 1, "'_' or a non-ASCII character in the line"),
     ])
     def test_malformed_input_names_its_line(self, text, line_no, message):
         # blank lines count; CRLF endings and tabs separate like spaces
@@ -112,6 +118,11 @@ class TestParse:
             parse_libsvm(text)
         assert err.value.line_no == line_no
         assert str(err.value) == f"line {line_no}: {message}"
+
+    def test_exponent_leading_dot_and_plus_sign_parse(self):
+        ds = parse_libsvm("+3 1:1e5 2:.5 +3:-.25E-1\n")
+        assert ds.labels[0] == 3.0
+        assert _row(ds, 0) == ([0, 1, 2], [1e5, 0.5, -0.025])
 
     def test_largest_index_is_2_to_the_63_minus_1(self):
         ds = parse_libsvm(f"+1 1:1 {2**63 - 1}:2\n")

@@ -1,6 +1,7 @@
 """emit_csv -> load_table is exact, whatever floats the telemetry holds."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrgrad.harness import (ExperimentSpec, ResultTable, RunRow, emit_csv, load_table,
-                            parse_run_csv, run_experiment)
+from vrgrad.harness import (ExperimentSpec, ResultTable, RunRow, emit_csv, emit_plots,
+                            load_table, parse_run_csv, run_experiment)
 from vrgrad.losses import KINDS
 from vrgrad.optimizer import METHODS, EpochRecord, RunConfig
 from vrgrad.stepsize import constant
@@ -106,6 +107,52 @@ def test_run_csv_bytes_are_the_golden_file(tmp_path):
     parsed = parse_run_csv(path)
     assert [type(r.grad_evals) for r in parsed] == [int, int]
     assert _bits(load_table(tmp_path)) == _bits(table)
+
+
+def _figure_table():
+    """Two lambdas and three methods, every value fixed, wall time included.
+    SVRG2 has two seeds, so its curves are labelled by seed; SVRG2BB's
+    winner at 1e-4 stopped after one epoch, and at 1e-4 every variance is 0,
+    so that figure is skipped."""
+    lambdas, methods, grid = [1e-3, 1e-4], ["SVRG", "SVRG2", "SVRG2BB"], [0.1, 1.0]
+    table = ResultTable(metadata={"model": "logistic", "epochs": 3, "lambdas": lambdas,
+                                  "methods": methods, "grid": grid, "seeds": [0, 1]})
+    for (i, lam), (j, method), step in itertools.product(
+            enumerate(lambdas), enumerate(methods), grid):
+        for seed in ((0, 1) if method == "SVRG2" else (0,)):
+            epochs = 1 if (method, lam) == ("SVRG2BB", 1e-4) else 3
+            records = [EpochRecord(
+                epoch=e, fval=1.0 + 0.5 ** e, gap=(1 + j + seed) * 10.0 ** (-e - i) / step,
+                wall_time=0.125 * e * (j + 1), variance=0.5 ** (e + j) if i == 0 else 0.0,
+                step_size=step, grad_evals=60 * e) for e in range(1, epochs + 1)]
+            table.rows.append(RunRow(method, lam, step, seed, records, epochs < 3))
+    table.winners = {("SVRG", 1e-3): 0.1, ("SVRG", 1e-4): 1.0, ("SVRG2", 1e-3): 1.0,
+                     ("SVRG2", 1e-4): 0.1, ("SVRG2BB", 1e-3): 0.1, ("SVRG2BB", 1e-4): 1.0}
+    return table
+
+
+# SHA-256 of each figure of _figure_table, as written before the figures were
+# declared in one table; a changed title, label, axis field or order moves them
+_GOLDEN_FIGURES = {
+    "gap_vs_epoch_lam0p0001.svg":
+        "a9050fb8e303c61e1aaa1ed30e782f8e819a8a5d5c68ff993579b67cd83a7624",
+    "gap_vs_time_lam0p0001.svg":
+        "1c813898bbca1efe87b9d431ca3d5c61820880012d0ad7322d0c5de5f9f4918e",
+    "gap_vs_epoch_lam0p001.svg":
+        "30f90e7529bf0c4046fad9e7db97a2eaa639059a055c44b0a83bae9badcdc4ec",
+    "gap_vs_time_lam0p001.svg":
+        "1c68b8391878546539e6f00f7062c4c469833964fe51514fb4f50bc84d4d9148",
+    "variance_vs_epoch_lam0p001.svg":
+        "eb81e8177c31592295c34e33a8b7917629d15a707a1b97944aef4e3537d8887a",
+}
+
+
+def test_figure_bytes_are_the_golden_files(tmp_path, capsys):
+    paths = emit_plots(_figure_table(), tmp_path)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths} \
+        == _GOLDEN_FIGURES
+    assert [p.name for p in paths] == list(_GOLDEN_FIGURES)
+    assert "variance_vs_epoch_lam0p0001.svg, skipped" in capsys.readouterr().out
 
 
 def test_run_csv_row_with_a_missing_column_is_rejected(tmp_path):

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -225,6 +228,33 @@ class TestCache:
         path.write_bytes(b"not a cache file")
         with pytest.raises(ValueError):
             load_reference(path)
+
+    @pytest.mark.parametrize("damage", ["cut-payload", "garbage", "header-without-tol"])
+    def test_damaged_entry_is_a_miss_and_is_overwritten(self, tmp_path, damage):
+        # before, each of these raised out of cached_reference, and the key
+        # failed until the file was deleted
+        model = LossModel(synth_binary(40, 5, seed=55), 1e-2, "logistic")
+        fresh = solve_reference(model, tol=1e-10)
+        path = cache_path(tmp_path, model.dataset, model.kind, model.lam, 1e-10)
+        save_reference(path, fresh)
+        whole = path.read_bytes()
+        magic, header, payload = whole.split(b"\n", 2)
+        if damage == "cut-payload":
+            path.write_bytes(whole[:-(len(payload) // 2 + 3)])  # not a multiple of 8
+        elif damage == "garbage":
+            path.write_bytes(b"\x93\x00garbage" * 7)
+        else:
+            without_tol = {k: v for k, v in json.loads(header).items() if k != "tol"}
+            path.write_bytes(b"\n".join([magic, json.dumps(without_tol).encode(), payload]))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_reference(path)
+        sol = cached_reference(model, tol=1e-10, cache_dir=tmp_path)
+        assert sol.w_star.tobytes() == fresh.w_star.tobytes()
+        assert ((sol.f_star, sol.grad_norm, sol.iterations, sol.converged, sol.tol)
+                == (fresh.f_star, fresh.grad_norm, fresh.iterations, fresh.converged,
+                    fresh.tol))
+        assert path.read_bytes() == whole
+        assert load_reference(path).w_star.tobytes() == fresh.w_star.tobytes()
 
 
 _ENTRIES = (0.0, 0.5, -1.0, 3.0, 1e-300)
