@@ -25,15 +25,18 @@ the per-sample scalars
 
     kappa_i = (c_i(z) - c_i(z_prev)) (a_i^T s) / ||s||^2,
 
-so that A_i = (lam + kappa_i) I.  Two more n-vectors, the dense step's memos,
-are plain arrays made with the operator and filled one entry at a time, the
-first time a sample is asked for: c_i(z) from the row dot
-a_i^T z (``anchor_coef_at``) and the scalar lam + kappa_i from
-``grad_sample_delta`` at the anchor pair (``sample_scalar_at``), each by
-the per-sample oracles' expression, which can differ from the matvec forms
+so that A_i = (lam + kappa_i) I.  The dense step's two memos are Python
+lists of n floats, made with the operator and filled one entry at a time,
+the first time a sample is asked for: c_i(z) from the row dot a_i^T z
+(``anchor_coef_at``), and the scalar lam + kappa_i from the gradient
+difference at the anchor pair, formed as ``grad_sample_delta`` forms it
+with c_i(z) from the first memo (``sample_scalar_at``).  Each is the
+per-sample oracles' expression, which can differ from the matvec forms
 above in the last bits.  ``apply_sample`` takes its ``bb_scalar`` scalar
-from the latter.  A ``cached_property`` memo would slow every later
-attribute read of the operator, the dense step's included.
+from the latter.  A list entry reads as a Python float, which the step's
+scalar arithmetic takes faster than an array element; a
+``cached_property`` memo would slow every later attribute read of the
+operator, the dense step's included.
 
 From the same data, ``sample_parts`` gives every A_i at once as n-vectors
 (p, q, h), A_i u = p_i u + q_i a_i + h_i (a_i o a_i o u) with o the
@@ -83,8 +86,8 @@ class CorrectionOperator:
         self.bb_scalar = bb_scalar    # floored; used by apply_mean
         # the dense step's memos: NaN marks an entry not yet filled, and a
         # NaN value is computed again on each call, to the same NaN
-        self._anchor_coef_memo = np.full(model.n, np.nan)
-        self._sample_scalar_memo = np.full(model.n, np.nan)
+        self._anchor_coef_memo = [math.nan] * model.n
+        self._sample_scalar_memo = [math.nan] * model.n
 
     # -- per-epoch data, computed on first use --------------------------------
 
@@ -133,13 +136,18 @@ class CorrectionOperator:
 
     def sample_scalar_at(self, i: int) -> float:
         """The scalar of A_i = (lam + kappa_i) I (``bb_scalar`` only), as
-        s^T (grad f_i(anchor) - grad f_i(w_prev2)) / ||s||^2 from
-        ``grad_sample_delta``; it is not floored."""
+        s^T (grad f_i(anchor) - grad f_i(w_prev2)) / ||s||^2 with the
+        difference formed as ``grad_sample_delta`` forms it, c_i(anchor)
+        from :meth:`anchor_coef_at`; it is not floored."""
         memo = self._sample_scalar_memo
         k = memo[i]
         if math.isnan(k):
-            pair = self.anchors
-            diff = self.model.grad_sample_delta(i, self.anchor, pair.w_prev2)
+            model, pair = self.model, self.anchors
+            cols, vals = model._row(i)
+            dc = self.anchor_coef_at(i) - model.margin_coef_at(
+                i, float(vals.dot(pair.w_prev2.take(cols))))
+            diff = model.lam * pair.s       # s = anchor - w_prev2
+            diff.put(cols, diff.take(cols) + dc * vals)
             k = memo[i] = float(pair.s @ diff) / pair.secant[0]
         return k
 

@@ -7,7 +7,9 @@ family, regularization weights, methods, a step-parameter grid, and seeds.
 optimality gap.  ``emit_csv``/``load_table`` round-trip the telemetry
 exactly, and ``load_table`` takes only the whole layout ``emit_csv``
 writes; ``emit_plots`` renders gap-vs-epoch, gap-vs-time and
-variance-vs-epoch figures for the winners.
+variance-vs-epoch figures for the winners.  Written into a directory that
+holds an earlier run, the two leave no run CSV or figure of that run that
+the new table does not name.
 
 All outputs except wall-time columns are byte-deterministic given the spec
 and seed list.
@@ -259,7 +261,9 @@ def emit_csv(table: ResultTable, out_dir) -> list[Path]:
 
     A run CSV has one column per :class:`EpochRecord` field; floats use
     17-significant-digit scientific notation, so parsing the files back
-    reproduces every record exactly.
+    reproduces every record exactly.  First, every run CSV and figure in
+    the directory that this table does not name (an earlier run's) is
+    deleted; no other file is touched.
     """
     if not table.rows:
         raise ValueError("empty result table")
@@ -268,8 +272,17 @@ def emit_csv(table: ResultTable, out_dir) -> list[Path]:
     model = table.metadata["model"]
     paths = []
 
-    for row in table.rows:
-        path = out / run_filename(model, row.lam, row.method, row.step_param, row.seed)
+    runs = [run_filename(model, row.lam, row.method, row.step_param, row.seed)
+            for row in table.rows]
+    stems = [stem for stem, *_ in _FIGURES]
+    named = set(runs) | {_figure_name(stem, row.lam) for row in table.rows for stem in stems}
+    for pattern in ["run_*.csv"] + [f"{stem}_lam*.svg" for stem in stems]:
+        for stale in out.glob(pattern):
+            if stale.name not in named:
+                stale.unlink()
+
+    for row, name in zip(table.rows, runs):
+        path = out / name
         lines = [CSV_HEADER]
         for rec in row.records:
             lines.append(",".join([fmt(value) for fmt, value
@@ -353,11 +366,18 @@ _FIGURES = (
 )
 
 
+def _figure_name(stem: str, lam: float) -> str:
+    """The file name of figure ``stem`` (a ``_FIGURES`` stem) at lambda."""
+    token = _param_token(lam).replace("-", "m").replace(".", "p")
+    return f"{stem}_lam{token}.svg"
+
+
 def emit_plots(table: ResultTable, out_dir) -> list[Path]:
     """Gap-vs-epoch, gap-vs-time and variance-vs-epoch SVGs per lambda.
 
     One series per (method, lambda) winner, seeds overlaid.  Output bytes
-    are a pure function of the table contents.
+    are a pure function of the table contents.  A figure with no positive
+    data is skipped, and an earlier run's file of its name deleted.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -365,7 +385,6 @@ def emit_plots(table: ResultTable, out_dir) -> list[Path]:
     paths = []
 
     for lam in sorted({row.lam for row in table.rows}):
-        token = _param_token(lam).replace("-", "m").replace(".", "p")
         curves = []     # (label, records), one per winning run
         for method in table.metadata["methods"]:
             rows = sorted(table.winner_rows(method, lam), key=attrgetter("seed"))
@@ -373,13 +392,14 @@ def emit_plots(table: ResultTable, out_dir) -> list[Path]:
                         row.records) for row in rows]
 
         for stem, title, xlabel, ylabel, x, y in _FIGURES:
-            path = out / f"{stem}_lam{token}.svg"
+            path = out / _figure_name(stem, lam)
             series = [(label, [getattr(rec, x) for rec in records],
                        [getattr(rec, y) for rec in records]) for label, records in curves]
             svg = svgplot.line_chart(series, f"{title} ({model}, lambda={lam:g})",
                                      xlabel, ylabel)
             if svg is None:
                 print(f"emit_plots: no positive data for {path.name}, skipped")
+                path.unlink(missing_ok=True)
                 continue
             path.write_text(svg)
             paths.append(path)

@@ -96,9 +96,12 @@ class LossModel:
         self.lam = float(lam)
         self.kind = kind
         self._link = _LINKS[kind]
-        self._b = dataset.labels.tolist()   # floats, for the per-step oracles
+        # for the per-step oracles, as Python floats and ints: the labels, and
+        # the row bounds, row i being _indices and _data [_bounds[i]:_bounds[i + 1]]
+        self._b = dataset.labels.tolist()
         X = dataset.features
-        self._indptr, self._indices, self._data = X.indptr, X.indices, X.data
+        self._bounds = X.indptr.tolist()
+        self._indices, self._data = X.indices, X.data
         self.XT = X.T
         # formed on first read.  Not functools.cached_property: it writes
         # through the instance __dict__, and once that is read CPython takes
@@ -124,8 +127,9 @@ class LossModel:
         return v
 
     def _row(self, i: int):
-        sl = slice(self._indptr[i], self._indptr[i + 1])
-        return self._indices[sl], self._data[sl]
+        """Row i's columns and values, views into X's CSR arrays."""
+        lo, hi = self._bounds[i], self._bounds[i + 1]
+        return self._indices[lo:hi], self._data[lo:hi]
 
     # -- objective ----------------------------------------------------------
 
@@ -169,15 +173,9 @@ class LossModel:
         """grad f_i(w) - grad f_i(z) in one pass over the sample's support."""
         w = self._check_dim(w)
         z = self._check_dim(z, "z")
-        return self.grad_sample_delta_from(i, w, w - z, self._margin_coef(i, z))
-
-    def grad_sample_delta_from(self, i: int, w: np.ndarray, u: np.ndarray,
-                               z_coef: float) -> np.ndarray:
-        """:meth:`grad_sample_delta` at (w, z), bit for bit, given u = w - z
-        and z's coefficient c_i(z) (:meth:`margin_coef_at` of a_i^T z)."""
         idx, vals = self._row(i)
-        g = self.lam * u
-        g.put(idx, g.take(idx) + (self._margin_coef(i, w) - z_coef) * vals)
+        g = self.lam * (w - z)
+        g.put(idx, g.take(idx) + (self._margin_coef(i, w) - self._margin_coef(i, z)) * vals)
         return g
 
     def grad_full(self, w: np.ndarray) -> np.ndarray:

@@ -22,7 +22,8 @@ uniformly random one (option 2) to the next anchor.  Method names:
 An inner step takes one of five forms, each described on its class:
 
 * :class:`_DenseIterate`, w as a vector through :func:`direction`, O(d);
-  its bits are the plain formula's;
+  its bits are the plain formula's, and a full row (nnz_i = d) is read and
+  added without a gather or scatter;
 * :class:`_AffineIterate`, for the ``none`` and ``bb_scalar`` corrections
   when the mean row has at most d/4 nonzeros, O(nnz_i);
 * :class:`_DiagIterate`, for ``diag_hessian``, O(nnz_i) with per-column
@@ -173,15 +174,28 @@ def direction(model: LossModel, correction, w_curr: np.ndarray, i: int) -> np.nd
     is active.
 
     Its bits are the plain formula's, grad_sample_delta(i, w, z) + g
-    + A u - A_i u with u = w - z, in that order.  u is formed once, and
-    c_i(z) and the ``bb_scalar`` A_i's scalar come from the correction,
-    which computes each by the per-sample oracles' expression the first
-    time sample i is drawn in the epoch.  ``full_hessian`` and
-    ``diag_hessian`` apply A and A_i through ``apply_mean`` and
-    ``apply_sample``.
+    + A u - A_i u with u = w - z, in that order.  u is formed once, the
+    drawn row is read once, and c_i(z) and the ``bb_scalar`` A_i's scalar
+    come from the correction, which computes each by the per-sample
+    oracles' expression the first time sample i is drawn in the epoch.  A
+    row with nnz_i = d holds columns 0, ..., d-1 in order (a
+    :class:`~vrgrad.data.SparseDataset` keeps sorted, unique, nonzero
+    entries), so it is read against w and added into v directly, with the
+    same products and sums as the gather and scatter of a shorter row.
+    ``full_hessian`` and ``diag_hessian`` apply A and A_i through
+    ``apply_mean`` and ``apply_sample``.
     """
     u = w_curr - correction.anchor
-    v = model.grad_sample_delta_from(i, w_curr, u, correction.anchor_coef_at(i))
+    lo, hi = model._bounds[i], model._bounds[i + 1]
+    vals = model._data[lo:hi]
+    cols = None if hi - lo == len(u) else model._indices[lo:hi]     # None: a full row
+    dot = vals.dot(w_curr if cols is None else w_curr.take(cols))
+    dc = model.margin_coef_at(i, float(dot)) - correction.anchor_coef_at(i)
+    v = model.lam * u
+    if cols is None:
+        v += dc * vals
+    else:
+        v.put(cols, v.take(cols) + dc * vals)
     v += correction.g_anchor
     if correction.variant == "bb_scalar":
         v += correction.bb_scalar * u
@@ -201,7 +215,8 @@ def _within_guard(w: np.ndarray, limit: float) -> bool:
 
 class _DenseIterate:
     """The inner iterate as a dense vector; a step costs O(d).  A step calls
-    :func:`direction`, so its bits are the plain formula's."""
+    :func:`direction`, which reads a full row without a gather or scatter,
+    and scales v in place, so its bits are the plain formula's."""
 
     def __init__(self, model, correction, w_anchor, g_anchor):
         self.model, self.correction = model, correction
@@ -217,8 +232,9 @@ class _DenseIterate:
         # v lives until the next step replaces it.  Freed at once, the step's
         # O(d) temporaries all return to the top of the heap, glibc trims it,
         # and the next step faults the pages in again.
-        self.v = direction(self.model, self.correction, w, i)
-        w -= eta * self.v
+        self.v = v = direction(self.model, self.correction, w, i)
+        v *= eta
+        w -= v
         return _within_guard(w, limit)
 
 

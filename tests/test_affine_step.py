@@ -957,6 +957,36 @@ def test_dense_step_bits_on_the_degenerate_anchor_fallback(monkeypatch):
     assert raised and set(raised) == {"bb_scalar"}
 
 
+def mixed_rows(n=30, d=12, seed=7, empty_rows=(1, 13, 29)):
+    """Every third row full (nnz_i = d), the rows in ``empty_rows`` empty and
+    row i of the rest short, 1 + i mod (d - 1) random columns; unit-norm
+    rows, random +-1 labels.  The mean row has more than d/4 nonzeros, so
+    ``none`` and ``bb_scalar`` epochs take the dense step."""
+    rng = np.random.default_rng(seed)
+    X = np.zeros((n, d))
+    for i in range(n):
+        k = d if i % 3 == 0 else 0 if i in empty_rows else 1 + i % (d - 1)
+        vals = rng.uniform(0.5, 1.5, k) * rng.choice([-1.0, 1.0], k)
+        X[i, rng.choice(d, k, replace=False)] = vals / np.linalg.norm(vals) if k else vals
+    return SparseDataset.from_dense(X, np.where(rng.random(n) < 0.5, 1.0, -1.0))
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+@pytest.mark.parametrize("anchor_option", [1, 2])
+@pytest.mark.parametrize("method", DENSE_STEP_METHODS)
+def test_dense_step_bits_with_full_short_and_empty_rows(monkeypatch, method, anchor_option,
+                                                        kind):
+    # a full row is read and added without a gather or scatter, a short one
+    # with them; both must give the plain formula's bits
+    model = LossModel(mixed_rows(), 1e-3, kind)
+    # every row length from 0 to d, so d - 1 next to d
+    assert set(np.diff(model.dataset.features.indptr)) == set(range(model.d + 1))
+    for variant in ("none", "bb_scalar"):
+        assert step_class(model, epoch_of(variant, model)) is optimizer._DenseIterate
+    config = config_for(method, model, anchor_option=anchor_option, variance_mode="last")
+    assert assert_same_bits(monkeypatch, model, config) is None
+
+
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(1, 12), d=st.integers(1, 20), density=st.floats(0.05, 1.0),
        data_seed=st.integers(0, 2**16), lam=st.sampled_from([0.0, 1e-3]),

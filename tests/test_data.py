@@ -188,6 +188,23 @@ class TestSparseTypes:
         ds = SparseDataset(X, [1.0])
         assert ds.features.nnz == 1
 
+    def test_rows_hold_sorted_unique_nonzero_columns(self):
+        # the dense inner step reads a row with nnz_i = d against w directly,
+        # which needs its columns to be 0, ..., d-1 in order.  Row 0 comes
+        # unsorted with a repeat and an explicit zero and ends full; row 1
+        # holds a pair that sums to 0 and a -0.0; row 2 a repeat
+        X = sp.csr_matrix((
+            [3.0, 0.0, 1.0, 2.0, 0.5, 4.0, 5.0, -5.0, -0.0, 1.0, 2.0, 1.0, 2.0],
+            [3, 1, 0, 2, 3, 1, 2, 2, 0, 3, 3, 1, 3],
+            [0, 6, 10, 13]), shape=(3, 4))
+        ds = SparseDataset(X, [1.0, -1.0, 1.0])
+        for i in range(ds.n):
+            cols, vals = _row(ds, i)
+            assert cols == sorted(set(cols)) and 0.0 not in vals
+        assert [_row(ds, i) for i in range(ds.n)] == [
+            ([0, 1, 2, 3], [1.0, 4.0, 2.0, 3.5]), ([3], [1.0]), ([1, 3], [1.0, 4.0])]
+        np.testing.assert_array_equal(ds.features.toarray(), X.toarray())
+
     def test_dimension_monotone_under_append(self):
         ds1 = parse_libsvm("+1 3:1.0\n")
         ds2 = parse_libsvm("+1 3:1.0\n-1 6:1.0\n")

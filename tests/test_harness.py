@@ -155,6 +155,14 @@ def test_figure_bytes_are_the_golden_files(tmp_path, capsys):
     assert "variance_vs_epoch_lam0p0001.svg, skipped" in capsys.readouterr().out
 
 
+def test_a_skipped_figure_deletes_an_earlier_file_of_its_name(tmp_path, capsys):
+    stale = tmp_path / "variance_vs_epoch_lam0p0001.svg"
+    stale.write_text("<svg/>\n")
+    paths = emit_plots(_figure_table(), tmp_path)
+    assert not stale.exists() and stale not in paths
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(_GOLDEN_FIGURES)
+
+
 def test_run_csv_row_with_a_missing_column_is_rejected(tmp_path):
     path = tmp_path / "run.csv"
     path.write_text(_GOLDEN_RUN_CSV.rsplit(",", 1)[0] + "\n")
