@@ -30,9 +30,11 @@ lists of n floats, made with the operator and filled one entry at a time,
 the first time a sample is asked for: c_i(z) from the row dot a_i^T z
 (``anchor_coef_at``), and the scalar lam + kappa_i from the gradient
 difference at the anchor pair, formed as ``grad_sample_delta`` forms it
-with c_i(z) from the first memo (``sample_scalar_at``).  Each is the
-per-sample oracles' expression, which can differ from the matvec forms
-above in the last bits.  ``apply_sample`` takes its ``bb_scalar`` scalar
+with c_i(z) from the first memo (``sample_scalar_at``).  Both read row i
+through :meth:`~vrgrad.losses.LossModel.row_dot` and
+:meth:`~vrgrad.losses.LossModel.row_add`, as the per-sample oracles do, so
+each is the per-sample oracles' expression, which can differ from the
+matvec forms above in the last bits.  ``apply_sample`` takes its ``bb_scalar`` scalar
 from the latter.  A list entry reads as a Python float, which the step's
 scalar arithmetic takes faster than an array element; a
 ``cached_property`` memo would slow every later attribute read of the
@@ -131,7 +133,7 @@ class CorrectionOperator:
         memo = self._anchor_coef_memo
         c = memo[i]
         if math.isnan(c):
-            c = memo[i] = self.model._margin_coef(i, self.anchor)
+            c = memo[i] = self.model.margin_coef_at(i, self.model.row_dot(i, self.anchor))
         return c
 
     def sample_scalar_at(self, i: int) -> float:
@@ -143,11 +145,9 @@ class CorrectionOperator:
         k = memo[i]
         if math.isnan(k):
             model, pair = self.model, self.anchors
-            cols, vals = model._row(i)
-            dc = self.anchor_coef_at(i) - model.margin_coef_at(
-                i, float(vals.dot(pair.w_prev2.take(cols))))
+            dc = self.anchor_coef_at(i) - model.margin_coef_at(i, model.row_dot(i, pair.w_prev2))
             diff = model.lam * pair.s       # s = anchor - w_prev2
-            diff.put(cols, diff.take(cols) + dc * vals)
+            model.row_add(i, dc, diff)
             k = memo[i] = float(pair.s @ diff) / pair.secant[0]
         return k
 
@@ -182,7 +182,7 @@ class CorrectionOperator:
 
     def apply_sample(self, i: int, u: np.ndarray) -> np.ndarray:
         """A_i @ u for sample i."""
-        u = self.model._check_dim(u, "u")
+        u = self.model.check_dim(u, "u")
         if self.variant == "none":
             return np.zeros_like(u)
         if self.variant == "full_hessian":
@@ -193,7 +193,7 @@ class CorrectionOperator:
 
     def apply_mean(self, u: np.ndarray) -> np.ndarray:
         """A @ u."""
-        u = self.model._check_dim(u, "u")
+        u = self.model.check_dim(u, "u")
         if self.variant == "none":
             return np.zeros_like(u)
         if self.variant == "full_hessian":

@@ -9,7 +9,8 @@ exactly, and ``load_table`` takes only the whole layout ``emit_csv``
 writes; ``emit_plots`` renders gap-vs-epoch, gap-vs-time and
 variance-vs-epoch figures for the winners.  Written into a directory that
 holds an earlier run, the two leave no run CSV or figure of that run that
-the new table does not name.
+the new table does not name, and touch no file whose name the program
+cannot write.
 
 All outputs except wall-time columns are byte-deterministic given the spec
 and seed list.
@@ -18,6 +19,7 @@ and seed list.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, fields
 from itertools import product
 from operator import attrgetter
@@ -28,8 +30,8 @@ import numpy as np
 
 from . import stepsize, svgplot
 from .data import SparseDataset, parse_libsvm, synth_binary
-from .losses import LossModel, loss_kind
-from .optimizer import (DivergenceError, EpochRecord, RunConfig, check_run_options,
+from .losses import KINDS, LossModel, loss_kind
+from .optimizer import (METHODS, DivergenceError, EpochRecord, RunConfig, check_run_options,
                         optimize)
 from .reference import DEFAULT_TOL, cached_reference
 from .stepsize import StepSizeSchedule
@@ -261,9 +263,10 @@ def emit_csv(table: ResultTable, out_dir) -> list[Path]:
 
     A run CSV has one column per :class:`EpochRecord` field; floats use
     17-significant-digit scientific notation, so parsing the files back
-    reproduces every record exactly.  First, every run CSV and figure in
-    the directory that this table does not name (an earlier run's) is
-    deleted; no other file is touched.
+    reproduces every record exactly.  First, every file in the directory
+    whose name :func:`run_filename` or a figure's name gives, for some
+    model, method, lambda, step and seed, but that this table does not name
+    (an earlier run's) is deleted; no other file is touched.
     """
     if not table.rows:
         raise ValueError("empty result table")
@@ -274,12 +277,10 @@ def emit_csv(table: ResultTable, out_dir) -> list[Path]:
 
     runs = [run_filename(model, row.lam, row.method, row.step_param, row.seed)
             for row in table.rows]
-    stems = [stem for stem, *_ in _FIGURES]
-    named = set(runs) | {_figure_name(stem, row.lam) for row in table.rows for stem in stems}
-    for pattern in ["run_*.csv"] + [f"{stem}_lam*.svg" for stem in stems]:
-        for stale in out.glob(pattern):
-            if stale.name not in named:
-                stale.unlink()
+    named = set(runs) | {_figure_name(stem, row.lam) for row in table.rows for stem, *_ in _FIGURES}
+    for stale in out.iterdir():
+        if stale.name not in named and _is_written_name(stale.name):
+            stale.unlink()
 
     for row, name in zip(table.rows, runs):
         path = out / name
@@ -370,6 +371,25 @@ def _figure_name(stem: str, lam: float) -> str:
     """The file name of figure ``stem`` (a ``_FIGURES`` stem) at lambda."""
     token = _param_token(lam).replace("-", "m").replace(".", "p")
     return f"{stem}_lam{token}.svg"
+
+
+# what run_filename and _figure_name give, with each lambda and step token as a
+# group: a number in _param_token's forms, which a figure's name spells with
+# "m" and "p" for "-" and "."
+_NUMBER = r"-?\d+(?:[.]\d+)?(?:e-?\d+)?"
+_WRITTEN_NAME = re.compile(
+    f"run_(?:{'|'.join(KINDS)})_lam({_NUMBER})_(?:{'|'.join(METHODS)})_step({_NUMBER})"
+    f"_seed(?:0|[1-9][0-9]*)[.]csv|(?:{'|'.join(stem for stem, *_ in _FIGURES)})"
+    f"_lam({_NUMBER.replace('-', 'm').replace('[.]', 'p')})[.]svg")
+
+
+def _is_written_name(name: str) -> bool:
+    """Whether ``name`` is a run CSV's or a figure's for some model, method,
+    lambda, step and seed: a file this program may have written.  Each
+    token must be the one its number is written as."""
+    match = _WRITTEN_NAME.fullmatch(name)
+    tokens = [t.replace("m", "-").replace("p", ".") for t in match.groups() if t] if match else []
+    return bool(tokens) and all(_param_token(float(token)) == token for token in tokens)
 
 
 def emit_plots(table: ResultTable, out_dir) -> list[Path]:

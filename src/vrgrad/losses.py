@@ -19,6 +19,17 @@ hinge's calls ``.astype``, which a Python float lacks).
 At the hinge kink (m = 1) phi'' takes the inactive branch, 0: the event has
 measure zero and the smaller curvature is the conservative choice.
 
+Row i of X is read in one place.  :meth:`LossModel.row_dot` gives a_i^T x
+and :meth:`LossModel.row_add` does out += c a_i in place; every per-sample
+oracle, and every inner step of :mod:`vrgrad.optimizer` that reads a row
+but the diagonal one, reads it through them.  Both find the row through
+:attr:`LossModel.row_bounds`, X's row pointers as Python ints.  A
+:class:`~vrgrad.data.SparseDataset` keeps sorted, unique, nonzero entries,
+so a full row (nnz_i = d) holds columns 0, ..., d-1 in order and is read
+and added directly; a shorter one is gathered with ``take`` and scattered
+with ``put``.  Both ways make the same products and sums in the same order,
+so they give the same bits.
+
 A model builds X^T once, with the model: X^T of a CSR matrix is a CSC view
 that shares X's arrays.  The element-wise powers X^2, X^3 and X^4
 (:meth:`LossModel.power`), which the diagonal variance reads, and the Gram
@@ -97,10 +108,10 @@ class LossModel:
         self.kind = kind
         self._link = _LINKS[kind]
         # for the per-step oracles, as Python floats and ints: the labels, and
-        # the row bounds, row i being _indices and _data [_bounds[i]:_bounds[i + 1]]
+        # the row bounds, row i being X's entries row_bounds[i]:row_bounds[i + 1]
         self._b = dataset.labels.tolist()
         X = dataset.features
-        self._bounds = X.indptr.tolist()
+        self.row_bounds = X.indptr.tolist()
         self._indices, self._data = X.indices, X.data
         self.XT = X.T
         # formed on first read.  Not functools.cached_property: it writes
@@ -120,30 +131,43 @@ class LossModel:
     def d(self) -> int:
         return self.dataset.d
 
-    def _check_dim(self, v: np.ndarray, name: str = "w") -> np.ndarray:
+    def check_dim(self, v: np.ndarray, name: str = "w") -> np.ndarray:
+        """v as a float64 array; ValueError, naming it ``name``, unless of shape (d,)."""
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.d,):
             raise ValueError(f"{name} has shape {v.shape}, expected ({self.d},)")
         return v
 
-    def _row(self, i: int):
-        """Row i's columns and values, views into X's CSR arrays."""
-        lo, hi = self._bounds[i], self._bounds[i + 1]
-        return self._indices[lo:hi], self._data[lo:hi]
+    # -- rows --------------------------------------------------------------
+
+    def row_dot(self, i: int, x: np.ndarray) -> float:
+        """a_i^T x; a full row is read against x directly."""
+        lo, hi = self.row_bounds[i], self.row_bounds[i + 1]
+        x_row = x if hi - lo == len(x) else x.take(self._indices[lo:hi])
+        return float(self._data[lo:hi].dot(x_row))
+
+    def row_add(self, i: int, c: float, out: np.ndarray) -> None:
+        """out += c * a_i, in place; a full row is added to out directly."""
+        lo, hi = self.row_bounds[i], self.row_bounds[i + 1]
+        vals = self._data[lo:hi]
+        if hi - lo == len(out):
+            out += c * vals
+        else:
+            cols = self._indices[lo:hi]
+            out.put(cols, out.take(cols) + c * vals)
 
     # -- objective ----------------------------------------------------------
 
     def value(self, w: np.ndarray) -> float:
         """F(w) = (1/n) sum_i f_i(w)."""
-        w = self._check_dim(w)
+        w = self.check_dim(w)
         margins = self.dataset.labels * (self.dataset.features @ w)
         return float(np.mean(self._link.phi(margins))) + 0.5 * self.lam * float(w @ w)
 
     def value_sample(self, i: int, w: np.ndarray) -> float:
         """f_i(w), including this sample's share of the regularizer."""
-        w = self._check_dim(w)
-        idx, vals = self._row(i)
-        margin = self._b[i] * float(vals @ w[idx])
+        w = self.check_dim(w)
+        margin = self._b[i] * self.row_dot(i, w)
         return float(self._link.phi(margin)) + 0.5 * self.lam * float(w @ w)
 
     # -- gradients ----------------------------------------------------------
@@ -158,29 +182,24 @@ class LossModel:
         b = self.dataset.labels
         return b * self._link.dphi(b * dots)
 
-    def _margin_coef(self, i: int, w: np.ndarray) -> float:
-        idx, vals = self._row(i)
-        return self.margin_coef_at(i, float(vals.dot(w.take(idx))))
-
     def grad_sample(self, i: int, w: np.ndarray) -> np.ndarray:
-        w = self._check_dim(w)
-        idx, vals = self._row(i)
+        w = self.check_dim(w)
         g = self.lam * w
-        g[idx] += self._margin_coef(i, w) * vals
+        self.row_add(i, self.margin_coef_at(i, self.row_dot(i, w)), g)
         return g
 
     def grad_sample_delta(self, i: int, w: np.ndarray, z: np.ndarray) -> np.ndarray:
         """grad f_i(w) - grad f_i(z) in one pass over the sample's support."""
-        w = self._check_dim(w)
-        z = self._check_dim(z, "z")
-        idx, vals = self._row(i)
+        w = self.check_dim(w)
+        z = self.check_dim(z, "z")
         g = self.lam * (w - z)
-        g.put(idx, g.take(idx) + (self._margin_coef(i, w) - self._margin_coef(i, z)) * vals)
+        c_w = self.margin_coef_at(i, self.row_dot(i, w))
+        self.row_add(i, c_w - self.margin_coef_at(i, self.row_dot(i, z)), g)
         return g
 
     def grad_full(self, w: np.ndarray) -> np.ndarray:
         """(1/n) sum_i grad f_i(w), computed in one dataset pass."""
-        w = self._check_dim(w)
+        w = self.check_dim(w)
         coefs = self.margin_coefs(self.dataset.features @ w)
         return self.XT @ coefs / self.n + self.lam * w
 
@@ -188,28 +207,27 @@ class LossModel:
 
     def _curv_coef(self, i: int, w: np.ndarray) -> float:
         """Scalar c with hess f_i = c * a_i a_i^T + lam * I."""
-        idx, vals = self._row(i)
-        return self._link.d2phi(np.float64(self._b[i] * float(vals @ w[idx])))
+        return self._link.d2phi(np.float64(self._b[i] * self.row_dot(i, w)))
 
     def hess_vec_sample(self, i: int, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         """hess f_i(w) @ v."""
-        w = self._check_dim(w)
-        v = self._check_dim(v, "v")
-        idx, vals = self._row(i)
+        w = self.check_dim(w)
+        v = self.check_dim(v, "v")
         out = self.lam * v
         c = self._curv_coef(i, w)
         if c != 0.0:
-            out[idx] += c * float(vals @ v[idx]) * vals
+            self.row_add(i, c * self.row_dot(i, v), out)
         return out
 
     def hess_diag_sample(self, i: int, w: np.ndarray) -> np.ndarray:
         """Diagonal of hess f_i(w) as a vector."""
-        w = self._check_dim(w)
-        idx, vals = self._row(i)
+        w = self.check_dim(w)
         out = np.full(self.d, self.lam)
         c = self._curv_coef(i, w)
         if c != 0.0:
-            out[idx] += c * vals * vals
+            row = slice(self.row_bounds[i], self.row_bounds[i + 1])
+            vals = self._data[row]
+            out[self._indices[row]] += c * vals * vals
         return out
 
     def curvature_coefs(self, dots: np.ndarray) -> np.ndarray:
@@ -219,7 +237,7 @@ class LossModel:
 
     def curvature_at(self, w: np.ndarray) -> np.ndarray:
         """:meth:`curvature_coefs` at w."""
-        w = self._check_dim(w)
+        w = self.check_dim(w)
         return self.curvature_coefs(self.dataset.features @ w)
 
     def mean_hess_vec(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -230,7 +248,7 @@ class LossModel:
                            out: np.ndarray | None = None) -> np.ndarray:
         """:meth:`mean_hess_vec` from the point's :meth:`curvature_at`,
         written into ``out`` (not ``v``) when given."""
-        v = self._check_dim(v, "v")
+        v = self.check_dim(v, "v")
         hv = self.XT @ (coefs * (self.dataset.features @ v))
         hv /= self.n
         out = np.multiply(v, self.lam, out=out)

@@ -22,8 +22,7 @@ uniformly random one (option 2) to the next anchor.  Method names:
 An inner step takes one of five forms, each described on its class:
 
 * :class:`_DenseIterate`, w as a vector through :func:`direction`, O(d);
-  its bits are the plain formula's, and a full row (nnz_i = d) is read and
-  added without a gather or scatter;
+  its bits are the plain formula's;
 * :class:`_AffineIterate`, for the ``none`` and ``bb_scalar`` corrections
   when the mean row has at most d/4 nonzeros, O(nnz_i);
 * :class:`_DiagIterate`, for ``diag_hessian``, O(nnz_i) with per-column
@@ -34,6 +33,13 @@ An inner step takes one of five forms, each described on its class:
 * :class:`_GramIterate`, for ``full_hessian`` on wide sparse data
   (sum_j nnz_j^2 < nnz + d, nnz_j the nonzeros of column j), O(n) and one
   product with K = X X^T.
+
+The dense, affine and full-Hessian steps read the drawn row through the
+model alone: one :meth:`LossModel.row_dot` and one :meth:`LossModel.row_add`
+a step, which read and add a full row (nnz_i = d) directly.  The diagonal
+step gathers and scatters the row itself, because its catch-up gathers
+several per-column arrays over the row's columns with it.  The Gram step
+reads no row: a_i.u is an entry of X u, which it keeps.
 
 One function, :func:`step_class`, picks an epoch's form: ``diag_hessian``
 takes the diagonal step, ``full_hessian`` the form :func:`hessian_form` picks
@@ -175,27 +181,17 @@ def direction(model: LossModel, correction, w_curr: np.ndarray, i: int) -> np.nd
 
     Its bits are the plain formula's, grad_sample_delta(i, w, z) + g
     + A u - A_i u with u = w - z, in that order.  u is formed once, the
-    drawn row is read once, and c_i(z) and the ``bb_scalar`` A_i's scalar
-    come from the correction, which computes each by the per-sample
-    oracles' expression the first time sample i is drawn in the epoch.  A
-    row with nnz_i = d holds columns 0, ..., d-1 in order (a
-    :class:`~vrgrad.data.SparseDataset` keeps sorted, unique, nonzero
-    entries), so it is read against w and added into v directly, with the
-    same products and sums as the gather and scatter of a shorter row.
-    ``full_hessian`` and ``diag_hessian`` apply A and A_i through
-    ``apply_mean`` and ``apply_sample``.
+    drawn row is read once against w (:meth:`LossModel.row_dot`) and added
+    once into v (:meth:`LossModel.row_add`), and c_i(z) and the
+    ``bb_scalar`` A_i's scalar come from the correction, which computes
+    each by the per-sample oracles' expression the first time sample i is
+    drawn in the epoch.  ``full_hessian`` and ``diag_hessian`` apply A and
+    A_i through ``apply_mean`` and ``apply_sample``.
     """
     u = w_curr - correction.anchor
-    lo, hi = model._bounds[i], model._bounds[i + 1]
-    vals = model._data[lo:hi]
-    cols = None if hi - lo == len(u) else model._indices[lo:hi]     # None: a full row
-    dot = vals.dot(w_curr if cols is None else w_curr.take(cols))
-    dc = model.margin_coef_at(i, float(dot)) - correction.anchor_coef_at(i)
+    dc = model.margin_coef_at(i, model.row_dot(i, w_curr)) - correction.anchor_coef_at(i)
     v = model.lam * u
-    if cols is None:
-        v += dc * vals
-    else:
-        v.put(cols, v.take(cols) + dc * vals)
+    model.row_add(i, dc, v)
     v += correction.g_anchor
     if correction.variant == "bb_scalar":
         v += correction.bb_scalar * u
@@ -215,8 +211,9 @@ def _within_guard(w: np.ndarray, limit: float) -> bool:
 
 class _DenseIterate:
     """The inner iterate as a dense vector; a step costs O(d).  A step calls
-    :func:`direction`, which reads a full row without a gather or scatter,
-    and scales v in place, so its bits are the plain formula's."""
+    :func:`direction`, which reads the row through the model's
+    :meth:`~LossModel.row_dot` and :meth:`~LossModel.row_add`, and scales
+    v in place, so its bits are the plain formula's."""
 
     def __init__(self, model, correction, w_anchor, g_anchor):
         self.model, self.correction = model, correction
@@ -239,9 +236,10 @@ class _DenseIterate:
 
 
 class _RowIterate:
-    """The epoch data of a step form that reads the drawn row alone: the CSR
-    arrays, the anchor z and its full gradient g, z.z, z.g and g.g, and
-    X @ z and c_i(z) as Python floats, for scalar arithmetic.
+    """The epoch data of a step form that reads the drawn row alone: the
+    model's :meth:`~LossModel.row_dot` and :meth:`~LossModel.row_add`, the
+    anchor z and its full gradient g, z.z, z.g and g.g, and X @ z and c_i(z)
+    as Python floats, for scalar arithmetic.
 
     A form that estimates ||w||^2 (or a bound on it) instead of forming w
     tests the divergence guard by one rule, :meth:`_guard`: the estimate
@@ -254,8 +252,7 @@ class _RowIterate:
     GUARD_SLACK = 1e-3
 
     def __init__(self, model, correction, w_anchor, g_anchor):
-        X = model.dataset.features
-        self.indptr, self.indices, self.data = X.indptr, X.indices, X.data
+        self.row_dot, self.row_add = model.row_dot, model.row_add
         self.margin_coef_at = model.margin_coef_at
         self.z, self.g = w_anchor, g_anchor
         self.zz = float(w_anchor @ w_anchor)
@@ -308,10 +305,8 @@ class _AffineIterate(_RowIterate):
 
     def step(self, i: int, eta: float, limit: float) -> bool:
         """w -= eta * v_t(i); False when w is non-finite or ||w||^2 > limit."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        cols, vals = self.indices[lo:hi], self.data[lo:hi]
         y = self.y
-        ay = float(vals @ y[cols])
+        ay = self.row_dot(i, y)
         z_dot, g_dot = self.z_dots[i], self.g_dots[i]
         dc = self.margin_coef_at(i, z_dot + self.sigma * ay + self.rho * g_dot) \
             - self.z_coefs[i]
@@ -325,7 +320,7 @@ class _AffineIterate(_RowIterate):
         sigma, rho = self.sigma, self.rho
         if dc != 0.0:
             alpha = -eta * dc / sigma
-            y[cols] += alpha * vals
+            self.row_add(i, alpha, y)
             self.yy += alpha * (2.0 * ay + alpha * self.row_sq[i])
             self.yz += alpha * z_dot
             self.yg += alpha * g_dot
@@ -364,9 +359,12 @@ class _DiagIterate(_RowIterate):
 
     def __init__(self, model, correction, w_anchor, g_anchor):
         super().__init__(model, correction, w_anchor, g_anchor)
+        # the one step form that reads rows itself (module docstring)
+        X = model.dataset.features
+        self.bounds, self.indices, self.data = model.row_bounds, X.indices, X.data
         self.diag = correction.diag_mean
         # h_i a_ij^2 for every nonzero a_ij
-        self.h_sq = np.repeat(correction.curvature_coefs, np.diff(self.indptr)) * self.data ** 2
+        self.h_sq = np.repeat(correction.curvature_coefs, np.diff(X.indptr)) * self.data ** 2
         self.znorm = math.sqrt(self.zz)
         self.u = np.zeros(model.d)      # u_j as of step stamp_j
         self.stamp = np.zeros(model.d)
@@ -424,7 +422,7 @@ class _DiagIterate(_RowIterate):
         """w -= eta * v_t(i); False when w is non-finite or ||w||^2 > limit."""
         if self.eta is None:
             self._set_eta(eta)
-        lo, hi = self.indptr[i], self.indptr[i + 1]
+        lo, hi = self.bounds[i], self.bounds[i + 1]
         cols, vals = self.indices[lo:hi], self.data[lo:hi]
         u_old = self.u.take(cols)
         if self.log_r is None:
@@ -482,8 +480,9 @@ class _HessIterate(_RowIterate):
     lam u cancels between grad f_i(w) - grad f_i(z) and A_i u, so with H the
     mean Hessian at the anchor (lam included) and h_i its curvature
     coefficients, v_t = g + H u + (c_i(w) - c_i(z) - h_i a_i.u) a_i.  A step
-    writes into per-epoch buffers and tests w exactly.  H u is the
-    matrix-free product, two sparse matvecs over X.
+    reads a_i.u with :meth:`LossModel.row_dot`, adds the row term into v
+    with :meth:`LossModel.row_add`, writes into per-epoch buffers and tests
+    w exactly.  H u is the matrix-free product, two sparse matvecs over X.
     """
 
     def __init__(self, model, correction, w_anchor, g_anchor):
@@ -502,15 +501,13 @@ class _HessIterate(_RowIterate):
 
     def step(self, i: int, eta: float, limit: float) -> bool:
         """w -= eta * v_t(i); False when w is non-finite or ||w||^2 > limit."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        cols, vals = self.indices[lo:hi], self.data[lo:hi]
         u, v, w = self.u, self.v, self.w
-        au = float(vals.dot(u.take(cols)))
+        au = self.row_dot(i, u)
         dc = self.margin_coef_at(i, self.z_dots[i] + au) - self.z_coefs[i]
         # v = H u + g + (dc - h_i a_i.u) a_i
         self.hess_vec(u, out=v)
         v += self.g
-        v[cols] += (dc - self.h[i] * au) * vals
+        self.row_add(i, dc - self.h[i] * au, v)
         v *= eta
         u -= v
         np.add(self.z, u, out=w)

@@ -35,13 +35,14 @@ from vrgrad.stepsize import CurvatureError, EpochAnchors, constant
 RTOL = 1e-10
 
 
-def sparse_dataset(n, d, nnz, seed, empty_rows=()):
+def sparse_dataset(n, d, nnz, seed, empty_rows=(), full_rows=()):
     """n rows with ``nnz`` distinct random columns each (none in
-    ``empty_rows``), unit-norm rows, random +-1 labels."""
+    ``empty_rows``, all d in ``full_rows``), unit-norm rows, random +-1
+    labels."""
     rng = np.random.default_rng(seed)
     indptr, indices, values = [0], [], []
     for i in range(n):
-        k = 0 if i in empty_rows else nnz
+        k = 0 if i in empty_rows else d if i in full_rows else nnz
         indices.extend(np.sort(rng.choice(d, k, replace=False)))
         vals = rng.uniform(0.5, 1.5, k)
         values.extend(vals / np.linalg.norm(vals) if k else vals)
@@ -985,6 +986,52 @@ def test_dense_step_bits_with_full_short_and_empty_rows(monkeypatch, method, anc
         assert step_class(model, epoch_of(variant, model)) is optimizer._DenseIterate
     config = config_for(method, model, anchor_option=anchor_option, variance_mode="last")
     assert assert_same_bits(monkeypatch, model, config) is None
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+@pytest.mark.parametrize("anchor_option", [1, 2])
+@pytest.mark.parametrize("method", ["SVRG2", "SVRG2D"])
+def test_hess_and_diag_steps_with_full_short_and_empty_rows(monkeypatch, method,
+                                                            anchor_option, kind):
+    # the formed-H step reads and adds full rows directly and short rows by
+    # gather and scatter; the diagonal step gathers and scatters every row
+    model = LossModel(mixed_rows(), 1e-3, kind)
+    assert hessian_form(model) == "formed"
+    built = hess_iterates(monkeypatch) if method == "SVRG2" else diag_iterates(monkeypatch)
+    assert_same_run(monkeypatch, model, config_for(method, model, anchor_option=anchor_option))
+    assert len(built) == 3
+    if method == "SVRG2":
+        assert all(form_of(it) == "formed" for it in built)
+
+
+# rows -> (data, the form of a full_hessian epoch): the mean row has at most
+# d/4 nonzeros, so none and bb_scalar epochs take the affine step.  Three full
+# rows keep the matrix-free product; with one full row of 60 and eleven rows
+# of 2, sum_j nnz_j^2 = 134 < nnz + d = 142
+FEW_FULL_ROWS = {
+    "matrix_free": (lambda: sparse_dataset(40, 40, 3, seed=5, full_rows={0, 17, 33}),
+                    "matrix_free"),
+    "gram": (lambda: sparse_dataset(12, 60, 2, seed=1, full_rows={4}), "gram"),
+}
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("rows", list(FEW_FULL_ROWS))
+def test_row_steps_with_a_few_full_rows(monkeypatch, rows, method, kind):
+    # the full-row read inside the affine, matrix-free and Gram steps, against
+    # the dense step
+    make, form = FEW_FULL_ROWS[rows]
+    model = LossModel(make(), 1e-3, kind)
+    lengths = np.diff(model.dataset.features.indptr)
+    assert (lengths == model.d).any() and 4 * lengths.sum() <= model.n * model.d
+    assert hessian_form(model) == form
+    for variant in ("none", "bb_scalar"):
+        assert step_class(model, epoch_of(variant, model)) is optimizer._AffineIterate
+    built = hess_iterates(monkeypatch)
+    assert_same_run(monkeypatch, model, config_for(method, model, anchor_option=2))
+    assert all(form_of(it) == form for it in built)
+    assert bool(built) == (method == "SVRG2")
 
 
 @settings(max_examples=50, deadline=None)

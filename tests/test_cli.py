@@ -374,13 +374,16 @@ def test_an_undecodable_spec_file_is_a_data_error(tmp_path, capsys):
 def test_a_second_run_into_a_directory_leaves_none_of_the_first_run_s_files(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
-    # files outside the layout that emit_csv and emit_plots write stay
-    others = {"notes.txt", "run_notes.txt", "summary.svg", "gap_vs_epoch.svg", "other.csv"}
+    # files outside the layout that emit_csv and emit_plots write stay, those
+    # whose names only share a prefix or a pattern with it among them
+    others = {"notes.txt", "run_notes.txt", "summary.svg", "gap_vs_epoch.svg", "other.csv",
+              "run_notes.csv", "gap_vs_epoch_lam0p001_annotated.svg"}
     for name in others:
         (out / name).write_text("kept\n")
     argv = ["run", "--synth", "50,3,0", "--epochs", "2", "--out", str(out), "--plots"]
     assert main(argv + ["--lambda", "1e-3,1e-4", "--grid", "0.1,1"]) == 0
-    assert len(list(out.glob("run_*.csv"))) == 4 and len(list(out.glob("*_lam0p0001.svg"))) == 3
+    assert len({path.name for path in out.glob("run_*.csv")} - others) == 4
+    assert len(list(out.glob("*_lam0p0001.svg"))) == 3
     assert main(argv + ["--lambda", "1e-3", "--grid", "0.1"]) == 0
     written = {"run_logistic_lam0.001_SVRG_step0.1_seed0.csv", "winners.csv", "metadata.json",
                "gap_vs_epoch_lam0p001.svg", "gap_vs_time_lam0p001.svg",

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrgrad.harness import (ExperimentSpec, ResultTable, RunRow, emit_csv, emit_plots,
-                            load_table, parse_run_csv, run_experiment)
+from vrgrad.harness import (_FIGURES, ExperimentSpec, ResultTable, RunRow, _figure_name,
+                            emit_csv, emit_plots, load_table, parse_run_csv, run_experiment)
 from vrgrad.losses import KINDS
 from vrgrad.optimizer import METHODS, EpochRecord, RunConfig
 from vrgrad.stepsize import constant
@@ -67,6 +67,35 @@ def test_csv_round_trip_is_exact(tmp_path_factory, table):
     out = tmp_path_factory.mktemp("csv")
     emit_csv(table, out)
     assert _bits(load_table(out)) == _bits(table)
+
+
+# names that share a prefix, a pattern or all but one field with a run CSV's
+# or a figure's, which no run writes
+_DECOYS = ("run_notes.csv", "gap_vs_epoch_lam0p001_annotated.svg", "notes_lam0p1.svg",
+           "run_logistic_lam0.001_SVRG_step0.1_seed007.csv",
+           "run_logistic_lam1e-03_SVRG_step0.1_seed0.csv",
+           "run_svm_lam0.001_SVRG_step0.1_seed0.csv", "run_logistic_lam0.001_SGD_step0.1_seed0.csv",
+           "run_logistic_lam0.001_SVRG_step0.1_seed0.csv.bak",
+           "run_logistic_lam0.0010_SVRG_step0.1_seed0.csv", "gap_vs_epoch_lam0p0010.svg",
+           "gap_vs_time_lam1e-3.svg", "variance_vs_epoch_lam0.001.svg", "gap_vs_epoch_lamx.svg")
+
+
+def _figure_names(table):
+    return {_figure_name(stem, lam) for lam in table.metadata["lambdas"] for stem, *_ in _FIGURES}
+
+
+@settings(max_examples=40, deadline=None)
+@given(first=tables(), second=tables())
+def test_a_second_table_deletes_the_first_one_s_files_and_no_other(tmp_path_factory, first,
+                                                                   second):
+    out = tmp_path_factory.mktemp("twice")
+    emit_csv(first, out)
+    for name in _figure_names(first) | set(_DECOYS):
+        (out / name).write_text("kept\n")
+    written = {path.name for path in emit_csv(second, out)}
+    kept = _figure_names(first) & _figure_names(second)
+    assert {path.name for path in out.iterdir()} == written | kept | set(_DECOYS)
+    assert all((out / name).read_text() == "kept\n" for name in _DECOYS)
 
 
 def test_steps_equal_to_six_digits_get_files_of_their_own(tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrgrad.correction import build_correction
 from vrgrad.data import SparseDataset, synth_binary
@@ -44,6 +46,49 @@ def instances():
         ds = synth_binary(40, 8, seed=2)
         out.append(LossModel(ds, 1e-2, kind))
     return out
+
+
+# -- rows ------------------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 14), lengths=st.lists(st.sampled_from(["full", "short", "empty"]),
+                                              min_size=1, max_size=8),
+       seed=st.integers(0, 2**16), c=st.sampled_from([0.0, -1.0, 0.37, -2.5e3, 1e-300]))
+def test_row_dot_and_row_add_are_the_gather_scatter_and_the_full_row_spellings(d, lengths,
+                                                                                seed, c):
+    # canonical CSR rows: full (nnz_i = d), short (0 < nnz_i < d where d > 1)
+    # and empty, from a dense matrix
+    rng = np.random.default_rng(seed)
+    dense = np.zeros((len(lengths), d))
+    for i, length in enumerate(lengths):
+        k = d if length == "full" else 0 if length == "empty" or d == 1 else int(rng.integers(1, d))
+        dense[i, rng.choice(d, k, replace=False)] = rng.uniform(0.5, 2.0, k) * rng.choice([-1, 1], k)
+    model = LossModel(SparseDataset.from_dense(dense, np.ones(len(lengths))), 1e-3)
+    X = model.dataset.features
+    x = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4, d)
+    for i in range(model.n):
+        cols, vals = X.indices[X.indptr[i]:X.indptr[i + 1]], X.data[X.indptr[i]:X.indptr[i + 1]]
+        off = np.ones(d, bool)
+        off[cols] = False
+        dot = model.row_dot(i, x)
+        out = x.copy()
+        model.row_add(i, c, out)
+        # the gather and scatter spelling, bit for bit
+        assert type(dot) is float and dot.hex() == float(vals.dot(x.take(cols))).hex()
+        scattered = x.copy()
+        scattered.put(cols, scattered.take(cols) + c * vals)
+        assert out.tobytes() == scattered.tobytes()
+        if len(cols) == d:
+            # a full row holds columns 0, ..., d-1 in order: the direct spelling
+            assert cols.tolist() == list(range(d))
+            assert dot.hex() == float(vals.dot(x)).hex()
+            assert out.tobytes() == (x + c * vals).tobytes()
+        # the dense row as oracle; nothing is written off the row
+        a = X[i].toarray().ravel()
+        assert dot == pytest.approx(float(a @ x), rel=0.0, abs=1e-14 * float(np.abs(a) @ np.abs(x)))
+        np.testing.assert_allclose(out, x + c * a, rtol=1e-15, atol=0.0)
+        assert out[off].tobytes() == x[off].tobytes()
 
 
 # -- objective values ----------------------------------------------------------
