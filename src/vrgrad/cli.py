@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 usage error (a bad flag or spec-file value), 3 data
 error (a missing, undecodable or malformed file, a results directory missing
-a file or a winner, or a label outside {-1, +1}), 4 reference-solver failure,
-5 divergence, 1 anything else.  The reference cache directory comes from
---cache-dir or the VRGRAD_CACHE_DIR env var.
+a file or a winner, a label outside {-1, +1}, or an output path that cannot
+be written), 4 reference-solver failure, 5 divergence, 1 anything else.  The
+reference cache directory comes from --cache-dir or the VRGRAD_CACHE_DIR env
+var.
 
 Config files for ``run --spec`` are flat ``key = value`` text; list values
 are comma-separated, and a key that is not a ``run`` flag is a usage error.
@@ -214,8 +215,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except argparse.ArgumentTypeError as err:   # a bad flag or spec-file value
         parser.error(str(err))
-    except (LibsvmParseError, LabelError, DataSourceError, FileNotFoundError,
-            UnicodeDecodeError) as err:   # the last two: a bad spec file
+    # OSError: a missing spec file or an output path that cannot be written;
+    # UnicodeDecodeError: an undecodable spec file
+    except (LibsvmParseError, LabelError, DataSourceError, OSError,
+            UnicodeDecodeError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except ReferenceError as err:

@@ -7,10 +7,10 @@ family, regularization weights, methods, a step-parameter grid, and seeds.
 optimality gap.  ``emit_csv``/``load_table`` round-trip the telemetry
 exactly, and ``load_table`` takes only the whole layout ``emit_csv``
 writes; ``emit_plots`` renders gap-vs-epoch, gap-vs-time and
-variance-vs-epoch figures for the winners.  Written into a directory that
-holds an earlier run, the two leave no run CSV or figure of that run that
-the new table does not name, and touch no file whose name the program
-cannot write.
+variance-vs-epoch figures for the winners.  ``metadata.json`` is the
+deletion manifest: written into a directory that holds an earlier run,
+``emit_csv`` first deletes that run's winners.csv, the run CSVs its
+``metadata.json`` names and every figure of its lambdas, and no other file.
 
 All outputs except wall-time columns are byte-deterministic given the spec
 and seed list.
@@ -19,10 +19,9 @@ and seed list.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field, fields
 from itertools import product
-from operator import attrgetter
+from operator import attrgetter, index
 from pathlib import Path
 from typing import get_type_hints
 
@@ -258,32 +257,60 @@ def run_filename(model: str, lam: float, method: str, step_param: float, seed: i
     return f"run_{model}_lam{_param_token(lam)}_{method}_step{_param_token(step_param)}_seed{seed}.csv"
 
 
+def _cells(meta: dict):
+    """(lambda, method, step, seed, run CSV name) of every cell that the
+    metadata dict ``meta`` names, in ``load_table``'s order.
+
+    The model must be one of ``KINDS``, each method one of ``METHODS``, each
+    lambda and step a float and each seed an int, or this raises (KeyError,
+    TypeError or ValueError) before any name is built: a tampered manifest
+    can neither name a path outside its directory nor be read back as valid.
+    """
+    model, methods = meta["model"], meta["methods"]
+    if model not in KINDS or not set(methods) <= set(METHODS):
+        raise ValueError(f"unknown model {model!r} or a method of {methods!r}")
+    lambdas, grid = [float(lam) for lam in meta["lambdas"]], [float(g) for g in meta["grid"]]
+    seeds = [index(seed) for seed in meta["seeds"]]
+    for lam, method, g, seed in product(lambdas, methods, grid, seeds):
+        yield lam, method, g, seed, run_filename(model, lam, method, g, seed)
+
+
 def emit_csv(table: ResultTable, out_dir) -> list[Path]:
     """One CSV per run plus winners.csv and metadata.json.
 
     A run CSV has one column per :class:`EpochRecord` field; floats use
     17-significant-digit scientific notation, so parsing the files back
-    reproduces every record exactly.  First, every file in the directory
-    whose name :func:`run_filename` or a figure's name gives, for some
-    model, method, lambda, step and seed, but that this table does not name
-    (an earlier run's) is deleted; no other file is touched.
+    reproduces every record exactly.  First, winners.csv is deleted and, if
+    the directory holds a well formed metadata.json, every run CSV it names
+    and every figure of its lambdas; no other file is touched.  Then
+    metadata.json is written, before the run CSVs and winners.csv, so an
+    interrupted write leaves a manifest that names every file it would have
+    written: ``load_table`` fails on the missing ones, and the next run
+    deletes them.
     """
     if not table.rows:
         raise ValueError("empty result table")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model = table.metadata["model"]
+    meta_path = out / "metadata.json"
+
+    try:
+        cells = list(_cells(json.loads(meta_path.read_text())))
+    except (OSError, ValueError, KeyError, TypeError):
+        cells = []      # a missing or malformed manifest deletes nothing
+    stale = {"winners.csv"} | {name for *_, name in cells}
+    stale |= {_figure_name(stem, lam) for lam, *_ in cells for stem, *_ in _FIGURES}
+    for name in stale:
+        (out / name).unlink(missing_ok=True)
+
+    meta = dict(table.metadata)
+    meta["references"] = {_fmt_float(lam): _fmt_float(f) for lam, f in sorted(table.references.items())}
+    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+
     paths = []
-
-    runs = [run_filename(model, row.lam, row.method, row.step_param, row.seed)
-            for row in table.rows]
-    named = set(runs) | {_figure_name(stem, row.lam) for row in table.rows for stem, *_ in _FIGURES}
-    for stale in out.iterdir():
-        if stale.name not in named and _is_written_name(stale.name):
-            stale.unlink()
-
-    for row, name in zip(table.rows, runs):
-        path = out / name
+    for row in table.rows:
+        path = out / run_filename(model, row.lam, row.method, row.step_param, row.seed)
         lines = [CSV_HEADER]
         for rec in row.records:
             lines.append(",".join([fmt(value) for fmt, value
@@ -299,14 +326,7 @@ def emit_csv(table: ResultTable, out_dir) -> list[Path]:
         ]))
     winners_path = out / "winners.csv"
     winners_path.write_text("\n".join(winner_lines) + "\n")
-    paths.append(winners_path)
-
-    meta = dict(table.metadata)
-    meta["references"] = {_fmt_float(lam): _fmt_float(f) for lam, f in sorted(table.references.items())}
-    meta_path = out / "metadata.json"
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    paths.append(meta_path)
-    return paths
+    return paths + [winners_path, meta_path]
 
 
 def parse_run_csv(path) -> list[EpochRecord]:
@@ -323,9 +343,11 @@ def parse_run_csv(path) -> list[EpochRecord]:
 def load_table(out_dir) -> ResultTable:
     """Rebuild a ResultTable from a directory written by emit_csv.
 
-    That is metadata.json, the run CSV of each cell it names, and one line
-    per (method, lambda) in winners.csv with a step of the grid; a file
-    missing or malformed raises :class:`DataSourceError` naming it.
+    That is metadata.json, the manifest, the run CSV of each cell it names
+    (see :func:`_cells`), and one line per (method, lambda) in winners.csv
+    with a step of the grid; a file missing or malformed raises
+    :class:`DataSourceError` naming it, so a directory reads back whole or
+    not at all.
     """
     out = Path(out_dir)
     path = out / "metadata.json"    # the file being read, for the error
@@ -333,14 +355,12 @@ def load_table(out_dir) -> ResultTable:
         meta = json.loads(path.read_text())
         references = {float(k): float(v) for k, v in meta.pop("references").items()}
         table = ResultTable(metadata=meta, references=references)
-        model, epochs = meta["model"], meta["epochs"]
+        epochs = meta["epochs"]
 
-        for lam, method, g, seed in product(meta["lambdas"], meta["methods"], meta["grid"],
-                                            meta["seeds"]):
-            path = out / run_filename(model, lam, method, g, seed)
+        for lam, method, g, seed, name in _cells(meta):
+            path = out / name
             records = parse_run_csv(path)
-            table.rows.append(RunRow(method, float(lam), float(g), int(seed), records,
-                                     diverged=len(records) < epochs))
+            table.rows.append(RunRow(method, lam, g, seed, records, len(records) < epochs))
 
         path = out / "winners.csv"
         lines = path.read_text().strip().splitlines()[1:]
@@ -371,25 +391,6 @@ def _figure_name(stem: str, lam: float) -> str:
     """The file name of figure ``stem`` (a ``_FIGURES`` stem) at lambda."""
     token = _param_token(lam).replace("-", "m").replace(".", "p")
     return f"{stem}_lam{token}.svg"
-
-
-# what run_filename and _figure_name give, with each lambda and step token as a
-# group: a number in _param_token's forms, which a figure's name spells with
-# "m" and "p" for "-" and "."
-_NUMBER = r"-?\d+(?:[.]\d+)?(?:e-?\d+)?"
-_WRITTEN_NAME = re.compile(
-    f"run_(?:{'|'.join(KINDS)})_lam({_NUMBER})_(?:{'|'.join(METHODS)})_step({_NUMBER})"
-    f"_seed(?:0|[1-9][0-9]*)[.]csv|(?:{'|'.join(stem for stem, *_ in _FIGURES)})"
-    f"_lam({_NUMBER.replace('-', 'm').replace('[.]', 'p')})[.]svg")
-
-
-def _is_written_name(name: str) -> bool:
-    """Whether ``name`` is a run CSV's or a figure's for some model, method,
-    lambda, step and seed: a file this program may have written.  Each
-    token must be the one its number is written as."""
-    match = _WRITTEN_NAME.fullmatch(name)
-    tokens = [t.replace("m", "-").replace("p", ".") for t in match.groups() if t] if match else []
-    return bool(tokens) and all(_param_token(float(token)) == token for token in tokens)
 
 
 def emit_plots(table: ResultTable, out_dir) -> list[Path]:

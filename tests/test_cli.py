@@ -393,6 +393,41 @@ def test_a_second_run_into_a_directory_leaves_none_of_the_first_run_s_files(tmp_
     assert load_table(out).metadata["lambdas"] == [1e-3]
 
 
+def test_a_run_without_plots_deletes_an_earlier_run_s_figures(tmp_path):
+    # before, the first run's figures of lambda 1e-3 stayed beside a
+    # winners.csv that they do not show
+    out = tmp_path / "out"
+    argv = ["run", "--synth", "50,3,0", "--lambda", "1e-3", "--epochs", "2", "--out", str(out),
+            "--cache-dir", str(tmp_path / "cache")]
+    assert main(argv + ["--grid", "0.1,1", "--plots"]) == 0
+    assert len(list(out.glob("*.svg"))) == 3
+    assert main(argv + ["--grid", "0.01"]) == 0
+    assert sorted(path.name for path in out.iterdir()) == [
+        "metadata.json", "run_logistic_lam0.001_SVRG_step0.01_seed0.csv", "winners.csv"]
+
+
+@pytest.mark.parametrize("step, earlier, code", [("1", False, 0), ("0.1", False, 3),
+                                                 ("0.1", True, 3)],
+                         ids=["not-written", "written", "named-by-the-earlier-run"])
+def test_a_directory_named_like_a_run_csv(tmp_path, capsys, step, earlier, code):
+    # is left alone, or is a one-line data error when the run would write
+    # or delete a file of its name; before, both ended in a traceback
+    out = tmp_path / "out"
+    argv = ["run", "--synth", "50,3,0", "--lambda", "1e-3", "--grid", "0.1", "--epochs", "2",
+            "--out", str(out), "--cache-dir", str(tmp_path / "cache")]
+    blocker = out / f"run_logistic_lam0.001_SVRG_step{step}_seed0.csv"
+    if earlier:
+        assert main(argv) == 0
+        blocker.unlink()
+    blocker.mkdir(parents=True)
+    capsys.readouterr()
+    assert main(argv) == code
+    assert blocker.is_dir()
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("data error: ") and err.count("\n") == 1 and str(blocker) in err
+
+
 def _damage_header(out):
     run = next(out.glob("run_*.csv"))
     run.write_text("epoch,fval\n" + run.read_text().split("\n", 1)[1])

@@ -2,15 +2,18 @@
 
 import dataclasses
 import hashlib
+import errno
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrgrad.harness import (_FIGURES, ExperimentSpec, ResultTable, RunRow, _figure_name,
-                            emit_csv, emit_plots, load_table, parse_run_csv, run_experiment)
+from vrgrad.harness import (_FIGURES, DataSourceError, ExperimentSpec, ResultTable, RunRow,
+                            _figure_name, emit_csv, emit_plots, load_table, parse_run_csv,
+                            run_experiment, run_filename)
 from vrgrad.losses import KINDS
 from vrgrad.optimizer import METHODS, EpochRecord, RunConfig
 from vrgrad.stepsize import constant
@@ -93,9 +96,78 @@ def test_a_second_table_deletes_the_first_one_s_files_and_no_other(tmp_path_fact
     for name in _figure_names(first) | set(_DECOYS):
         (out / name).write_text("kept\n")
     written = {path.name for path in emit_csv(second, out)}
-    kept = _figure_names(first) & _figure_names(second)
-    assert {path.name for path in out.iterdir()} == written | kept | set(_DECOYS)
+    # the first table's figures go at shared lambdas too: the second table
+    # may be written without figures
+    assert {path.name for path in out.iterdir()} == written | set(_DECOYS)
     assert all((out / name).read_text() == "kept\n" for name in _DECOYS)
+
+
+def _grid_table(epochs, lam=1e-3):
+    """A logistic table at one lambda: SVRG at steps 0.1 and 1, seed 0, each
+    run ``epochs`` records long."""
+    table = ResultTable(metadata={"model": "logistic", "epochs": epochs, "lambdas": [lam],
+                                  "methods": ["SVRG"], "grid": [0.1, 1.0], "seeds": [0]})
+    for step in (0.1, 1.0):
+        records = [EpochRecord(epoch=e, fval=1.0 + step / e, gap=step / e, wall_time=0.0,
+                               variance=0.0, step_size=step, grad_evals=10 * e)
+                   for e in range(1, epochs + 1)]
+        table.rows.append(RunRow("SVRG", lam, step, 0, records))
+    table.winners[("SVRG", lam)] = 0.1
+    table.references[lam] = 1.0
+    return table
+
+
+@pytest.mark.parametrize("failing", [run_filename("logistic", 1e-3, "SVRG", 0.1, 0),
+                                     run_filename("logistic", 1e-3, "SVRG", 1.0, 0),
+                                     "winners.csv"])
+@pytest.mark.parametrize("first_lam", [1e-3, 1e-2], ids=["same-cells", "other-cells"])
+def test_an_interrupted_emit_reads_back_as_an_error_until_the_next_one(tmp_path, monkeypatch,
+                                                                         failing, first_lam):
+    # over the same cells with one epoch more: before, load_table read the
+    # old files beside the new ones back as one table.  Over other cells, the
+    # next emit deletes what the interrupted one wrote
+    emit_csv(_grid_table(2, first_lam), tmp_path)
+    write_text = Path.write_text
+
+    def write_or_fail(path, *args, **kwargs):
+        if path.name == failing:
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_or_fail)
+    with pytest.raises(OSError):
+        emit_csv(_grid_table(3), tmp_path)
+    monkeypatch.undo()
+    with pytest.raises(DataSourceError, match=f"{failing} is malformed: FileNotFoundError"):
+        load_table(tmp_path)
+    written = emit_csv(_grid_table(3, 1e-4), tmp_path)
+    assert sorted(tmp_path.iterdir()) == sorted(written)
+    assert _bits(load_table(tmp_path)) == _bits(_grid_table(3, 1e-4))
+
+
+@pytest.mark.parametrize("key, value, bait", [
+    ("methods", ["../../../x"], "x_step0.1_seed0.csv"),
+    ("model", "svm", "out/run_svm_lam0.001_SVRG_step0.1_seed0.csv"),
+    ("seeds", ["0"], None),
+], ids=["method-outside-the-directory", "unknown-model", "string-seed"])
+def test_a_tampered_manifest_deletes_nothing_and_reads_back_as_malformed(tmp_path, key, value,
+                                                                         bait):
+    out = tmp_path / "out"
+    kept = [path for path in emit_csv(_grid_table(2), out) if path.name.startswith("run_")]
+    kept.append(out / _figure_name("gap_vs_epoch", 1e-3))
+    kept[-1].write_text("kept\n")
+    meta = json.loads((out / "metadata.json").read_text())
+    meta[key] = value
+    (out / "metadata.json").write_text(json.dumps(meta))
+    with pytest.raises(DataSourceError, match="metadata.json is malformed"):
+        load_table(out)
+    if bait:
+        (out / "run_logistic_lam0.001_..").mkdir()     # what "../../../x" would pass through
+        kept.append(tmp_path / bait)
+        kept[-1].write_text("kept\n")
+    contents = [path.read_bytes() for path in kept]
+    emit_csv(_grid_table(2, lam=1e-4), out)
+    assert [path.read_bytes() for path in kept] == contents
 
 
 def test_steps_equal_to_six_digits_get_files_of_their_own(tmp_path):
