@@ -3,9 +3,10 @@
 Exit codes: 0 success, 2 usage error (a bad flag or spec-file value), 3 data
 error (a missing, undecodable or malformed file, a results directory missing
 a file or a winner, a label outside {-1, +1}, or an output path that cannot
-be written), 4 reference-solver failure, 5 divergence, 1 anything else.  The
-reference cache directory comes from --cache-dir or the VRGRAD_CACHE_DIR env
-var.
+be written), 4 reference-solver failure, 1 anything else.  A run whose
+iterates diverge is not an error: ``run`` records it as diverged and exits
+0.  The reference cache directory comes from --cache-dir or the
+VRGRAD_CACHE_DIR env var.
 
 Config files for ``run --spec`` are flat ``key = value`` text; list values
 are comma-separated, and a key that is not a ``run`` flag is a usage error.
@@ -29,12 +30,11 @@ from .harness import (DataSourceError, ExperimentSpec, ReferenceError,
                       emit_csv, emit_plots, load_dataset, load_table,
                       run_experiment)
 from .losses import LossModel
-from .optimizer import METHODS, DivergenceError
+from .optimizer import METHODS
 from .reference import DEFAULT_TOL, save_reference, solve_reference
 
 EXIT_DATA = 3
 EXIT_REFERENCE = 4
-EXIT_DIVERGENCE = 5
 
 
 def _parse_list(convert):
@@ -224,9 +224,6 @@ def main(argv=None) -> int:
     except ReferenceError as err:
         print(f"reference error: {err}", file=sys.stderr)
         return EXIT_REFERENCE
-    except DivergenceError as err:
-        print(f"divergence: {err}", file=sys.stderr)
-        return EXIT_DIVERGENCE
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

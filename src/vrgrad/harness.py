@@ -197,7 +197,7 @@ def run_experiment(spec: ExperimentSpec, cache_dir=None) -> ResultTable:
 
     meta = {f.name: getattr(spec, f.name) for f in fields(spec) if f.name != "out_dir"}
     table = ResultTable(metadata=meta | {
-        "format": 1, "n": n, "d": dataset.d, "m": m,
+        "format": 2, "n": n, "d": dataset.d, "m": m,
         "generalized_bb_eta0": "1/L", "decay_c2": "c1*lambda"})
 
     for lam in spec.lambdas:
@@ -280,12 +280,16 @@ def emit_csv(table: ResultTable, out_dir) -> list[Path]:
 
     A run CSV has one column per :class:`EpochRecord` field; floats use
     17-significant-digit scientific notation, so parsing the files back
-    reproduces every record exactly.  First, winners.csv is deleted and, if
-    the directory holds a well formed metadata.json, every run CSV it names
-    and every figure of its lambdas; no other file is touched.  Then
-    metadata.json is written, before the run CSVs and winners.csv, so an
-    interrupted write leaves a manifest that names every file it would have
-    written: ``load_table`` fails on the missing ones, and the next run
+    reproduces every record exactly.  metadata.json is the table's metadata
+    plus its references and, under each run CSV's name, that file's record
+    count.
+
+    First, winners.csv is deleted and, if the directory holds a well formed
+    metadata.json, every run CSV it names and every figure of its lambdas;
+    no other file is touched.  Then metadata.json is written, before the
+    run CSVs and winners.csv, so an interrupted write leaves a manifest
+    that names every file it would have written and its record count:
+    ``load_table`` fails on a file missing or cut short, and the next run
     deletes them.
     """
     if not table.rows:
@@ -304,13 +308,16 @@ def emit_csv(table: ResultTable, out_dir) -> list[Path]:
     for name in stale:
         (out / name).unlink(missing_ok=True)
 
+    names = [run_filename(model, row.lam, row.method, row.step_param, row.seed)
+             for row in table.rows]
     meta = dict(table.metadata)
     meta["references"] = {_fmt_float(lam): _fmt_float(f) for lam, f in sorted(table.references.items())}
+    meta["records"] = {name: len(row.records) for name, row in zip(names, table.rows)}
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
     paths = []
-    for row in table.rows:
-        path = out / run_filename(model, row.lam, row.method, row.step_param, row.seed)
+    for name, row in zip(names, table.rows):
+        path = out / name
         lines = [CSV_HEADER]
         for rec in row.records:
             lines.append(",".join([fmt(value) for fmt, value
@@ -330,7 +337,12 @@ def emit_csv(table: ResultTable, out_dir) -> list[Path]:
 
 
 def parse_run_csv(path) -> list[EpochRecord]:
-    lines = Path(path).read_text().strip().splitlines()
+    """The records of a run CSV; a file whose last line has no newline may
+    be cut short inside a record, so it raises ValueError."""
+    text = Path(path).read_text()
+    if not text.endswith("\n"):
+        raise ValueError(f"{path}: no newline at the end")
+    lines = text.strip().splitlines()
     if lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: unexpected CSV header {lines[0]!r}")
     records = []
@@ -345,21 +357,26 @@ def load_table(out_dir) -> ResultTable:
 
     That is metadata.json, the manifest, the run CSV of each cell it names
     (see :func:`_cells`), and one line per (method, lambda) in winners.csv
-    with a step of the grid; a file missing or malformed raises
-    :class:`DataSourceError` naming it, so a directory reads back whole or
-    not at all.
+    with a step of the grid.  A file missing or malformed, or a run CSV
+    whose record count is not the one the manifest records for it (a file
+    cut short), raises :class:`DataSourceError` naming it, so a directory
+    reads back whole or not at all.  The references and the counts are not
+    kept in the table's metadata.
     """
     out = Path(out_dir)
     path = out / "metadata.json"    # the file being read, for the error
     try:
         meta = json.loads(path.read_text())
         references = {float(k): float(v) for k, v in meta.pop("references").items()}
+        counts = meta.pop("records")
         table = ResultTable(metadata=meta, references=references)
         epochs = meta["epochs"]
 
         for lam, method, g, seed, name in _cells(meta):
             path = out / name
             records = parse_run_csv(path)
+            if len(records) != counts[name]:
+                raise ValueError(f"record count {len(records)}, the manifest's {counts[name]}")
             table.rows.append(RunRow(method, lam, g, seed, records, len(records) < epochs))
 
         path = out / "winners.csv"

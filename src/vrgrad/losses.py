@@ -19,6 +19,12 @@ hinge's calls ``.astype``, which a Python float lacks).
 At the hinge kink (m = 1) phi'' takes the inactive branch, 0: the event has
 measure zero and the smaller curvature is the conservative choice.
 
+The model gives F and grad F over the dataset and, per sample, the
+gradient difference grad f_i(w) - grad f_i(z) and the Hessian's products.
+f_i(w) and grad f_i(w) alone serve only the tests, whose reference
+(``tests/oracle.py``) builds them from the row methods; each f_i is
+``lam``-strongly convex.
+
 Row i of X is read in one place.  :meth:`LossModel.row_dot` gives a_i^T x
 and :meth:`LossModel.row_add` does out += c a_i in place; every per-sample
 oracle, and every inner step of :mod:`vrgrad.optimizer` that reads a row
@@ -164,12 +170,6 @@ class LossModel:
         margins = self.dataset.labels * (self.dataset.features @ w)
         return float(np.mean(self._link.phi(margins))) + 0.5 * self.lam * float(w @ w)
 
-    def value_sample(self, i: int, w: np.ndarray) -> float:
-        """f_i(w), including this sample's share of the regularizer."""
-        w = self.check_dim(w)
-        margin = self._b[i] * self.row_dot(i, w)
-        return float(self._link.phi(margin)) + 0.5 * self.lam * float(w @ w)
-
     # -- gradients ----------------------------------------------------------
 
     def margin_coef_at(self, i: int, dot: float) -> float:
@@ -181,12 +181,6 @@ class LossModel:
         """:meth:`margin_coef_at` for every sample, given ``X @ w``."""
         b = self.dataset.labels
         return b * self._link.dphi(b * dots)
-
-    def grad_sample(self, i: int, w: np.ndarray) -> np.ndarray:
-        w = self.check_dim(w)
-        g = self.lam * w
-        self.row_add(i, self.margin_coef_at(i, self.row_dot(i, w)), g)
-        return g
 
     def grad_sample_delta(self, i: int, w: np.ndarray, z: np.ndarray) -> np.ndarray:
         """grad f_i(w) - grad f_i(z) in one pass over the sample's support."""
@@ -308,7 +302,3 @@ class LossModel:
         constant of every hess f_i; 0 when every row is empty."""
         cube = float(self.row_sq_norms.max()) ** 1.5
         return self._link.sup_d3phi * cube if cube else 0.0
-
-    def strong_convexity(self) -> float:
-        """mu = lam (each f_i is lam-strongly convex)."""
-        return self.lam

@@ -663,10 +663,12 @@ def optimize(model: LossModel, config: RunConfig, w0: np.ndarray,
     (current, previous) anchor pair, m inner steps, then the anchor update.
     Wall-time telemetry covers the whole epoch -- the full-gradient pass,
     the correction build with its per-epoch data, and the inner loop; the
-    variance and objective telemetry are computed outside the timer.  Gradient-evaluation accounting per epoch:
-    n + 2m for plain directions, n + 4m when the BB per-sample scalar is
-    active (its two extra anchor gradients per step), and the first epoch
-    of every correction method runs uncorrected (no previous anchor).
+    variance and objective telemetry are computed outside the timer.
+
+    Gradient-evaluation accounting per epoch: n + 2m for plain directions,
+    and n + 4m when the BB per-sample scalar is active (its two extra anchor
+    gradients per step).  The first epoch of every correction method runs
+    uncorrected (no previous anchor), so it counts n + 2m.
     A corrected SVRG2 step also applies the mean Hessian: one product with
     H, formed or matrix-free, or in Gram form one product with K = X X^T;
     these are not gradient evaluations and are not included in

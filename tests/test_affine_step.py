@@ -1,13 +1,14 @@
-"""The affine, diagonal, full-Hessian and Gram inner steps against the dense
-inner step as oracle, and the dense step against the plain formula.
+"""Every inner step form against the plain formula, and the dense step
+against it bit for bit.
 
 Unless a test says otherwise, the data's mean row has at most d/4 nonzeros,
 so ``optimize`` takes the affine step for the ``none`` and ``bb_scalar``
 corrections; it takes the diagonal step for every ``diag_hessian`` epoch and
 the full-Hessian or the Gram step, as ``hessian_form`` picks, for every
-``full_hessian`` epoch.  The oracle is the same run with ``step_class``, the
-one selector, patched to the dense step: the plain formula for v_t on a
-dense w.
+``full_hessian`` epoch.  On data whose mean row has more, the ``none`` and
+``bb_scalar`` epochs take the dense step.  The reference is the same run
+with ``step_class``, the one selector, patched to ``PlainIterate`` of
+:mod:`oracle`: the plain formula for v_t on a dense w.
 
 The dense step reads c_i(anchor) and the BB per-sample scalar from the
 epoch's correction, which computes each once per sample.  ``PlainIterate``
@@ -24,13 +25,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vrgrad.optimizer as optimizer
-from vrgrad.correction import DegenerateAnchorError, build_correction
+from vrgrad.correction import VARIANTS, DegenerateAnchorError, build_correction
 from vrgrad.data import SparseDataset, synth_binary
 from vrgrad.harness import schedule_for
-from vrgrad.losses import LossModel
-from vrgrad.optimizer import (METHODS, DivergenceError, RunConfig, hessian_form, optimize,
-                              step_class)
+from vrgrad.losses import KINDS, LossModel
+from vrgrad.optimizer import (METHODS, DivergenceError, RunConfig, direction, hessian_form,
+                              optimize, step_class)
 from vrgrad.stepsize import CurvatureError, EpochAnchors, constant
+
+from oracle import PlainIterate, coef, grad_delta, plain_direction
 
 RTOL = 1e-10
 
@@ -52,8 +55,9 @@ def sparse_dataset(n, d, nnz, seed, empty_rows=(), full_rows=()):
 
 
 def run_both(monkeypatch, model, config, w0=None):
-    """(records, summaries) of the O(nnz_i)-step run, then of the dense-step
-    run; a run that diverged gives its DivergenceError instead of records."""
+    """(records, summaries) of the run through the step forms ``step_class``
+    picks, then of the run through ``PlainIterate``; a run that diverged
+    gives its DivergenceError instead of records."""
     w0 = np.zeros(model.d) if w0 is None else w0
     real_run_epoch = optimizer.run_epoch
     out = []
@@ -68,7 +72,7 @@ def run_both(monkeypatch, model, config, w0=None):
         with monkeypatch.context() as patch:
             patch.setattr(optimizer, "run_epoch", spy)
             if not fast:
-                patch.setattr(optimizer, "step_class", lambda *a: optimizer._DenseIterate)
+                patch.setattr(optimizer, "step_class", lambda *a: PlainIterate)
             try:
                 _, records = optimize(model, config, w0)
             except DivergenceError as err:
@@ -78,16 +82,16 @@ def run_both(monkeypatch, model, config, w0=None):
 
 
 def assert_same_run(monkeypatch, model, config, w0=None):
-    (fast, fast_sums), (dense, dense_sums) = run_both(monkeypatch, model, config, w0)
-    assert not isinstance(fast, DivergenceError) and not isinstance(dense, DivergenceError)
-    assert len(fast) == len(dense) == config.epochs
-    for a, b in zip(fast, dense):
+    (fast, fast_sums), (plain, plain_sums) = run_both(monkeypatch, model, config, w0)
+    assert not isinstance(fast, DivergenceError) and not isinstance(plain, DivergenceError)
+    assert len(fast) == len(plain) == config.epochs
+    for a, b in zip(fast, plain):
         assert a.fval == pytest.approx(b.fval, rel=RTOL, abs=0.0)
         assert a.grad_evals == b.grad_evals
         assert a.step_size == pytest.approx(b.step_size, rel=RTOL)
     assert ([s.curvature_fallbacks for s in fast_sums]
-            == [s.curvature_fallbacks for s in dense_sums])
-    for a, b in zip(fast_sums, dense_sums):
+            == [s.curvature_fallbacks for s in plain_sums])
+    for a, b in zip(fast_sums, plain_sums):
         np.testing.assert_allclose(a.next_anchor, b.next_anchor, rtol=1e-8, atol=1e-12)
     return fast
 
@@ -153,7 +157,7 @@ def test_rule_takes_short_rows_and_scalar_corrections_only():
             assert step_class(model, first).__name__ == want[0], (rows, kind)
 
 
-# -- full runs against the dense step ------------------------------------------------
+# -- full runs against the plain formula --------------------------------------------
 
 
 @pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
@@ -181,12 +185,12 @@ def test_divergence_raises_in_the_same_epoch(monkeypatch, data):
     # gamma = 1 - 2.1: the first two diverge in their second epoch
     for method, step in (("SVRG", 210.0), ("SVRG2BB", 210.0), ("SVRGBB", 250.0),
                          ("SVRG", 1e6)):
-        (fast, _), (dense, _) = run_both(monkeypatch, model,
+        (fast, _), (plain, _) = run_both(monkeypatch, model,
                                          config_for(method, model, step, epochs=6))
-        assert isinstance(fast, DivergenceError) and isinstance(dense, DivergenceError)
-        assert fast.epoch == dense.epoch
+        assert isinstance(fast, DivergenceError) and isinstance(plain, DivergenceError)
+        assert fast.epoch == plain.epoch
         assert [r.fval for r in fast.records] == pytest.approx(
-            [r.fval for r in dense.records], rel=RTOL)
+            [r.fval for r in plain.records], rel=RTOL)
 
 
 @pytest.mark.parametrize("zz", [math.nan, math.inf, "past"])
@@ -372,19 +376,19 @@ def test_diag_step_negative_ratio(monkeypatch):
 
 
 def step_both(model, correction, idx, eta, limit, fast_cls=optimizer._DiagIterate):
-    """Step a ``fast_cls`` and a dense iterate of one epoch through ``idx``;
+    """Step a ``fast_cls`` and a plain iterate of one epoch through ``idx``;
     both must pass or fail the guard together.  Returns the step at which
     they fail (None if neither does) and the ``fast_cls`` iterate."""
-    fast, dense = (cls(model, correction, correction.anchor, correction.g_anchor)
-                   for cls in (fast_cls, optimizer._DenseIterate))
+    fast, plain = (cls(model, correction, correction.anchor, correction.g_anchor)
+                   for cls in (fast_cls, PlainIterate))
     failed = None
     for t, i in enumerate(idx):
         ok = fast.step(i, eta, limit)
-        assert ok == dense.step(i, eta, limit), t
+        assert ok == plain.step(i, eta, limit), t
         if not ok:
             failed = t + 1
             break
-    w = dense.current()
+    w = plain.current()
     np.testing.assert_allclose(fast.current(), w, rtol=0.0, atol=RTOL * np.linalg.norm(w))
     return failed, fast
 
@@ -437,13 +441,13 @@ def test_diag_step_divergence_raises_at_the_same_step(monkeypatch, data):
     # diverges, under the exact guard
     model = LossModel(data, 1e-2)
     built = diag_iterates(monkeypatch)
-    (fast, _), (dense, _) = run_both(monkeypatch, model,
+    (fast, _), (plain, _) = run_both(monkeypatch, model,
                                      config_for("SVRG2D", model, 210.0, epochs=6))
-    assert isinstance(fast, DivergenceError) and isinstance(dense, DivergenceError)
-    assert (fast.epoch, fast.step) == (dense.epoch, dense.step)
+    assert isinstance(fast, DivergenceError) and isinstance(plain, DivergenceError)
+    assert (fast.epoch, fast.step) == (plain.epoch, plain.step)
     assert fast.epoch >= 2 and built and built[0].log_r is None
     assert [r.fval for r in fast.records] == pytest.approx(
-        [r.fval for r in dense.records], rel=RTOL)
+        [r.fval for r in plain.records], rel=RTOL)
 
 
 @settings(max_examples=25, deadline=None)
@@ -550,12 +554,12 @@ def test_hess_step_divergence_raises_at_the_same_step(monkeypatch, branch, step)
     make = BRANCHES[branch]
     model = LossModel(make(), 1e-2)
     built = hess_iterates(monkeypatch)
-    (fast, _), (dense, _) = run_both(monkeypatch, model,
+    (fast, _), (plain, _) = run_both(monkeypatch, model,
                                      config_for("SVRG2", model, step, epochs=6))
-    assert isinstance(fast, DivergenceError) and isinstance(dense, DivergenceError)
-    assert (fast.epoch, fast.step) == (dense.epoch, dense.step) and fast.epoch >= 2
+    assert isinstance(fast, DivergenceError) and isinstance(plain, DivergenceError)
+    assert (fast.epoch, fast.step) == (plain.epoch, plain.step) and fast.epoch >= 2
     assert [r.fval for r in fast.records] == pytest.approx(
-        [r.fval for r in dense.records], rel=RTOL)
+        [r.fval for r in plain.records], rel=RTOL)
     assert built and all(form_of(it) == branch for it in built)
 
 
@@ -582,14 +586,14 @@ def test_hess_step_guard_with_an_infinite_limit(branch):
     make = BRANCHES[branch]
     model = LossModel(make(), 1e-2)
     corr = epoch_correction(model, variant="full_hessian")
-    fast, dense = (cls(model, corr, corr.anchor, corr.g_anchor)
-                   for cls in (step_class(model, corr), optimizer._DenseIterate))
+    fast, plain = (cls(model, corr, corr.anchor, corr.g_anchor)
+                   for cls in (step_class(model, corr), PlainIterate))
     assert form_of(fast) == branch
     results = []
     with np.errstate(all="ignore"):
         for i in np.random.default_rng(4).integers(0, model.n, 20).tolist():
             ok = fast.step(i, 1e100, math.inf)
-            assert ok == dense.step(i, 1e100, math.inf), len(results)
+            assert ok == plain.step(i, 1e100, math.inf), len(results)
             results.append(ok)
             if not ok:
                 break
@@ -817,53 +821,6 @@ def test_affine_runs_are_seeded(n, d, data_seed, seed, method, kind, anchor_opti
 # -- the dense step against the plain formula ------------------------------------------
 
 
-class PlainIterate:
-    """The dense inner iterate by the plain formula:
-    v = grad f_i(w) - grad f_i(z) + g + A u - A_i u with u = w - z, every
-    per-sample term computed on every step."""
-
-    def __init__(self, model, correction, w_anchor, g_anchor):
-        self.model, self.correction = model, correction
-        self.z, self.g = w_anchor, g_anchor
-        self.w = w_anchor.copy()
-
-    def current(self):
-        return self.w.copy()
-
-    def row(self, i):
-        X = self.model.dataset.features
-        lo, hi = X.indptr[i], X.indptr[i + 1]
-        return X.indices[lo:hi], X.data[lo:hi]
-
-    def coef(self, i, w):
-        """c_i(w) from the row dot."""
-        cols, vals = self.row(i)
-        return self.model.margin_coef_at(i, float(vals @ w[cols]))
-
-    def grad_delta(self, i, w, z):
-        """grad f_i(w) - grad f_i(z)."""
-        cols, vals = self.row(i)
-        g = self.model.lam * (w - z)
-        g[cols] += (self.coef(i, w) - self.coef(i, z)) * vals
-        return g
-
-    def step(self, i, eta, limit):
-        corr, w = self.correction, self.w
-        v = self.grad_delta(i, w, self.z)
-        v += self.g
-        if corr.variant != "none":
-            u = w - self.z
-            v += corr.apply_mean(u)
-            if corr.variant == "bb_scalar":
-                pair = corr.anchors
-                diff = self.grad_delta(i, self.z, pair.w_prev2)
-                v -= float(pair.s @ diff) / pair.secant[0] * u
-            else:
-                v -= corr.apply_sample(i, u)
-        w -= eta * v
-        return bool(np.isfinite(w).all()) and float(w @ w) <= limit
-
-
 def dense_runs(monkeypatch, model, config, w0=None):
     """The run through the dense step and through ``PlainIterate``: for each,
     (final iterate, records, divergence (epoch, step) or None)."""
@@ -1004,6 +961,30 @@ def test_hess_and_diag_steps_with_full_short_and_empty_rows(monkeypatch, method,
         assert all(form_of(it) == "formed" for it in built)
 
 
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 12), lengths=st.lists(st.sampled_from(["full", "short", "empty"]),
+                                              min_size=1, max_size=8),
+       seed=st.integers(0, 2**16), lam=st.sampled_from([0.0, 1e-3]),
+       kind=st.sampled_from(KINDS), variant=st.sampled_from(VARIANTS))
+def test_direction_is_the_plain_formula_bit_for_bit(d, lengths, seed, lam, kind, variant):
+    # canonical CSR rows: full (nnz_i = d), short (0 < nnz_i < d where d > 1)
+    # and empty, from a dense matrix; each sample twice, the second time
+    # from the correction's per-sample memos
+    rng = np.random.default_rng(seed)
+    X = np.zeros((len(lengths), d))
+    for i, length in enumerate(lengths):
+        k = d if length == "full" else 0 if length == "empty" or d == 1 else int(rng.integers(1, d))
+        X[i, rng.choice(d, k, replace=False)] = rng.uniform(0.5, 2.0, k) * rng.choice([-1, 1], k)
+    model = LossModel(SparseDataset.from_dense(X, rng.choice([-1.0, 1.0], len(lengths))),
+                      lam, kind)
+    z_prev, z, w = rng.standard_normal((3, d))
+    corr = build_correction(variant, model, z, z_prev)
+    assert corr.variant == variant
+    for i in [*range(model.n)] * 2:
+        assert direction(model, corr, w, i).tobytes() \
+            == plain_direction(model, corr, w, i).tobytes()
+
+
 # rows -> (data, the form of a full_hessian epoch): the mean row has at most
 # d/4 nonzeros, so none and bb_scalar epochs take the affine step.  Three full
 # rows keep the matrix-free product; with one full row of 60 and eleven rows
@@ -1020,7 +1001,7 @@ FEW_FULL_ROWS = {
 @pytest.mark.parametrize("rows", list(FEW_FULL_ROWS))
 def test_row_steps_with_a_few_full_rows(monkeypatch, rows, method, kind):
     # the full-row read inside the affine, matrix-free and Gram steps, against
-    # the dense step
+    # the plain formula
     make, form = FEW_FULL_ROWS[rows]
     model = LossModel(make(), 1e-3, kind)
     lengths = np.diff(model.dataset.features.indptr)
@@ -1046,11 +1027,9 @@ def test_memoized_per_sample_values_are_the_on_demand_ones(n, d, density, data_s
     z = rng.standard_normal(d)
     z_prev = z + 0.5 * rng.standard_normal(d)
     corr = build_correction("bb_scalar", model, z, z_prev)
-    plain = PlainIterate(model, corr, z, corr.g_anchor)
     pair = corr.anchors
     for draw in draws:
         i = draw % n
-        coef = plain.coef(i, z)
-        scalar = float(pair.s @ plain.grad_delta(i, z, z_prev)) / pair.secant[0]
-        assert float(corr.anchor_coef_at(i)).hex() == float(coef).hex()
+        scalar = float(pair.s @ grad_delta(model, i, z, z_prev)) / pair.secant[0]
+        assert float(corr.anchor_coef_at(i)).hex() == float(coef(model, i, z)).hex()
         assert float(corr.sample_scalar_at(i)).hex() == float(scalar).hex()

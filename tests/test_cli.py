@@ -5,6 +5,7 @@ import pytest
 from vrgrad.cli import _RUN_FIELDS, _spec_from_args, build_parser, main
 from vrgrad.data import synth_binary, write_libsvm
 from vrgrad.harness import ExperimentSpec, load_table
+from vrgrad.reference import load_reference
 
 
 def test_run_rejects_the_removed_step_flag(tmp_path):
@@ -326,6 +327,18 @@ def test_reference_on_a_file_matches_the_synthetic_data_it_holds(tmp_path, capsy
     assert from_synth.startswith("f_star=") and from_file == from_synth
 
 
+def test_reference_out_writes_the_printed_solution_and_a_second_call_overwrites_it(
+        tmp_path, capsys):
+    path = tmp_path / "ref.bin"
+    for synth, d in (("60,4,5", 4), ("40,3,1", 3)):
+        assert main(["reference", "--synth", synth, "--lambda", "1e-3", "--out", str(path)]) == 0
+        first, saved = capsys.readouterr().out.splitlines()
+        sol = load_reference(path)
+        f_star = float(first.split()[0].removeprefix("f_star="))
+        assert sol.converged and sol.f_star.hex() == f_star.hex() and sol.w_star.size == d
+        assert saved == f"saved to {path}"
+
+
 @pytest.mark.parametrize("text", ["", "\n  \n\n"])
 @pytest.mark.parametrize("command", ["run", "reference"])
 def test_a_data_file_without_a_sample_is_a_data_error(tmp_path, capsys, text, command):
@@ -479,6 +492,15 @@ def _winner_off_the_grid(out):
                                                           ",2.00000000000000011e-01,", 1)])
 
 
+def _drop_counts(out):
+    # a directory written before metadata.json recorded each run's count
+    meta = _metadata(out)
+    del meta["records"]
+    meta["format"] = 1
+    (out / "metadata.json").write_text(json.dumps(meta))
+    return out / "metadata.json"
+
+
 def _drop_model(out):
     meta = _metadata(out)
     del meta["model"]
@@ -488,7 +510,7 @@ def _drop_model(out):
 
 @pytest.mark.parametrize("damage", [_damage_header, _damage_row, _damage_json, _damage_lambdas,
                                     _drop_run, _drop_winner, _add_winner,
-                                    _winner_off_the_grid, _drop_model])
+                                    _winner_off_the_grid, _drop_model, _drop_counts])
 def test_plot_from_a_damaged_results_directory_is_a_data_error(tmp_path, capsys, damage):
     # before, the first four exited 1, and a missing "lambdas" with a
     # traceback; the last five exited 0 with a curve or a figure left out
@@ -500,6 +522,22 @@ def test_plot_from_a_damaged_results_directory_is_a_data_error(tmp_path, capsys,
     capsys.readouterr()
     assert main(["plot", "--from", str(out)]) == 3
     assert f"data error: {path} is malformed" in capsys.readouterr().err
+
+
+def test_a_run_csv_cut_short_at_a_line_boundary_is_a_data_error(tmp_path, capsys):
+    # before, it read back as a run that diverged after its first epoch
+    out = tmp_path / "results"
+    assert main(["run", "--synth", "50,3,0", "--lambda", "1e-3", "--grid", "0.1",
+                 "--epochs", "3", "--out", str(out),
+                 "--cache-dir", str(tmp_path / "cache")]) == 0
+    run = out / "run_logistic_lam0.001_SVRG_step0.1_seed0.csv"
+    header, first, *rest = run.read_text().splitlines()
+    assert len(rest) == 2
+    run.write_text(f"{header}\n{first}\n")
+    capsys.readouterr()
+    assert main(["plot", "--from", str(out)]) == 3
+    assert capsys.readouterr().err == (f"data error: {run} is malformed: ValueError: "
+                                       "record count 1, the manifest's 3\n")
 
 
 @pytest.mark.parametrize("in_file", [(), ("data", "synth"), ("synth",), ("data",)],
@@ -541,5 +579,6 @@ def test_run_metadata_names_its_data(tmp_path, source):
     assert (meta["scale_features"], meta["subsample"], meta["reference_tol"], meta["n"]) \
         == (True, 15, 1e-10, 15)
     table = load_table(out)
-    assert table.metadata == {k: v for k, v in meta.items() if k != "references"}
+    assert table.metadata == {k: v for k, v in meta.items()
+                              if k not in ("references", "records")}
     assert [(r.method, r.step_param, len(r.records)) for r in table.rows] == [("SVRG", 0.1, 1)]

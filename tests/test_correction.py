@@ -9,6 +9,8 @@ from vrgrad.data import synth_binary
 from vrgrad.losses import LossModel
 from vrgrad.stepsize import CurvatureError
 
+from oracle import grad_sample
+
 
 @pytest.fixture(scope="module")
 def model():
@@ -160,7 +162,7 @@ def test_epoch_data_matches_per_sample_oracles(model, anchors):
             # grad f_i(z) = c_i(z) a_i + lam z
             np.testing.assert_allclose(
                 op.anchor_coefs[i] * X[i] + model.lam * w_curr,
-                model.grad_sample(i, w_curr), rtol=1e-12, atol=1e-15, err_msg=variant)
+                grad_sample(model, i, w_curr), rtol=1e-12, atol=1e-15, err_msg=variant)
 
 
 def test_bb_sample_scalars_give_the_per_sample_operator(model, anchors):

@@ -5,6 +5,7 @@ import hashlib
 import errno
 import itertools
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -344,11 +345,47 @@ def test_metadata_json_is_the_spec(diverging_run):
     meta = json.loads((out / "metadata.json").read_text())
     spec_keys = {f.name for f in dataclasses.fields(ExperimentSpec)} - {"out_dir"}
     assert set(meta) == spec_keys | {"format", "n", "d", "generalized_bb_eta0", "decay_c2",
-                                     "references"}
-    assert (meta["n"], meta["d"], meta["m"]) == (20, 3, 40)
+                                     "references", "records"}
+    assert (meta["format"], meta["n"], meta["d"], meta["m"]) == (2, 20, 3, 40)
     for key in spec_keys - {"m"}:
         assert meta[key] == json.loads(json.dumps(getattr(spec, key))), key
-    assert load_table(out).metadata == {k: v for k, v in meta.items() if k != "references"}
+    assert meta["records"] == {
+        run_filename("logistic", r.lam, r.method, r.step_param, r.seed): len(r.records)
+        for r in table.rows}
+    assert load_table(out).metadata == {k: v for k, v in meta.items()
+                                        if k not in ("references", "records")}
+
+
+def _one_run(out):
+    """Emit a 2-epoch SVRG run into ``out``; returns its run CSV."""
+    spec = ExperimentSpec(synth=(20, 3, 0), lambdas=(1e-2,), grid=(0.1,), epochs=2,
+                          out_dir=str(out))
+    emit_csv(run_experiment(spec), out)
+    return out / "run_logistic_lam0.01_SVRG_step0.1_seed0.csv"
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+def test_a_run_csv_whose_record_count_is_not_the_manifest_s_is_malformed(tmp_path, change):
+    path = _one_run(tmp_path)
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert meta["records"] == {path.name: 2}
+    meta["records"][path.name] += change
+    (tmp_path / "metadata.json").write_text(json.dumps(meta))
+    message = f"{path} is malformed: ValueError: record count 2, the manifest's {2 + change}"
+    with pytest.raises(DataSourceError, match=re.escape(message)):
+        load_table(tmp_path)
+
+
+@pytest.mark.parametrize("cut", [1, 2, 3])
+def test_a_run_csv_cut_inside_its_last_record_is_malformed(tmp_path, cut):
+    # the newline alone, or digits of the last grad_evals, 200, whose rest
+    # still parses; the record count is still the manifest's
+    path = _one_run(tmp_path)
+    assert path.read_text().endswith(",200\n")
+    path.write_bytes(path.read_bytes()[:-cut])
+    assert len(path.read_text().splitlines()) == 3
+    with pytest.raises(DataSourceError, match=re.escape(f"{path}: no newline at the end")):
+        load_table(tmp_path)
 
 
 def test_a_diverged_run_has_fewer_records_than_epochs(diverging_run):

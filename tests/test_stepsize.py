@@ -173,7 +173,7 @@ def test_generalized_bb_steps_within_theorem_bracket():
     from vrgrad.losses import LossModel
 
     model = LossModel(synth_binary(60, 5, seed=32), 1e-2, "logistic")
-    mu, L = model.strong_convexity(), model.smoothness()
+    mu, L = model.lam, model.smoothness()
     rng = np.random.default_rng(33)
     sched = generalized_bb(11, 0.8, 1e-3, eta0=1.0 / L)
     m = 40

@@ -212,7 +212,7 @@ def test_alpha_hat_bb_below_paper_bound():
     w_anchor = w_prev - 0.4 * model.grad_full(w_prev)
     corr = build_correction("bb_scalar", model, w_anchor, w_prev)
     points = [w_anchor + 0.1 * rng.standard_normal(8) for _ in range(5)]
-    bound = alpha_bb_diag(ProblemConstants(model.strong_convexity(), model.smoothness()))
+    bound = alpha_bb_diag(ProblemConstants(model.lam, model.smoothness()))
     assert estimate_alpha_empirical(model, corr, points) <= bound
 
 
@@ -285,7 +285,7 @@ def test_epoch_contraction_within_gamma_bound():
     ds = synth_binary(200, 10, seed=74)
     model = LossModel(ds, 1e-1, "logistic")
     sol = solve_reference(model, tol=1e-12)
-    mu, L = model.strong_convexity(), model.smoothness()
+    mu, L = model.lam, model.smoothness()
     eta, m = 0.02, 2 * model.n
     est = gamma_theorem2(mu, L, 1.0, eta, m)
     assert est.feasible
@@ -421,8 +421,7 @@ def test_alpha_full_hessian_from_the_model_bound():
     ds = synth_binary(40, 5, seed=77)
     for kind, finite in (("logistic", True), ("squared_hinge", False)):
         model = LossModel(ds, 1e-2, kind)
-        c = ProblemConstants(model.strong_convexity(), model.smoothness(),
-                             model.hessian_lipschitz(), M=1.0)
+        c = ProblemConstants(model.lam, model.smoothness(), model.hessian_lipschitz(), M=1.0)
         alpha = alpha_full_hessian(c)
         assert math.isfinite(alpha) == finite and alpha > 0.0
 
