@@ -5,7 +5,8 @@ error (a missing, undecodable or malformed file, a results directory missing
 a file or a winner, a label outside {-1, +1}, or an output path that cannot
 be written), 4 reference-solver failure, 1 anything else.  A run whose
 iterates diverge is not an error: ``run`` records it as diverged and exits
-0.  The reference cache directory comes from --cache-dir or the
+0, and says so for a (method, lambda) cell in which every step diverged.
+The reference cache directory comes from --cache-dir or the
 VRGRAD_CACHE_DIR env var.
 
 Config files for ``run --spec`` are flat ``key = value`` text; list values
@@ -22,6 +23,7 @@ one input, so giving both, by any route, is a usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -139,8 +141,12 @@ def cmd_run(args) -> int:
         paths += emit_plots(table, spec.out_dir)
     print(f"wrote {len(paths)} files to {spec.out_dir}")
     for (method, lam), step in sorted(table.winners.items()):
-        print(f"  {method:>12s} lambda={lam:g}: best step {step:g}, "
-              f"final gap {table.mean_gap(method, lam):.3e}")
+        gap = table.mean_gap(method, lam)
+        # the winner's mean gap is the cell's least: inf only when every
+        # step diverged on some seed
+        outcome = ("every step diverged on some seed" if gap == math.inf
+                   else f"best step {step:g}, final gap {gap:.3e}")
+        print(f"  {method:>12s} lambda={lam:g}: {outcome}")
     return 0
 
 

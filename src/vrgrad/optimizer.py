@@ -25,8 +25,8 @@ An inner step takes one of five forms, each described on its class:
   its bits are the plain formula's;
 * :class:`_AffineIterate`, for the ``none`` and ``bb_scalar`` corrections
   when the mean row has at most d/4 nonzeros, O(nnz_i);
-* :class:`_DiagIterate`, for ``diag_hessian``, O(nnz_i) with per-column
-  catch-up;
+* :class:`_DiagIterate`, for ``diag_hessian``, O(nnz_i), with per-column
+  catch-up unless every row is full;
 * :class:`_HessIterate`, for ``full_hessian``, one row dot and one H u by
   the matrix-free product, or, in :class:`_FormedHessIterate`, by a matvec
   with H formed (d^2 < nnz);
@@ -37,9 +37,10 @@ An inner step takes one of five forms, each described on its class:
 The dense, affine and full-Hessian steps read the drawn row through the
 model alone: one :meth:`LossModel.row_dot` and one :meth:`LossModel.row_add`
 a step, which read and add a full row (nnz_i = d) directly.  The diagonal
-step gathers and scatters the row itself, because its catch-up gathers
-several per-column arrays over the row's columns with it.  The Gram step
-reads no row: a_i.u is an entry of X u, which it keeps.
+step reads the row's values itself and applies them to u or, on data with
+short rows, to the row's columns of u, which it gathers with the
+per-column arrays of its catch-up and scatters back.  The Gram step reads
+no row: a_i.u is an entry of X u, which it keeps.
 
 One function, :func:`step_class`, picks an epoch's form: ``diag_hessian``
 takes the diagonal step, ``full_hessian`` the form :func:`hessian_form` picks
@@ -330,9 +331,8 @@ class _AffineIterate(_RowIterate):
 
 
 class _DiagIterate(_RowIterate):
-    """The inner iterate of a ``diag_hessian`` epoch as u = w - z; each
-    column is brought up to date only when a step reads it, so a step costs
-    O(nnz_i).
+    """The inner iterate of a ``diag_hessian`` epoch as u = w - z; a step
+    costs O(nnz_i).
 
     With D the mean Hessian diagonal (lam included) and h_i the anchor's
     curvature coefficients, a step is
@@ -341,10 +341,17 @@ class _DiagIterate(_RowIterate):
     u_j <- u*_j + r_j (u_j - u*_j), with r_j = 1 - eta D_j and
     u*_j = -g_j / D_j, so k steps of it move u_j by (r_j^k - 1)(u_j - u*_j).
     Where 1 - eta D_j rounds to 1 (D_j = 0 needs lam = 0), the column drifts
-    by -eta g_j per step instead.  A step brings only the row's columns up
-    from the step each was last written at, takes the margin from
-    ``X @ z`` + a_i.u, and writes the row back; the end of the epoch and the
-    option-2 snapshot bring up all d columns.
+    by -eta g_j per step instead.
+
+    When some row is short (``lazy``), each column is brought up to date
+    only when a step reads it: a step gathers the row's columns, brings
+    them up from the step each was last written at, moves them and
+    scatters them back, and the end of the epoch and the option-2 snapshot
+    bring up all d columns.  When every row is full (nnz = n d), every step
+    writes every column, so no column waits and the step moves the whole
+    of u in place.  Both take the margin from ``X @ z`` + a_i.u and apply
+    one update.  A full row in data with short rows still needs its
+    catch-up, so the choice is the dataset's, not the row's.
 
     When every eta D_j < 1, r^k - 1 is expm1(k log1p(-eta D_j)), which keeps
     its precision when |u*_j| is far larger than |u_j|, and the divergence
@@ -362,12 +369,13 @@ class _DiagIterate(_RowIterate):
         # the one step form that reads rows itself (module docstring)
         X = model.dataset.features
         self.bounds, self.indices, self.data = model.row_bounds, X.indices, X.data
+        self.lazy = X.nnz < model.n * model.d
         self.diag = correction.diag_mean
         # h_i a_ij^2 for every nonzero a_ij
         self.h_sq = np.repeat(correction.curvature_coefs, np.diff(X.indptr)) * self.data ** 2
         self.znorm = math.sqrt(self.zz)
         self.u = np.zeros(model.d)      # u_j as of step stamp_j
-        self.stamp = np.zeros(model.d)
+        self.stamp = np.zeros(model.d)  # read only when lazy
         self.t = 0                      # steps taken
         self.eta = None
 
@@ -404,10 +412,11 @@ class _DiagIterate(_RowIterate):
     def _sync(self) -> None:
         """Bring every column up to step t."""
         if self.eta is not None:
-            k = self.t - self.stamp
-            rk_m1 = -k * self.E if self.log_r is None else np.expm1(k * self.log_r)
-            self.u = self._caught_up(self.u, k, rk_m1, self.ustar, self.drift)
-            self.stamp.fill(self.t)
+            if self.lazy:
+                k = self.t - self.stamp
+                rk_m1 = -k * self.E if self.log_r is None else np.expm1(k * self.log_r)
+                self.u = self._caught_up(self.u, k, rk_m1, self.ustar, self.drift)
+                self.stamp.fill(self.t)
             self._reset_bound()
 
     def _reset_bound(self) -> None:
@@ -423,25 +432,33 @@ class _DiagIterate(_RowIterate):
         if self.eta is None:
             self._set_eta(eta)
         lo, hi = self.bounds[i], self.bounds[i + 1]
-        cols, vals = self.indices[lo:hi], self.data[lo:hi]
-        u_old = self.u.take(cols)
-        if self.log_r is None:
-            uc = u_old      # the exact test after each step brought all up
+        if self.lazy:
+            cols = self.indices[lo:hi]
+            u_old = self.u.take(cols)
         else:
+            u_old = self.u      # every column is up to step t
+        old_sq = u_old.dot(u_old)
+        u = u_old           # with no bound, the exact test brought all columns up
+        if self.lazy and self.log_r is not None:
             k = self.t - self.stamp.take(cols)
-            uc = self._caught_up(u_old, k, np.expm1(k * self.log_r.take(cols)),
-                                 self.ustar.take(cols),
-                                 None if self.drift is None else self.drift.take(cols))
-        dc = self.margin_coef_at(i, self.z_dots[i] + float(vals.dot(uc))) - self.z_coefs[i]
-        # u <- (1 - eta D) o u - eta g - eta dc a_i + eta h_i (a_i o a_i o u)
-        u_new = self.row_coef[lo:hi] * uc - self.eta_g.take(cols) - (eta * dc) * vals
-        self.u.put(cols, u_new)
+            u = self._caught_up(u_old, k, np.expm1(k * self.log_r.take(cols)),
+                                self.ustar.take(cols),
+                                None if self.drift is None else self.drift.take(cols))
+        vals = self.data[lo:hi]
+        dc = self.margin_coef_at(i, self.z_dots[i] + float(vals.dot(u))) - self.z_coefs[i]
+        # u <- (1 - eta D) o u - eta g - eta dc a_i + eta h_i (a_i o a_i o u),
+        # in place on u or on the row's gathered columns
+        u *= self.row_coef[lo:hi]
+        u -= self.eta_g.take(cols) if self.lazy else self.eta_g
+        u -= (eta * dc) * vals
         self.t += 1
-        self.stamp.put(cols, self.t)
+        if self.lazy:
+            self.u.put(cols, u)
+            self.stamp.put(cols, self.t)
         if self.log_r is None:
             return _within_guard(self.current(), limit)    # no bound: test w
         # a column waiting k steps moves at most k |eta D_j u_j + eta g_j|
-        self.usq += float(u_new.dot(u_new) - u_old.dot(u_old))
+        self.usq += float(u.dot(u) - old_sq)
         u_norm = math.sqrt(abs(self.usq))
         e_max, g_move = self.move_scale
         bound = self.znorm + u_norm + (self.t - self.t0) * (e_max * u_norm + g_move)

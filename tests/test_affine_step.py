@@ -313,13 +313,16 @@ def test_hinge_kink_matrix_free(monkeypatch):
 # -- the diagonal step ----------------------------------------------------------------------
 
 
-def diag_iterates(monkeypatch):
-    """Every diagonal iterate ``optimize`` builds from now on, in order."""
+def diag_iterates(monkeypatch, lazy=None):
+    """Every diagonal iterate ``optimize`` builds from now on, in order; with
+    ``lazy`` given, each takes the lazy step or not whatever its rows."""
     built = []
 
     class Recorded(optimizer._DiagIterate):
         def __init__(self, *args):
             super().__init__(*args)
+            if lazy is not None:
+                self.lazy = lazy
             built.append(self)
 
     monkeypatch.setattr(optimizer, "_DiagIterate", Recorded)
@@ -335,6 +338,28 @@ def test_diag_step_on_dense_rows(monkeypatch, kind, anchor_option):
     assert_same_run(monkeypatch, model,
                     config_for("SVRG2D", model, epochs=5, anchor_option=anchor_option))
     assert len(built) == 4 and all(it.log_r is not None for it in built)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+@pytest.mark.parametrize("anchor_option", [1, 2])
+@pytest.mark.parametrize("lam, step, exact", [(1e-2, 0.5, False), (1.0, 1.2, True)])
+def test_diag_step_on_full_rows_is_the_lazy_step_bit_for_bit(monkeypatch, kind, anchor_option,
+                                                             lam, step, exact):
+    # every row full: the step moves all of u in place; forced to the lazy
+    # step, it catches each column up by k = 0 steps.  At lam = 1, step 1.2
+    # every eta D_j is in [1.2, 1.5), and every step tests w exactly
+    model = LossModel(dense_rows(), lam, kind)
+    config = config_for("SVRG2D", model, step, epochs=5, anchor_option=anchor_option,
+                        variance_mode="last")
+    runs = []
+    for lazy in (None, True):
+        with monkeypatch.context() as patch:
+            built = diag_iterates(patch, lazy)
+            w, records = optimize(model, config, np.zeros(model.d))
+        assert len(built) == 4 and all(it.lazy == bool(lazy) for it in built)
+        assert all((it.log_r is None) == exact for it in built)
+        runs.append((w.tobytes(), [record_bits(r) for r in records]))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
@@ -951,7 +976,8 @@ def test_dense_step_bits_with_full_short_and_empty_rows(monkeypatch, method, anc
 def test_hess_and_diag_steps_with_full_short_and_empty_rows(monkeypatch, method,
                                                             anchor_option, kind):
     # the formed-H step reads and adds full rows directly and short rows by
-    # gather and scatter; the diagonal step gathers and scatters every row
+    # gather and scatter; the diagonal step takes the lazy step on every
+    # row, full rows too, since short rows leave columns behind
     model = LossModel(mixed_rows(), 1e-3, kind)
     assert hessian_form(model) == "formed"
     built = hess_iterates(monkeypatch) if method == "SVRG2" else diag_iterates(monkeypatch)
@@ -959,6 +985,8 @@ def test_hess_and_diag_steps_with_full_short_and_empty_rows(monkeypatch, method,
     assert len(built) == 3
     if method == "SVRG2":
         assert all(form_of(it) == "formed" for it in built)
+    else:
+        assert all(it.lazy for it in built)
 
 
 @settings(max_examples=80, deadline=None)

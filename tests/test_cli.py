@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -307,6 +308,28 @@ def test_run_prints_the_winner_s_gap_that_winners_csv_records(tmp_path, capsys):
     assert len({r.final_gap() for r in rows}) == 3
     assert gap == sum(r.final_gap() for r in rows) / 3
     assert f"final gap {gap:.3e}" in printed
+
+
+@pytest.mark.parametrize("grid, every_step_diverged", [("1e8", True), ("1e8,0.1", False)])
+def test_run_says_when_every_step_of_a_cell_diverged(tmp_path, capsys, grid,
+                                                     every_step_diverged):
+    # the winner pick and winners.csv stay: a cell whose every step diverged
+    # names its least step, with final gap inf
+    out = tmp_path / "results"
+    code = main(["run", "--synth", "20,3,0", "--grid", grid, "--epochs", "2",
+                 "--out", str(out), "--cache-dir", str(tmp_path / "cache")])
+    assert code == 0
+    printed = capsys.readouterr().out.splitlines()[1:]
+    winners = [row.split(",") for row in (out / "winners.csv").read_text().splitlines()[1:]]
+    assert len(printed) == len(winners) == 3
+    for line, (method, lam, step, gap, _) in zip(printed, winners):
+        assert line.lstrip().startswith(f"{method} lambda={float(lam):g}: ")
+        if every_step_diverged:
+            assert line.endswith(": every step diverged on some seed")
+            assert (float(step), float(gap)) == (1e8, math.inf)
+        else:
+            assert line.endswith(f": best step 0.1, final gap {float(gap):.3e}")
+            assert float(step) == 0.1 and math.isfinite(float(gap))
 
 
 def test_reference_on_a_missing_file_is_a_data_error(tmp_path, capsys):
