@@ -9,8 +9,9 @@ exactly, and ``load_table`` takes only the whole layout ``emit_csv``
 writes; ``emit_plots`` renders gap-vs-epoch, gap-vs-time and
 variance-vs-epoch figures for the winners.  ``metadata.json`` is the
 deletion manifest: written into a directory that holds an earlier run,
-``emit_csv`` first deletes that run's winners.csv, the run CSVs its
-``metadata.json`` names and every figure of its lambdas, and no other file.
+``emit_csv`` first deletes, in this order, that run's winners.csv, the run
+CSVs its ``metadata.json`` names and every figure of its lambdas, and no
+other file.
 
 All outputs except wall-time columns are byte-deterministic given the spec
 and seed list.
@@ -89,6 +90,9 @@ class ExperimentSpec:
             raise ValueError(f"subsample must be >= 1, got {self.subsample}")
         check_run_options(self.methods, self.epochs, self.m, self.anchor_option,
                           self.variance_mode)
+        if self.epochs == 0:
+            # a run may have no epoch, but then it has no final gap to pick a winner by
+            raise ValueError("an experiment needs epochs >= 1, got 0")
         self.model = loss_kind(self.model)
         if self.data_path is not None and self.synth is not None:
             raise ValueError("give one data source, data_path or synth, not both")
@@ -285,12 +289,12 @@ def emit_csv(table: ResultTable, out_dir) -> list[Path]:
     count.
 
     First, winners.csv is deleted and, if the directory holds a well formed
-    metadata.json, every run CSV it names and every figure of its lambdas;
-    no other file is touched.  Then metadata.json is written, before the
-    run CSVs and winners.csv, so an interrupted write leaves a manifest
-    that names every file it would have written and its record count:
-    ``load_table`` fails on a file missing or cut short, and the next run
-    deletes them.
+    metadata.json, every run CSV it names and every figure of its lambdas,
+    in that order; no other file is touched.  Then metadata.json is
+    written, before the run CSVs and winners.csv, so an interrupted write
+    leaves a manifest that names every file it would have written and its
+    record count: ``load_table`` fails on a file missing or cut short, and
+    the next run deletes them.
     """
     if not table.rows:
         raise ValueError("empty result table")
@@ -303,9 +307,10 @@ def emit_csv(table: ResultTable, out_dir) -> list[Path]:
         cells = list(_cells(json.loads(meta_path.read_text())))
     except (OSError, ValueError, KeyError, TypeError):
         cells = []      # a missing or malformed manifest deletes nothing
-    stale = {"winners.csv"} | {name for *_, name in cells}
-    stale |= {_figure_name(stem, lam) for lam, *_ in cells for stem, *_ in _FIGURES}
-    for name in stale:
+    # one fixed order, the manifest's, so a failed unlink leaves the same
+    # files on every run
+    figures = [_figure_name(stem, lam) for lam, *_ in cells for stem, *_ in _FIGURES]
+    for name in dict.fromkeys(["winners.csv", *(name for *_, name in cells), *figures]):
         (out / name).unlink(missing_ok=True)
 
     names = [run_filename(model, row.lam, row.method, row.step_param, row.seed)

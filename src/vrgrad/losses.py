@@ -34,7 +34,10 @@ but the diagonal one, reads it through them.  Both find the row through
 so a full row (nnz_i = d) holds columns 0, ..., d-1 in order and is read
 and added directly; a shorter one is gathered with ``take`` and scattered
 with ``put``.  Both ways make the same products and sums in the same order,
-so they give the same bits.
+so they give the same bits.  Whether every row is full (nnz = n d) is
+:attr:`LossModel.full_rows`, decided once, with the model; the optimizer
+reads it to pick the inner step of the ``none`` and ``bb_scalar`` epochs and
+to tell whether the diagonal step catches columns up.
 
 A model builds X^T once, with the model: X^T of a CSR matrix is a CSC view
 that shares X's arrays.  The element-wise powers X^2, X^3 and X^4
@@ -118,6 +121,8 @@ class LossModel:
         self._b = dataset.labels.tolist()
         X = dataset.features
         self.row_bounds = X.indptr.tolist()
+        # every row full (nnz_i = d); a SparseDataset stores no zero entry
+        self.full_rows = X.nnz == dataset.n * dataset.d
         self._indices, self._data = X.indices, X.data
         self.XT = X.T
         # formed on first read.  Not functools.cached_property: it writes

@@ -21,12 +21,13 @@ uniformly random one (option 2) to the next anchor.  Method names:
 
 An inner step takes one of five forms, each described on its class:
 
-* :class:`_DenseIterate`, w as a vector through :func:`direction`, O(d);
+* :class:`_DenseIterate`, for the ``none`` and ``bb_scalar`` corrections
+  when every row is full, w as a vector through :func:`direction`, O(d);
   its bits are the plain formula's;
 * :class:`_AffineIterate`, for the ``none`` and ``bb_scalar`` corrections
-  when the mean row has at most d/4 nonzeros, O(nnz_i);
+  when some row is short, O(nnz_i);
 * :class:`_DiagIterate`, for ``diag_hessian``, O(nnz_i), with per-column
-  catch-up unless every row is full;
+  catch-up when some row is short;
 * :class:`_HessIterate`, for ``full_hessian``, one row dot and one H u by
   the matrix-free product, or, in :class:`_FormedHessIterate`, by a matvec
   with H formed (d^2 < nnz);
@@ -45,8 +46,8 @@ no row: a_i.u is an entry of X u, which it keeps.
 One function, :func:`step_class`, picks an epoch's form: ``diag_hessian``
 takes the diagonal step, ``full_hessian`` the form :func:`hessian_form` picks
 by cost, and the others, the first epoch of SVRG2 and SVRG2D among them, the
-affine step when the mean row has at most d/4 nonzeros (4 nnz <= n d) and
-the dense step otherwise.  All five agree up to rounding.
+dense step when every row is full (:attr:`LossModel.full_rows`, nnz = n d)
+and the affine step otherwise.  All five agree up to rounding.
 
 A run diverges when an iterate is not finite or ||w||^2 exceeds the square of
 the guard 1e8 (1 + ||w0||).  The dense and full-Hessian steps form w and test
@@ -91,6 +92,10 @@ _FORMS = {
     "SVRG2BBS-M3": ("bb_scalar", "generalized_bb"),
 }
 METHODS = tuple(_FORMS)
+# correction variant -> the per-sample gradient evaluations an inner step
+# counts, by the paper's accounting: two for grad f_i(w) - grad f_i(z), and
+# two more at the anchors for the BB per-sample scalar
+_STEP_GRAD_EVALS = {"none": 2, "full_hessian": 2, "diag_hessian": 2, "bb_scalar": 4}
 
 
 class DivergenceError(RuntimeError):
@@ -347,11 +352,12 @@ class _DiagIterate(_RowIterate):
     only when a step reads it: a step gathers the row's columns, brings
     them up from the step each was last written at, moves them and
     scatters them back, and the end of the epoch and the option-2 snapshot
-    bring up all d columns.  When every row is full (nnz = n d), every step
-    writes every column, so no column waits and the step moves the whole
-    of u in place.  Both take the margin from ``X @ z`` + a_i.u and apply
-    one update.  A full row in data with short rows still needs its
-    catch-up, so the choice is the dataset's, not the row's.
+    bring up all d columns.  When every row is full
+    (:attr:`LossModel.full_rows`), every step writes every column, so no
+    column waits and the step moves the whole of u in place.  Both take the
+    margin from ``X @ z`` + a_i.u and apply one update.  A full row in data
+    with short rows still needs its catch-up, so the choice is the
+    dataset's, not the row's.
 
     When every eta D_j < 1, r^k - 1 is expm1(k log1p(-eta D_j)), which keeps
     its precision when |u*_j| is far larger than |u_j|, and the divergence
@@ -369,7 +375,7 @@ class _DiagIterate(_RowIterate):
         # the one step form that reads rows itself (module docstring)
         X = model.dataset.features
         self.bounds, self.indices, self.data = model.row_bounds, X.indices, X.data
-        self.lazy = X.nnz < model.n * model.d
+        self.lazy = not model.full_rows
         self.diag = correction.diag_mean
         # h_i a_ij^2 for every nonzero a_ij
         self.h_sq = np.repeat(correction.curvature_coefs, np.diff(X.indptr)) * self.data ** 2
@@ -603,16 +609,14 @@ class _GramIterate(_RowIterate):
 
 def step_class(model: LossModel, correction) -> type:
     """The inner-step form of the epoch of ``correction``, chosen here alone
-    (module docstring); ``none`` and ``bb_scalar`` take the affine step when
-    the mean row has at most d/4 nonzeros."""
+    (module docstring); ``none`` and ``bb_scalar`` take the dense step when
+    every row is full and the affine step otherwise."""
     if correction.variant == "diag_hessian":
         return _DiagIterate
     if correction.variant == "full_hessian":
         return {"formed": _FormedHessIterate, "gram": _GramIterate,
                 "matrix_free": _HessIterate}[hessian_form(model)]
-    if 4 * model.dataset.features.nnz <= model.n * model.d:
-        return _AffineIterate
-    return _DenseIterate
+    return _DenseIterate if model.full_rows else _AffineIterate
 
 
 def run_epoch(model: LossModel, config: RunConfig, correction,
@@ -653,11 +657,8 @@ def run_epoch(model: LossModel, config: RunConfig, correction,
 
     w = iterate.current()
     next_anchor = snapshot if option2_t is not None else w
-    # the paper's accounting: grad_sample_delta counts as two per-sample
-    # gradient evaluations, and the BB per-sample scalar two more at the anchors
-    per_direction = 4 if correction.variant == "bb_scalar" else 2
     return InnerSummary(final_iterate=w, next_anchor=next_anchor.copy(),
-                        last_step=eta, grad_evals=m * per_direction,
+                        last_step=eta, grad_evals=m * _STEP_GRAD_EVALS[correction.variant],
                         curvature_fallbacks=fallbacks)
 
 
@@ -682,18 +683,17 @@ def optimize(model: LossModel, config: RunConfig, w0: np.ndarray,
     the correction build with its per-epoch data, and the inner loop; the
     variance and objective telemetry are computed outside the timer.
 
-    Gradient-evaluation accounting per epoch: n + 2m for plain directions,
-    and n + 4m when the BB per-sample scalar is active (its two extra anchor
-    gradients per step).  The first epoch of every correction method runs
-    uncorrected (no previous anchor), so it counts n + 2m.
-    A corrected SVRG2 step also applies the mean Hessian: one product with
-    H, formed or matrix-free, or in Gram form one product with K = X X^T;
-    these are not gradient evaluations and are not included in
-    ``grad_evals``.  This accounting is the paper's and counts more than the
-    oracle work done: no step form recomputes grad f_i(anchor) or the BB
-    per-sample scalar on every step.  The dense step computes each once per
-    sample drawn in the epoch; the other forms read them from the epoch's
-    sparse matvecs.
+    Gradient-evaluation accounting per epoch: n for the full gradient plus
+    m times the count ``_STEP_GRAD_EVALS`` gives the epoch's correction.
+    The first epoch of every correction method runs uncorrected (no
+    previous anchor), so it counts as ``none``.  A corrected SVRG2 step also
+    applies the mean Hessian: one product with H, formed or matrix-free, or
+    in Gram form one product with K = X X^T; these are not gradient
+    evaluations and are not included in ``grad_evals``.  This accounting is
+    the paper's and counts more than the oracle work done: no step form
+    recomputes grad f_i(anchor) or the BB per-sample scalar on every step.
+    The dense step computes each once per sample drawn in the epoch; the
+    other forms read them from the epoch's sparse matvecs.
 
     Divergence aborts the run with the completed epochs' records attached
     to the raised :class:`DivergenceError`.
@@ -767,16 +767,10 @@ def optimize(model: LossModel, config: RunConfig, w0: np.ndarray,
 def expected_grad_evals(method: str, n: int, m: int, epochs: int) -> list[int]:
     """Closed-form cumulative gradient-evaluation counts per epoch.
 
-    Every epoch pays the full pass n plus 2m inner gradients; methods with
-    the BB per-sample scalar pay 2m more from their second epoch on (the
-    first epoch runs uncorrected).  The counts assume that no later epoch
-    degrades to ``none``: an epoch whose anchors coincide pays n + 2m.
+    Every epoch pays the full pass n plus m times its correction's count in
+    ``_STEP_GRAD_EVALS``; the first epoch runs uncorrected, as ``none``.
+    The counts assume that no later epoch degrades to ``none``: an epoch
+    whose anchors coincide pays n + 2m.
     """
-    bb = _FORMS[method][0] == "bb_scalar"
-    out, total = [], 0
-    for epoch in range(epochs):
-        total += n + 2 * m
-        if bb and epoch >= 1:
-            total += 2 * m
-        out.append(total)
-    return out
+    first, later = (n + m * _STEP_GRAD_EVALS[v] for v in ("none", _FORMS[method][0]))
+    return [first + later * k for k in range(epochs)]

@@ -1,11 +1,11 @@
 """Every inner step form against the plain formula, and the dense step
 against it bit for bit.
 
-Unless a test says otherwise, the data's mean row has at most d/4 nonzeros,
-so ``optimize`` takes the affine step for the ``none`` and ``bb_scalar``
+Unless a test says otherwise, the data has a short row (nnz_i < d), so
+``optimize`` takes the affine step for the ``none`` and ``bb_scalar``
 corrections; it takes the diagonal step for every ``diag_hessian`` epoch and
 the full-Hessian or the Gram step, as ``hessian_form`` picks, for every
-``full_hessian`` epoch.  On data whose mean row has more, the ``none`` and
+``full_hessian`` epoch.  On data whose every row is full, the ``none`` and
 ``bb_scalar`` epochs take the dense step.  The reference is the same run
 with ``step_class``, the one selector, patched to ``PlainIterate`` of
 :mod:`oracle`: the plain formula for v_t on a dense w.
@@ -125,33 +125,42 @@ def epoch_of(variant, model):
     return build_correction(variant, model, w, w - 0.1 * g - 0.01, g_curr=g)
 
 
-# the rows of STEP_TABLE: short rows, dense rows (d^2 < nnz), rows at the d/4
-# boundary and one nonzero past it, and wide rows (Gram)
+# the rows of STEP_TABLE: short rows; dense rows (d^2 < nnz, every row
+# full); every row of 80 full, and all of them but one; short rows whose
+# mean is above d/4; and wide rows (Gram)
 STEP_DATA = {
     "short": lambda: sparse_dataset(60, 80, 6, seed=11),
     "dense": lambda: dense_rows(),
-    "20 of 80": lambda: sparse_dataset(10, 80, 20, seed=1),
+    "80 of 80": lambda: sparse_dataset(10, 80, 80, seed=1),
+    "79 of 80 once": lambda: sparse_dataset(10, 80, 79, seed=1, full_rows=set(range(1, 10))),
     "21 of 80": lambda: sparse_dataset(10, 80, 21, seed=1),
     "wide": lambda: wide_rows(),
 }
-# rows -> the step class of a none, bb_scalar, diag_hessian and full_hessian epoch
+# rows -> the step class of a none, bb_scalar, diag_hessian and full_hessian
+# epoch, and whether the diagonal step catches columns up (lazy)
 STEP_TABLE = {
-    "short": ("_AffineIterate", "_AffineIterate", "_DiagIterate", "_HessIterate"),
-    "dense": ("_DenseIterate", "_DenseIterate", "_DiagIterate", "_FormedHessIterate"),
-    "20 of 80": ("_AffineIterate", "_AffineIterate", "_DiagIterate", "_HessIterate"),
-    "21 of 80": ("_DenseIterate", "_DenseIterate", "_DiagIterate", "_HessIterate"),
-    "wide": ("_AffineIterate", "_AffineIterate", "_DiagIterate", "_GramIterate"),
+    "short": ("_AffineIterate", "_AffineIterate", "_DiagIterate", "_HessIterate", True),
+    "dense": ("_DenseIterate", "_DenseIterate", "_DiagIterate", "_FormedHessIterate", False),
+    "80 of 80": ("_DenseIterate", "_DenseIterate", "_DiagIterate", "_HessIterate", False),
+    "79 of 80 once": ("_AffineIterate", "_AffineIterate", "_DiagIterate", "_HessIterate", True),
+    "21 of 80": ("_AffineIterate", "_AffineIterate", "_DiagIterate", "_HessIterate", True),
+    "wide": ("_AffineIterate", "_AffineIterate", "_DiagIterate", "_GramIterate", True),
 }
 
 
 def test_rule_takes_short_rows_and_scalar_corrections_only():
-    # step_class alone picks the form; d/4 is the boundary of its last branch
+    # step_class alone picks the form; one short row is enough to send the
+    # none and bb_scalar epochs to the affine step, and the diagonal step
+    # to its catch-up
     for rows, want in STEP_TABLE.items():
         for kind in ("logistic", "squared_hinge"):
             model = LossModel(STEP_DATA[rows](), 1e-2, kind)
+            assert model.full_rows == (not want[-1]), (rows, kind)
             got = tuple(step_class(model, epoch_of(variant, model)).__name__
                         for variant in ("none", "bb_scalar", "diag_hessian", "full_hessian"))
-            assert got == want, (rows, kind)
+            diag = epoch_of("diag_hessian", model)
+            lazy = optimizer._DiagIterate(model, diag, diag.anchor, diag.g_anchor).lazy
+            assert got + (lazy,) == want, (rows, kind)
             # a first, uncorrected epoch takes the none form
             first = build_correction("full_hessian", model, np.zeros(model.d))
             assert step_class(model, first).__name__ == want[0], (rows, kind)
@@ -943,8 +952,9 @@ def test_dense_step_bits_on_the_degenerate_anchor_fallback(monkeypatch):
 def mixed_rows(n=30, d=12, seed=7, empty_rows=(1, 13, 29)):
     """Every third row full (nnz_i = d), the rows in ``empty_rows`` empty and
     row i of the rest short, 1 + i mod (d - 1) random columns; unit-norm
-    rows, random +-1 labels.  The mean row has more than d/4 nonzeros, so
-    ``none`` and ``bb_scalar`` epochs take the dense step."""
+    rows, random +-1 labels.  The mean row has more than d/4 nonzeros, but
+    some rows are short, so ``none`` and ``bb_scalar`` epochs take the
+    affine step."""
     rng = np.random.default_rng(seed)
     X = np.zeros((n, d))
     for i in range(n):
@@ -960,13 +970,16 @@ def mixed_rows(n=30, d=12, seed=7, empty_rows=(1, 13, 29)):
 def test_dense_step_bits_with_full_short_and_empty_rows(monkeypatch, method, anchor_option,
                                                         kind):
     # a full row is read and added without a gather or scatter, a short one
-    # with them; both must give the plain formula's bits
+    # with them.  Short rows send the run to the affine step, which must
+    # match the plain formula at RTOL; the dense step, forced, must still
+    # give its bits
     model = LossModel(mixed_rows(), 1e-3, kind)
     # every row length from 0 to d, so d - 1 next to d
     assert set(np.diff(model.dataset.features.indptr)) == set(range(model.d + 1))
     for variant in ("none", "bb_scalar"):
-        assert step_class(model, epoch_of(variant, model)) is optimizer._DenseIterate
+        assert step_class(model, epoch_of(variant, model)) is optimizer._AffineIterate
     config = config_for(method, model, anchor_option=anchor_option, variance_mode="last")
+    assert_same_run(monkeypatch, model, config)
     assert assert_same_bits(monkeypatch, model, config) is None
 
 
@@ -1013,10 +1026,10 @@ def test_direction_is_the_plain_formula_bit_for_bit(d, lengths, seed, lam, kind,
             == plain_direction(model, corr, w, i).tobytes()
 
 
-# rows -> (data, the form of a full_hessian epoch): the mean row has at most
-# d/4 nonzeros, so none and bb_scalar epochs take the affine step.  Three full
-# rows keep the matrix-free product; with one full row of 60 and eleven rows
-# of 2, sum_j nnz_j^2 = 134 < nnz + d = 142
+# rows -> (data, the form of a full_hessian epoch): most rows are short, so
+# none and bb_scalar epochs take the affine step.  Three full rows keep the
+# matrix-free product; with one full row of 60 and eleven rows of 2,
+# sum_j nnz_j^2 = 134 < nnz + d = 142
 FEW_FULL_ROWS = {
     "matrix_free": (lambda: sparse_dataset(40, 40, 3, seed=5, full_rows={0, 17, 33}),
                     "matrix_free"),
@@ -1033,7 +1046,7 @@ def test_row_steps_with_a_few_full_rows(monkeypatch, rows, method, kind):
     make, form = FEW_FULL_ROWS[rows]
     model = LossModel(make(), 1e-3, kind)
     lengths = np.diff(model.dataset.features.indptr)
-    assert (lengths == model.d).any() and 4 * lengths.sum() <= model.n * model.d
+    assert (lengths == model.d).any() and not model.full_rows
     assert hessian_form(model) == form
     for variant in ("none", "bb_scalar"):
         assert step_class(model, epoch_of(variant, model)) is optimizer._AffineIterate

@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vrgrad
 from vrgrad.cli import _RUN_FIELDS, _spec_from_args, build_parser, main
 from vrgrad.data import synth_binary, write_libsvm
 from vrgrad.harness import ExperimentSpec, load_table
@@ -178,7 +184,8 @@ def test_unknown_model_is_a_usage_error(tmp_path, capsys, via_spec):
 @pytest.mark.parametrize("key, value, message", [
     ("grid", "nan,inf", "grid value"), ("grid", "-1", "grid value"),
     ("lambda", "nan", "lambda"), ("lambda", "-1", "lambda"), ("lambda", "inf", "lambda"),
-    ("epochs", "-1", "epochs"), ("subsample", "0", "subsample"), ("subsample", "-5", "subsample"),
+    ("epochs", "-1", "epochs"), ("epochs", "0", "epochs >= 1"),
+    ("subsample", "0", "subsample"), ("subsample", "-5", "subsample"),
     ("grid", ",", "grid list must be non-empty"), ("grid", "", "grid list must be non-empty"),
     ("seeds", ",", "seed list must be non-empty"), ("seeds", "-1", "seed must be >= 0"),
     ("seeds", "0,-3", "seed must be >= 0"),
@@ -462,6 +469,32 @@ def test_a_directory_named_like_a_run_csv(tmp_path, capsys, step, earlier, code)
     err = capsys.readouterr().err
     if code:
         assert err.startswith("data error: ") and err.count("\n") == 1 and str(blocker) in err
+
+
+def test_a_failed_deletion_leaves_the_same_files_whatever_the_hash_seed(tmp_path):
+    # before, the stale names were deleted in the order of a set of strings,
+    # so the files left beside the one that could not be deleted depended
+    # on PYTHONHASHSEED
+    first = tmp_path / "first"
+    assert main(["run", "--synth", "50,3,0", "--lambda", "1e-3,1e-4", "--grid", "0.1,1",
+                 "--epochs", "2", "--out", str(first), "--plots"]) == 0
+    blocker = "run_logistic_lam0.001_SVRG_step0.1_seed0.csv"     # the manifest's first
+    (first / blocker).unlink()
+    (first / blocker).mkdir()
+    env = dict(os.environ, PYTHONPATH=str(Path(vrgrad.__file__).parents[1]))
+    left = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}"
+        shutil.copytree(first, out)
+        done = subprocess.run(
+            [sys.executable, "-m", "vrgrad.cli", "run", "--synth", "50,3,0", "--lambda", "1e-3",
+             "--grid", "0.1", "--epochs", "2", "--out", str(out)],
+            env=dict(env, PYTHONHASHSEED=seed), capture_output=True, text=True)
+        assert done.returncode == 3, done.stderr
+        left.append(sorted(path.name for path in out.iterdir()))
+    # winners.csv goes first, and the deletion stops at the blocker
+    assert left[0] == left[1] == sorted(path.name for path in first.iterdir()
+                                        if path.name != "winners.csv")
 
 
 def _damage_header(out):

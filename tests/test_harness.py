@@ -297,6 +297,7 @@ def test_mean_gap_is_the_winner_s_gap_averaged_over_seeds():
     ({"model": "huber"}, "unknown loss kind 'huber'"),
     ({"anchor_option": 3}, "anchor_option must be 1 or 2"),
     ({"variance_mode": "all"}, "variance_mode must be 'last' or 'none'"),
+    ({"epochs": 0}, "an experiment needs epochs >= 1, got 0"),
 ])
 def test_spec_rejects_a_value_before_any_data_is_loaded(given, message):
     # before, these failed only inside run_experiment, after loading data
