@@ -6,8 +6,10 @@ a file or a winner, a label outside {-1, +1}, or an output path that cannot
 be written), 4 reference-solver failure, 1 anything else.  A run whose
 iterates diverge is not an error: ``run`` records it as diverged and exits
 0, and says so for a (method, lambda) cell in which every step diverged.
-The reference cache directory comes from --cache-dir or the
-VRGRAD_CACHE_DIR env var.
+``run``'s cache directory, from --cache-dir or the VRGRAD_CACHE_DIR env
+var, holds reference solutions and parsed LIBSVM files, both keyed by
+content: a run on the same data solves and parses nothing again, and its
+results are the same.
 
 Config files for ``run --spec`` are flat ``key = value`` text; list values
 are comma-separated, and a key that is not a ``run`` flag is a usage error.
@@ -192,7 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
             run_p.add_argument(f"--{key}", type=convert, help=help_text)
     run_p.add_argument("--plots", action="store_true", default=False,
                        help="also write SVG figures")
-    run_p.add_argument("--cache-dir", default=None, help="reference cache directory")
+    run_p.add_argument("--cache-dir", default=None,
+                       help="cache of reference solutions and parsed LIBSVM files, "
+                            "both keyed by content (default: $VRGRAD_CACHE_DIR)")
     run_p.set_defaults(func=cmd_run)
 
     plot_p = sub.add_parser("plot", help="regenerate figures from emitted CSVs")

@@ -19,6 +19,8 @@ and seed list.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from dataclasses import dataclass, field, fields
 from itertools import product
@@ -33,7 +35,8 @@ from .data import SparseDataset, parse_libsvm, synth_binary
 from .losses import KINDS, LossModel, loss_kind
 from .optimizer import (METHODS, DivergenceError, EpochRecord, RunConfig, check_run_options,
                         optimize)
-from .reference import DEFAULT_TOL, cached_reference
+from .reference import (DEFAULT_TOL, cached_reference, data_cache_path, load_dataset_entry,
+                        resolve_cache_dir, save_dataset_entry)
 from .stepsize import StepSizeSchedule
 
 DEFAULT_GRID = (1e0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
@@ -146,15 +149,18 @@ class ResultTable:
         return sum(gaps) / len(gaps)
 
 
-def load_dataset(spec: ExperimentSpec) -> SparseDataset:
+def load_dataset(spec: ExperimentSpec, cache_dir=None) -> SparseDataset:
+    """The spec's dataset: its LIBSVM file or synthetic instance, then its
+    subsample and feature scaling.
+
+    With a ``cache_dir``, a file's parse is cached there, keyed by the
+    file's bytes (see :mod:`~vrgrad.reference`): a hit returns the dataset
+    that parsing those bytes returns, bit for bit, and a miss parses them
+    and saves the result.  A file that fails to parse, or holds no sample,
+    saves nothing.  Without one nothing is cached.
+    """
     if spec.data_path is not None:
-        try:
-            with open(spec.data_path, "r") as fh:
-                ds = parse_libsvm(fh)
-        except (OSError, UnicodeDecodeError) as err:
-            raise DataSourceError(f"cannot read {spec.data_path}: {err}") from err
-        if ds.n == 0:
-            raise DataSourceError(f"{spec.data_path} holds no sample")
+        ds = _read_libsvm(spec.data_path, cache_dir)
     else:
         ds = synth_binary(*spec.synth)
     if spec.subsample is not None and spec.subsample < ds.n:
@@ -162,6 +168,32 @@ def load_dataset(spec: ExperimentSpec) -> SparseDataset:
         ds = ds.subsample(np.sort(sel))
     if spec.scale_features:
         ds = ds.scale_max_abs()
+    return ds
+
+
+def _read_libsvm(path, cache_dir) -> SparseDataset:
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as err:
+        raise DataSourceError(f"cannot read {path}: {err}") from err
+    entry = None if cache_dir is None else data_cache_path(cache_dir, raw)
+    if entry is not None and entry.exists():
+        with contextlib.suppress(ValueError):   # a damaged entry is a miss
+            return load_dataset_entry(entry)
+    try:
+        # decoded as open(path, "r") decodes: the locale's encoding, universal
+        # newlines, and an undecodable byte raising where its chunk is read.
+        # A parse succeeds only on ASCII text, which the ASCII-compatible
+        # encodings a locale names all decode alike, so the bytes alone key
+        # the entry
+        ds = parse_libsvm(io.TextIOWrapper(io.BytesIO(raw)))
+    except UnicodeDecodeError as err:
+        raise DataSourceError(f"cannot read {path}: {err}") from err
+    if ds.n == 0:
+        raise DataSourceError(f"{path} holds no sample")
+    if entry is not None:
+        save_dataset_entry(entry, ds)
     return ds
 
 
@@ -190,12 +222,18 @@ def run_experiment(spec: ExperimentSpec, cache_dir=None) -> ResultTable:
     averaged over seeds; a run that diverged, one with fewer records than
     epochs, counts as +inf.  All curves are kept.
 
+    The cache directory is ``cache_dir``, else the ``VRGRAD_CACHE_DIR`` env
+    var: it caches the parse of the spec's data file (:func:`load_dataset`)
+    and the reference solution of each lambda
+    (:func:`~vrgrad.reference.cached_reference`).  A hit changes no result.
+
     The table's metadata, which ``emit_csv`` writes as ``metadata.json``, is
     the spec: every :class:`ExperimentSpec` field but ``out_dir``, with m
     resolved, plus ``format``, the dataset's ``n`` and ``d`` and the two
     schedule notes of :func:`schedule_for`.
     """
-    dataset = load_dataset(spec)
+    cache_dir = resolve_cache_dir(cache_dir)
+    dataset = load_dataset(spec, cache_dir)
     n = dataset.n
     m = spec.m if spec.m is not None else 2 * n
 

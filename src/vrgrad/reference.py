@@ -4,9 +4,13 @@ Inexact Newton-CG (Dembo, Eisenstat and Steihaug 1982; as in TRON, Lin,
 Weng and Keerthi 2008) drives ||grad F|| below the requested tolerance.
 Its line search accepts a sufficient decrease of F or of ||grad F||: near
 the minimum F's decrease rounds away in float64, and where a step crosses
-a hinge kink ||grad F|| can grow while F falls.  Solutions for loss models
-can be cached to disk in a small versioned binary format; cache hits
-reproduce them bit-exactly, and a damaged entry is a miss.
+a hinge kink ||grad F|| can grow while F falls.
+
+A cache directory holds two kinds of entry, each keyed by content: the
+solutions of loss models (``ref-*.bin``, keyed by the dataset, the model
+kind, lambda and the tolerance) and parsed LIBSVM files (``data-*.bin``,
+keyed by the file's bytes).  Both share one small versioned binary framing;
+a hit reproduces what was saved bit-exactly, and a damaged entry is a miss.
 """
 
 from __future__ import annotations
@@ -17,9 +21,11 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from operator import index
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .data import SparseDataset, write_libsvm  # noqa: F401 (bench/spans.py patches it here)
 from .losses import LossModel
@@ -108,8 +114,55 @@ def _newton_direction(model, w, g, gnorm: float) -> np.ndarray:
 
 # -- disk cache --------------------------------------------------------------
 
+# a cache entry is a magic line naming its kind and format version, a JSON
+# header on one line, then arrays in fixed little-endian dtypes; a change to
+# a format, or to what parse_libsvm makes of a file, bumps its version
 _MAGIC = b"vrgrad-ref 1\n"
+_DATA_MAGIC = b"vrgrad-data 1\n"
 CACHE_ENV_VAR = "VRGRAD_CACHE_DIR"
+
+
+def resolve_cache_dir(cache_dir):
+    """``cache_dir``, else the ``VRGRAD_CACHE_DIR`` env var, else None."""
+    return cache_dir if cache_dir is not None else os.environ.get(CACHE_ENV_VAR)
+
+
+def _save_entry(path, magic: bytes, header: dict, arrays) -> None:
+    """Write ``magic``, ``header`` and each (array, dtype) of ``arrays`` to ``path``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        for array, dtype in arrays:
+            fh.write(np.ascontiguousarray(array, dtype=dtype).tobytes())
+
+
+def _load_entry(path, magic: bytes, layout, build):
+    """``build(header, arrays)`` of the entry at ``path``, whose arrays are
+    the (dtype, length) pairs of ``layout(header)`` and fill the rest of the
+    file exactly.  A damaged entry, or one that ``build`` rejects with
+    ValueError, KeyError or TypeError, raises ValueError naming ``path``.
+    """
+    with open(path, "rb") as fh:
+        head, header, payload = fh.read(len(magic)), fh.readline(), fh.read()
+    try:
+        if head != magic:
+            raise ValueError(f"magic line {head!r}, not {magic!r}")
+        header = json.loads(header)
+        arrays, offset = [], 0
+        for dtype, length in layout(header):
+            length = index(length)
+            size = np.dtype(dtype).itemsize * length
+            if length < 0 or offset + size > len(payload):
+                raise ValueError("not one whole cache entry")
+            arrays.append(np.frombuffer(payload, dtype, length, offset).copy())
+            offset += size
+        if offset != len(payload):
+            raise ValueError("not one whole cache entry")
+        return build(header, arrays)
+    except (ValueError, KeyError, TypeError) as err:
+        raise ValueError(f"{path}: damaged cache entry: {type(err).__name__}: {err}") from err
 
 
 def dataset_fingerprint(dataset: SparseDataset) -> str:
@@ -143,45 +196,63 @@ def save_reference(path, sol: ReferenceSolution) -> None:
         "converged": sol.converged,
         "tol": sol.tol.hex(),
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(np.ascontiguousarray(sol.w_star, dtype="<f8").tobytes())
+    _save_entry(path, _MAGIC, header, [(sol.w_star, "<f8")])
 
 
 def load_reference(path) -> ReferenceSolution:
     """save_reference's entry at ``path``; a damaged one raises ValueError."""
-    with open(path, "rb") as fh:
-        magic, header, payload = fh.read(len(_MAGIC)), fh.readline(), fh.read()
-    try:
-        header = json.loads(header)
-        w = np.frombuffer(payload, dtype="<f8").copy()
-        if magic != _MAGIC or w.size != header["d"]:
-            raise ValueError("not one whole reference cache entry")
+    def build(header, arrays):
         return ReferenceSolution(
-            w_star=w,
+            w_star=arrays[0],
             f_star=float.fromhex(header["f_star"]),
             grad_norm=float.fromhex(header["grad_norm"]),
             iterations=int(header["iterations"]),
             converged=bool(header["converged"]),
             tol=float.fromhex(header["tol"]),
         )
-    except (ValueError, KeyError, TypeError) as err:
-        raise ValueError(f"{path}: damaged cache entry: {type(err).__name__}: {err}") from err
+
+    return _load_entry(path, _MAGIC, lambda header: [("<f8", header["d"])], build)
+
+
+def data_cache_path(cache_dir, raw: bytes) -> Path:
+    """The entry of the dataset parsed from the file bytes ``raw``."""
+    return Path(cache_dir) / f"data-{hashlib.sha256(raw).hexdigest()}.bin"
+
+
+def save_dataset_entry(path, dataset: SparseDataset) -> None:
+    """Save ``dataset``: n, d and nnz in the header, then the labels and the
+    CSR ``indptr``, ``indices`` and ``data``."""
+    X = dataset.features
+    header = {"n": dataset.n, "d": dataset.d, "nnz": int(X.nnz)}
+    _save_entry(path, _DATA_MAGIC, header, [(dataset.labels, "<f8"), (X.indptr, "<i8"),
+                                            (X.indices, "<i8"), (X.data, "<f8")])
+
+
+def load_dataset_entry(path) -> SparseDataset:
+    """save_dataset_entry's entry at ``path``; a damaged one raises ValueError."""
+    def layout(header):
+        n, nnz = index(header["n"]), header["nnz"]
+        return [("<f8", n), ("<i8", n + 1), ("<i8", nnz), ("<f8", nnz)]
+
+    def build(header, arrays):
+        labels, indptr, indices, data = arrays
+        X = sp.csr_matrix((data, indices, indptr), shape=(labels.size, index(header["d"])))
+        X.check_format(full_check=True)     # indptr and indices within bounds
+        return SparseDataset(X, labels)
+
+    return _load_entry(path, _DATA_MAGIC, layout, build)
 
 
 def cached_reference(model: LossModel, tol: float = DEFAULT_TOL,
                      cache_dir=None) -> ReferenceSolution:
     """solve_reference with a bit-exact disk cache keyed by
-    (dataset hash, model kind, lambda, tol).
+    (dataset hash, model kind, lambda, tol), in ``cache_dir`` or else
+    ``VRGRAD_CACHE_DIR``; with neither, nothing is cached.
 
     Only converged solutions are saved; a damaged entry, or one not
     converged, counts as a miss: it is solved again and overwritten.
     """
-    if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_ENV_VAR)
+    cache_dir = resolve_cache_dir(cache_dir)
     if cache_dir is None:
         return solve_reference(model, tol=tol)
     path = cache_path(cache_dir, model.dataset, model.kind, float(model.lam), float(tol))
