@@ -9,8 +9,9 @@ a hinge kink ||grad F|| can grow while F falls.
 A cache directory holds two kinds of entry, each keyed by content: the
 solutions of loss models (``ref-*.bin``, keyed by the dataset, the model
 kind, lambda and the tolerance) and parsed LIBSVM files (``data-*.bin``,
-keyed by the file's bytes).  Both share one small versioned binary framing;
-a hit reproduces what was saved bit-exactly, and a damaged entry is a miss.
+keyed by the file's bytes).  Both share one small versioned binary framing
+with a SHA-256 of its contents; a hit reproduces what was saved bit-exactly,
+and a damaged entry, a flipped byte included, is a miss.
 """
 
 from __future__ import annotations
@@ -114,11 +115,12 @@ def _newton_direction(model, w, g, gnorm: float) -> np.ndarray:
 
 # -- disk cache --------------------------------------------------------------
 
-# a cache entry is a magic line naming its kind and format version, a JSON
-# header on one line, then arrays in fixed little-endian dtypes; a change to
-# a format, or to what parse_libsvm makes of a file, bumps its version
-_MAGIC = b"vrgrad-ref 1\n"
-_DATA_MAGIC = b"vrgrad-data 1\n"
+# a cache entry is a magic line naming its kind and format version, a line
+# with the hex SHA-256 of the rest (the body), then the body: a JSON header on
+# one line and arrays in fixed little-endian dtypes.  A change to a format, or
+# to what parse_libsvm makes of a file, bumps its version
+_MAGIC = b"vrgrad-ref 2\n"
+_DATA_MAGIC = b"vrgrad-data 2\n"
 CACHE_ENV_VAR = "VRGRAD_CACHE_DIR"
 
 
@@ -128,27 +130,36 @@ def resolve_cache_dir(cache_dir):
 
 
 def _save_entry(path, magic: bytes, header: dict, arrays) -> None:
-    """Write ``magic``, ``header`` and each (array, dtype) of ``arrays`` to ``path``."""
+    """Write ``magic``, the checksum line, then ``header`` and each (array,
+    dtype) of ``arrays`` to ``path``."""
+    body = [json.dumps(header, sort_keys=True).encode() + b"\n",
+            *(np.ascontiguousarray(array, dtype=dtype).tobytes() for array, dtype in arrays)]
+    digest = hashlib.sha256()
+    for part in body:
+        digest.update(part)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(magic)
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for array, dtype in arrays:
-            fh.write(np.ascontiguousarray(array, dtype=dtype).tobytes())
+        fh.write(digest.hexdigest().encode() + b"\n")
+        fh.writelines(body)
 
 
 def _load_entry(path, magic: bytes, layout, build):
     """``build(header, arrays)`` of the entry at ``path``, whose arrays are
     the (dtype, length) pairs of ``layout(header)`` and fill the rest of the
-    file exactly.  A damaged entry, or one that ``build`` rejects with
-    ValueError, KeyError or TypeError, raises ValueError naming ``path``.
+    body exactly.  A damaged entry (a body that does not match its checksum
+    or its layout), or one that ``build`` rejects with ValueError, KeyError
+    or TypeError, raises ValueError naming ``path``.
     """
     with open(path, "rb") as fh:
-        head, header, payload = fh.read(len(magic)), fh.readline(), fh.read()
+        head, checksum, body = fh.read(len(magic)), fh.readline(), fh.read()
     try:
         if head != magic:
             raise ValueError(f"magic line {head!r}, not {magic!r}")
+        if checksum != hashlib.sha256(body).hexdigest().encode() + b"\n":
+            raise ValueError("the body does not match its checksum")
+        header, _, payload = body.partition(b"\n")
         header = json.loads(header)
         arrays, offset = [], 0
         for dtype, length in layout(header):

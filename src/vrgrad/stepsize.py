@@ -7,7 +7,9 @@ the secant of the epoch's two most recent anchors:
 * ``epoch_bb``        (1/m) * ||s||^2 / (s^T y), held constant within the epoch
 * ``generalized_bb``  (xi_T / m1) * ||s||^2 / (s^T y), xi_T = c1 / (1 + c2 * T)
                       with T = k*m + t (c2 = 0 holds xi at c1); the schedule
-                      carries c1 > 0 and c2 >= 0 itself
+                      carries c1 and c2 itself
+
+A schedule's eta, eta0 and c1 are finite and > 0, and its c2 finite and >= 0.
 
 One :class:`EpochAnchors` per epoch holds the secant.  It comes from
 :func:`vrgrad.correction.build_correction`, whose BB scalar s^T y / ||s||^2
@@ -21,6 +23,7 @@ epoch length m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,20 +45,26 @@ class StepSizeSchedule:
 
     def __post_init__(self):
         if self.kind == "constant":
-            if self.eta is None or self.eta <= 0:
-                raise ValueError("constant schedule needs eta > 0")
+            if not _positive(self.eta):
+                raise ValueError(f"constant schedule needs a finite eta > 0, got {self.eta}")
             return
         if self.kind not in ("epoch_bb", "generalized_bb"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.eta0 is None or self.eta0 <= 0:
-            raise ValueError(f"{self.kind} schedule needs a fallback eta0 > 0")
+        if not _positive(self.eta0):
+            raise ValueError(f"{self.kind} schedule needs a finite fallback eta0 > 0, "
+                             f"got {self.eta0}")
         if self.kind == "generalized_bb":
             if self.m1 is None or self.m1 < 1:
                 raise ValueError("generalized_bb schedule needs m1 >= 1")
-            if self.c1 is None or not self.c1 > 0:
-                raise ValueError("generalized_bb schedule needs c1 > 0")
-            if not self.c2 >= 0:
-                raise ValueError("generalized_bb schedule needs c2 >= 0")
+            if not _positive(self.c1):
+                raise ValueError(f"generalized_bb schedule needs a finite c1 > 0, got {self.c1}")
+            if not 0.0 <= self.c2 < math.inf:
+                raise ValueError(f"generalized_bb schedule needs a finite c2 >= 0, got {self.c2}")
+
+
+def _positive(x) -> bool:
+    """x is a finite number > 0."""
+    return x is not None and 0.0 < x < math.inf
 
 
 def constant(eta: float) -> StepSizeSchedule:

@@ -1,3 +1,13 @@
+"""The ``vrgrad`` command line end to end, in-process through
+:func:`vrgrad.cli.main`.
+
+The tier-1 suite is the one home of the CLI's end-to-end checks: CI runs the
+installed ``vrgrad`` script once, only to see that it resolves, so a new
+check goes here (or into the tests of the layer it reaches), not into
+``.github/workflows/tests.yml``.
+"""
+
+import hashlib
 import json
 import math
 import os
@@ -9,10 +19,13 @@ from pathlib import Path
 import pytest
 
 import vrgrad
+import vrgrad.optimizer as optimizer
 from vrgrad.cli import _RUN_FIELDS, _spec_from_args, build_parser, main
 from vrgrad.data import synth_binary, write_libsvm
 from vrgrad.harness import ExperimentSpec, load_table
-from vrgrad.reference import load_reference
+from vrgrad.optimizer import (_AffineIterate, _DenseIterate, _DiagIterate, _FormedHessIterate,
+                              _GramIterate)
+from vrgrad.reference import CACHE_ENV_VAR, load_reference
 
 
 def test_run_rejects_the_removed_step_flag(tmp_path):
@@ -434,6 +447,11 @@ def test_a_second_run_into_a_directory_leaves_none_of_the_first_run_s_files(tmp_
     assert {path.name for path in out.iterdir()} == written | others
     assert all((out / name).read_text() == "kept\n" for name in others)
     assert load_table(out).metadata["lambdas"] == [1e-3]
+    # plot --from rewrites the run's figures from its CSVs, the same bytes
+    figures = {name: (out / name).read_bytes() for name in written if name.endswith(".svg")}
+    assert main(["plot", "--from", str(out)]) == 0
+    assert {name: (out / name).read_bytes() for name in figures} == figures
+    assert {path.name for path in out.iterdir()} == written | others
 
 
 def test_a_run_without_plots_deletes_an_earlier_run_s_figures(tmp_path):
@@ -617,24 +635,106 @@ def test_run_rejects_a_second_data_source(tmp_path, capsys, in_file):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("source", ["synth", "data"])
+@pytest.mark.parametrize("source", ["synth", "data", "spec"])
 def test_run_metadata_names_its_data(tmp_path, source):
+    seeds = [0]
     if source == "synth":
-        argv, want = ["--synth", "20,3,0"], {"synth": [20, 3, 0], "data_path": None}
-    else:
+        argv, want = ["--synth", "20,3,0", "--scale"], {"synth": [20, 3, 0], "data_path": None}
+    elif source == "data":
         path = tmp_path / "small.svm"
         path.write_text(write_libsvm(synth_binary(20, 3, 0)))
-        argv, want = ["--data", str(path)], {"synth": None, "data_path": str(path)}
+        argv, want = ["--data", str(path), "--scale"], {"synth": None, "data_path": str(path)}
+    else:
+        # the switch as a spec-file key, and two seeds
+        seeds = [0, 1]
+        spec = tmp_path / "spec.txt"
+        spec.write_text("synth = 20,3,0\nscale = yes\nseeds = 0, 1\n")
+        argv, want = ["--spec", str(spec)], {"synth": [20, 3, 0], "data_path": None}
     out = tmp_path / "results"
     code = main(["run", *argv, "--epochs", "1", "--lambda", "1e-2", "--grid", "0.1",
-                 "--scale", "--subsample", "15", "--out", str(out),
+                 "--subsample", "15", "--out", str(out),
                  "--cache-dir", str(tmp_path / "cache")])
     assert code == 0
     meta = _metadata(out)
     assert {key: meta[key] for key in want} == want
-    assert (meta["scale_features"], meta["subsample"], meta["reference_tol"], meta["n"]) \
-        == (True, 15, 1e-10, 15)
+    assert (meta["scale_features"], meta["subsample"], meta["reference_tol"], meta["n"],
+            meta["seeds"]) == (True, 15, 1e-10, 15, seeds)
     table = load_table(out)
     assert table.metadata == {k: v for k, v in meta.items()
                               if k not in ("references", "records")}
-    assert [(r.method, r.step_param, len(r.records)) for r in table.rows] == [("SVRG", 0.1, 1)]
+    assert [(r.method, r.step_param, r.seed, len(r.records)) for r in table.rows] \
+        == [("SVRG", 0.1, seed, 1) for seed in seeds]
+
+
+def _wide_rows() -> str:
+    """125 rows over d = 1000, three nonzeros each."""
+    return "".join(f"{1 if i % 3 else -1:+d} {i}:0.{i % 9 + 1} {i + 1}:-0.{i % 7 + 1} {8 * i}:1\n"
+                   for i in range(1, 126))
+
+
+def _mixed_rows() -> str:
+    """60 rows over d = 6: every third full, the others two nonzeros each."""
+    return "".join(
+        f"{1 if i % 4 else -1:+d} 1:0.{i % 9 + 1} 2:-0.{i % 7 + 1} 3:1 4:0.5 5:-1 6:0.{i % 5 + 1}\n"
+        if i % 3 == 0 else f"{1 if i % 4 else -1:+d} {i % 5 + 1}:0.{i % 9 + 1} 6:-1\n"
+        for i in range(1, 61))
+
+
+def _ijcnn_rows() -> str:
+    """150 ijcnn1-shaped rows, 13 of 22 columns each."""
+    return "".join(
+        f"{1 if i % 3 else -1:+d}"
+        + "".join(f" {j}:{'-' if (i + 2 * j) % 5 == 0 else ''}0.{i * j % 9 + 1}"
+                  for j in range(1, 23) if (i + j) % 22 < 13) + "\n"
+        for i in range(1, 151))
+
+
+@pytest.mark.parametrize("rows, sha256, spec, forms, untested_steps, diverged", [
+    # every row is full: the dense step, and SVRG2D's diagonal step with no
+    # catch-up; steps 300 and 1000 make some eta D_j >= 1, where the step has
+    # no bound and tests w exactly, and one run diverges
+    (None, None, "synth = 200,5,0\nmethods = SVRG2D\nepochs = 4\ngrid = 1, 300, 1000\n",
+     {(_DenseIterate, None), (_DiagIterate, False)}, {300.0, 1000.0}, [(1e-3, 1000.0, 3)]),
+    # wide rows: SVRG2 takes the Gram step
+    (_wide_rows, "6ef2235c93a9a085", "data = {data}\nmethods = SVRG, SVRG2\nepochs = 3\n",
+     {(_AffineIterate, None), (_GramIterate, None)}, set(), []),
+    # nnz = 200 > d^2, so SVRG2 forms H; the short rows send SVRG and SVRG2BB
+    # to the affine step and SVRG2D to its catch-up
+    (_mixed_rows, "408b643687a020d3",
+     "data = {data}\nmethods = SVRG, SVRG2, SVRG2D, SVRG2BB\nepochs = 3\n",
+     {(_AffineIterate, None), (_FormedHessIterate, None), (_DiagIterate, True)}, set(), []),
+    # rows with 13 of 22 columns: dense, but short, so the affine step
+    (_ijcnn_rows, "3ecc02051144997b",
+     "data = {data}\nmethods = SVRG, SVRG2BB, SVRG2BBS-M2\nlambda = 1e-3\ngrid = 0.1, 1\n"
+     "epochs = 3\n", {(_AffineIterate, None)}, set(), []),
+], ids=["full-rows-svrg2d", "wide", "mixed", "ijcnn"])
+def test_a_seeded_run_writes_the_same_winners_twice(tmp_path, monkeypatch, rows, sha256, spec,
+                                                     forms, untested_steps, diverged):
+    # and takes the step forms its data calls for
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    step_class, iterates = optimizer.step_class, []
+
+    def recorded(model, correction):
+        form = step_class(model, correction)
+
+        def make(*args):
+            iterates.append(form(*args))
+            return iterates[-1]
+        return make
+
+    monkeypatch.setattr(optimizer, "step_class", recorded)
+    data = tmp_path / "data.svm"
+    if rows is not None:
+        data.write_text(rows())
+        assert hashlib.sha256(data.read_bytes()).hexdigest().startswith(sha256)
+    (tmp_path / "spec.txt").write_text(spec.format(data=data))
+    for out in ("first", "second"):
+        assert main(["run", "--spec", str(tmp_path / "spec.txt"),
+                     "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "first" / "winners.csv").read_bytes() \
+        == (tmp_path / "second" / "winners.csv").read_bytes()
+    assert {(type(it), getattr(it, "lazy", None)) for it in iterates} == forms
+    assert {it.eta for it in iterates if isinstance(it, _DiagIterate) and it.log_r is None} \
+        == untested_steps
+    assert [(r.lam, r.step_param, len(r.records))
+            for r in load_table(tmp_path / "first").rows if r.diverged] == diverged

@@ -72,24 +72,35 @@ def test_a_miss_parses_once_and_writes_one_entry_keyed_by_the_bytes(tmp_path, pa
     assert _same(load_dataset_entry(cache / f"data-{digest}.bin"), parse_libsvm(_TEXT))
 
 
+def _sealed(magic: bytes, header: bytes, payload: bytes) -> bytes:
+    """An entry of these parts whose checksum line is right."""
+    body = header + b"\n" + payload
+    return b"\n".join([magic, hashlib.sha256(body).hexdigest().encode(), body])
+
+
 def _damage(whole: bytes, damage: str) -> bytes:
-    magic, header, payload = whole.split(b"\n", 2)
+    magic, _, header, payload = whole.split(b"\n", 3)
     if damage == "cut":
         return whole[:-3]
+    if damage == "flip":
+        # a bit of the last value: only the checksum tells
+        return whole[:-1] + bytes([whole[-1] ^ 1])
     if damage == "magic":
-        return b"vrgrad-ref 1\n" + header + b"\n" + payload
+        return b"vrgrad-ref 2\n" + whole.split(b"\n", 1)[1]
     if damage == "version":
-        return b"vrgrad-data 2\n" + header + b"\n" + payload
+        # the format before the checksum line
+        return b"vrgrad-data 1\n" + header + b"\n" + payload
+    # these keep the checksum right, so that the layout checks must tell
     if damage == "header":
-        return magic + b"\n" + header.replace(b'"nnz": ', b'"nnz": 1') + b"\n" + payload
+        return _sealed(magic, header.replace(b'"nnz": ', b'"nnz": 1'), payload)
     # the last column index, the int64 just before the values, set to d
     shape = json.loads(header)
     at = 8 * (2 * shape["n"] + shape["nnz"])
-    return magic + b"\n" + header + b"\n" + payload[:at] + np.int64(shape["d"]).tobytes() \
-        + payload[at + 8:]
+    return _sealed(magic, header,
+                   payload[:at] + np.int64(shape["d"]).tobytes() + payload[at + 8:])
 
 
-@pytest.mark.parametrize("damage", ["cut", "magic", "version", "header", "index"])
+@pytest.mark.parametrize("damage", ["cut", "flip", "magic", "version", "header", "index"])
 def test_a_damaged_entry_is_a_miss_and_is_rewritten(tmp_path, parses, damage):
     path = _data_file(tmp_path)
     cache = tmp_path / "cache"

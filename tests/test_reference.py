@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -229,23 +230,32 @@ class TestCache:
         with pytest.raises(ValueError):
             load_reference(path)
 
-    @pytest.mark.parametrize("damage", ["cut-payload", "garbage", "header-without-tol"])
+    @pytest.mark.parametrize("damage", ["cut-payload", "garbage", "header-without-tol",
+                                        "flipped-byte"])
     def test_damaged_entry_is_a_miss_and_is_overwritten(self, tmp_path, damage):
-        # before, each of these raised out of cached_reference, and the key
-        # failed until the file was deleted
+        # before, the first three raised out of cached_reference, and the key
+        # failed until the file was deleted; a flipped byte of w_star loaded as a hit
         model = LossModel(synth_binary(40, 5, seed=55), 1e-2, "logistic")
         fresh = solve_reference(model, tol=1e-10)
         path = cache_path(tmp_path, model.dataset, model.kind, model.lam, 1e-10)
         save_reference(path, fresh)
         whole = path.read_bytes()
-        magic, header, payload = whole.split(b"\n", 2)
+        magic, _, header, payload = whole.split(b"\n", 3)
+
+        def sealed(header, payload):
+            # a right checksum line, so that the layout checks must tell
+            body = header + b"\n" + payload
+            return b"\n".join([magic, hashlib.sha256(body).hexdigest().encode(), body])
+
         if damage == "cut-payload":
-            path.write_bytes(whole[:-(len(payload) // 2 + 3)])  # not a multiple of 8
+            path.write_bytes(sealed(header, payload[:len(payload) // 2 - 3]))  # not 8k bytes
         elif damage == "garbage":
             path.write_bytes(b"\x93\x00garbage" * 7)
-        else:
+        elif damage == "header-without-tol":
             without_tol = {k: v for k, v in json.loads(header).items() if k != "tol"}
-            path.write_bytes(b"\n".join([magic, json.dumps(without_tol).encode(), payload]))
+            path.write_bytes(sealed(json.dumps(without_tol).encode(), payload))
+        else:
+            path.write_bytes(whole[:-1] + bytes([whole[-1] ^ 1]))
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_reference(path)
         sol = cached_reference(model, tol=1e-10, cache_dir=tmp_path)

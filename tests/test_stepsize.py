@@ -213,3 +213,21 @@ def test_generalized_bb_rejects_c1_not_positive_and_c2_negative(c1, c2, message)
         generalized_bb(4, c1, c2, eta0=1.0)
     with pytest.raises(ValueError, match=message):
         StepSizeSchedule(kind="generalized_bb", m1=4, c1=c1, c2=c2, eta0=1.0)
+
+
+@pytest.mark.parametrize("make, args, message", [
+    (constant, (float("nan"),), "finite eta > 0"),
+    (constant, (float("inf"),), "finite eta > 0"),
+    (epoch_bb, (float("nan"),), "finite fallback eta0 > 0"),
+    (epoch_bb, (float("inf"),), "finite fallback eta0 > 0"),
+    (generalized_bb, (4, 1.0, 0.0, float("inf")), "finite fallback eta0 > 0"),
+    (preset, ("M2", 50, 0.1, 1e-3, float("nan")), "finite fallback eta0 > 0"),
+    (generalized_bb, (4, float("inf"), 0.0, 1.0), "finite c1 > 0"),
+    (preset, ("M3", 50, float("inf"), 1e-3, 1.0), "finite c1 > 0"),
+    (generalized_bb, (4, 1.0, float("inf"), 1.0), "finite c2 >= 0"),
+], ids=["constant-nan", "constant-inf", "epoch_bb-nan", "epoch_bb-inf",
+        "generalized_bb-eta0-inf", "M2-eta0-nan", "c1-inf", "M3-c1-inf", "c2-inf"])
+def test_a_schedule_rejects_a_value_that_is_not_finite(make, args, message):
+    # before, each of these constructed, and its steps were nan or inf
+    with pytest.raises(ValueError, match=message):
+        make(*args)
