@@ -27,8 +27,10 @@ f_i(w) and grad f_i(w) alone serve only the tests, whose reference
 
 Row i of X is read in one place.  :meth:`LossModel.row_dot` gives a_i^T x
 and :meth:`LossModel.row_add` does out += c a_i in place; every per-sample
-oracle, and every inner step of :mod:`vrgrad.optimizer` that reads a row
-but the diagonal one, reads it through them.  Both find the row through
+oracle, and the affine and full-Hessian inner steps of
+:mod:`vrgrad.optimizer`, read it through them.  The dense and diagonal steps
+read X's values themselves, the dense one only on data whose every row is
+full, as row views of an n x d array.  Both methods find the row through
 :attr:`LossModel.row_bounds`, X's row pointers as Python ints.  A
 :class:`~vrgrad.data.SparseDataset` keeps sorted, unique, nonzero entries,
 so a full row (nnz_i = d) holds columns 0, ..., d-1 in order and is read

@@ -10,13 +10,16 @@ the full-Hessian or the Gram step, as ``hessian_form`` picks, for every
 with ``step_class``, the one selector, patched to ``PlainIterate`` of
 :mod:`oracle`: the plain formula for v_t on a dense w.
 
-The dense step reads c_i(anchor) and the BB per-sample scalar from the
-epoch's correction, which computes each once per sample.  ``PlainIterate``
-computes both on every step, as the plain formula does; the two must give
-the same bits.
+The dense step serves data whose every row is full, and its bit-for-bit
+tests run on such data.  It reads c_i(anchor) and the BB per-sample scalar
+from the epoch's correction, which computes each once per sample.
+``PlainIterate`` computes both on every step, as the plain formula does;
+the two must give the same bits.
 """
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,8 +270,10 @@ def test_forced_folds_on_every_method(monkeypatch, data):
 @pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
 def test_empty_rows(monkeypatch, kind):
     model = LossModel(sparse_dataset(30, 40, 4, seed=3, empty_rows={0, 7, 8, 29}), 1e-2, kind)
-    for method in ("SVRG", "SVRG2BB", "SVRG2D", "SVRG2"):
-        assert_same_run(monkeypatch, model, config_for(method, model))
+    for method in METHODS:
+        for anchor_option in (1, 2):
+            assert_same_run(monkeypatch, model, config_for(method, model,
+                                                           anchor_option=anchor_option))
 
 
 def check_single_sample(monkeypatch, kind, form):
@@ -899,20 +904,12 @@ DENSE_STEP_METHODS = ("SVRG", "SVRGBB", "SVRG2BB", "SVRG2BBS-M1", "SVRG2BBS-M2",
 @pytest.mark.parametrize("method", DENSE_STEP_METHODS)
 def test_dense_step_is_the_plain_formula_bit_for_bit(monkeypatch, method, anchor_option,
                                                      kind, lam):
-    # dense rows and short rows; every epoch takes the dense step, the
-    # corrected epochs of SVRG2 and SVRG2D included
-    for dataset in (dense_rows(), sparse_dataset(60, 80, 6, seed=11)):
+    # dense rows (d^2 < nnz) and wider full rows (d^2 > nnz); every epoch
+    # takes the dense step, the corrected epochs of SVRG2 and SVRG2D included
+    for dataset in (dense_rows(), synth_binary(60, 80, seed=11, separability=0.8)):
         model = LossModel(dataset, lam, kind)
         config = config_for(method, model, anchor_option=anchor_option, variance_mode="last")
         assert assert_same_bits(monkeypatch, model, config) is None
-
-
-@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
-def test_dense_step_bits_with_empty_rows(monkeypatch, kind):
-    model = LossModel(sparse_dataset(30, 40, 4, seed=3, empty_rows={0, 7, 8, 29}), 1e-2, kind)
-    for method in DENSE_STEP_METHODS:
-        config = config_for(method, model, anchor_option=2, variance_mode="last")
-        assert_same_bits(monkeypatch, model, config)
 
 
 def test_dense_step_bits_when_the_run_diverges(monkeypatch):
@@ -964,6 +961,13 @@ def mixed_rows(n=30, d=12, seed=7, empty_rows=(1, 13, 29)):
     return SparseDataset.from_dense(X, np.where(rng.random(n) < 0.5, 1.0, -1.0))
 
 
+def full_rows_of(dataset):
+    """The rows of ``dataset`` that hold every column, with their labels."""
+    X = dataset.features
+    keep = np.flatnonzero(np.diff(X.indptr) == dataset.d)
+    return SparseDataset(X[keep], dataset.labels[keep])
+
+
 @pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
 @pytest.mark.parametrize("anchor_option", [1, 2])
 @pytest.mark.parametrize("method", DENSE_STEP_METHODS)
@@ -971,8 +975,8 @@ def test_dense_step_bits_with_full_short_and_empty_rows(monkeypatch, method, anc
                                                         kind):
     # a full row is read and added without a gather or scatter, a short one
     # with them.  Short rows send the run to the affine step, which must
-    # match the plain formula at RTOL; the dense step, forced, must still
-    # give its bits
+    # match the plain formula at RTOL; the dense step serves full rows only,
+    # and on the full rows alone it must give the plain formula's bits
     model = LossModel(mixed_rows(), 1e-3, kind)
     # every row length from 0 to d, so d - 1 next to d
     assert set(np.diff(model.dataset.features.indptr)) == set(range(model.d + 1))
@@ -980,7 +984,44 @@ def test_dense_step_bits_with_full_short_and_empty_rows(monkeypatch, method, anc
         assert step_class(model, epoch_of(variant, model)) is optimizer._AffineIterate
     config = config_for(method, model, anchor_option=anchor_option, variance_mode="last")
     assert_same_run(monkeypatch, model, config)
-    assert assert_same_bits(monkeypatch, model, config) is None
+    full = LossModel(full_rows_of(mixed_rows()), 1e-3, kind)
+    assert full.n == 10 and full.full_rows
+    config = config_for(method, full, anchor_option=anchor_option, variance_mode="last")
+    assert assert_same_bits(monkeypatch, full, config) is None
+
+
+def test_dense_step_refuses_a_short_row():
+    model = LossModel(STEP_DATA["79 of 80 once"](), 1e-2)
+    corr = epoch_of("none", model)
+    with pytest.raises(ValueError, match="every row full"):
+        optimizer._DenseIterate(model, corr, corr.anchor, corr.g_anchor)
+
+
+@pytest.mark.parametrize("variant", ["none", "bb_scalar"])
+def test_dense_step_allocates_no_vector(variant):
+    # once every sample has filled the memos, a step writes into the
+    # per-epoch buffers: the peak above the starting level stays below one
+    # O(d) array.  An upper bound holds whether or not a collection runs
+    model = LossModel(synth_binary(50, 400, seed=2, separability=0.8), 1e-3)
+    corr = epoch_of(variant, model)
+    iterate = optimizer._DenseIterate(model, corr, corr.anchor, corr.g_anchor)
+    limit = 1e16
+    for i in range(model.n):
+        assert iterate.step(i, 1e-3, limit)
+    idx = np.random.default_rng(0).integers(model.n, size=200).tolist()
+    gc.disable()
+    try:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for i in idx:
+                assert iterate.step(i, 1e-3, limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        gc.enable()
+    assert peak - base < 8 * model.d
 
 
 @pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])

@@ -396,6 +396,20 @@ def test_a_data_file_without_a_sample_is_a_data_error(tmp_path, capsys, text, co
     assert not (tmp_path / "out").exists()
 
 
+def test_svrg2bbs_with_every_row_empty_and_lambda_0_is_an_error(tmp_path, capsys):
+    # L = 0, so the presets' first step 1/L does not exist; before, this
+    # ended in a ZeroDivisionError traceback
+    data = tmp_path / "empty_rows.svm"
+    data.write_text("+1\n-1\n+1 \n")
+    argv = ["run", "--data", str(data), "--methods", "SVRG2BBS-M2,SVRGBB", "--lambda", "0",
+            "--out", str(tmp_path / "out"), "--cache-dir", str(tmp_path / "cache")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: SVRG2BBS-M2 pins its first step to 1/L, and L = 0: "
+                   "every row of the data is empty and lambda is 0\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("content, messages", [
     (b"+1 1:0.5\n-1 \xff:1\n", ["cannot read {path}: ", "codec can't decode byte 0xff"]),
     (f"+1 1:0.5\n-1 {2**70}:1\n".encode(), [f"line 2: index {2**70} above 2**63 - 1"]),
