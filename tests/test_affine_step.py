@@ -912,6 +912,27 @@ def test_dense_step_is_the_plain_formula_bit_for_bit(monkeypatch, method, anchor
         assert assert_same_bits(monkeypatch, model, config) is None
 
 
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+def test_dense_step_bits_with_empty_rows(monkeypatch, kind):
+    # full rows and empty rows.  An empty row is a short row: the dense step
+    # refuses the data, and the run must match the plain formula at RTOL.
+    # On the full rows alone, the dense step must give its bits
+    empty = {0, 7, 8, 29}
+    dataset = sparse_dataset(30, 40, 4, seed=3, empty_rows=empty,
+                             full_rows=set(range(30)) - empty)
+    model = LossModel(dataset, 1e-2, kind)
+    corr = epoch_of("none", model)
+    with pytest.raises(ValueError, match="every row full"):
+        optimizer._DenseIterate(model, corr, corr.anchor, corr.g_anchor)
+    full = LossModel(full_rows_of(dataset), 1e-2, kind)
+    assert full.n == 26 and full.full_rows
+    for method in DENSE_STEP_METHODS:
+        assert_same_run(monkeypatch, model,
+                        config_for(method, model, anchor_option=2, variance_mode="last"))
+        config = config_for(method, full, anchor_option=2, variance_mode="last")
+        assert assert_same_bits(monkeypatch, full, config) is None
+
+
 def test_dense_step_bits_when_the_run_diverges(monkeypatch):
     # eta * lam = 2.1 (or 2.5 for SVRGBB's eta0), and c1 = 1e3 for M1: the
     # plain formula and the dense step leave the guard at the same step,
