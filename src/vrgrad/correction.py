@@ -26,21 +26,19 @@ the per-sample scalars
     kappa_i = (c_i(z) - c_i(z_prev)) (a_i^T s) / ||s||^2,
 
 so that A_i = (lam + kappa_i) I.  The dense step's two memos are Python
-lists of n floats, ``anchor_coef_memo`` and ``sample_scalar_memo``, made
-with the operator and filled one entry at a time, the first time a sample
-is asked for: c_i(z) from the row dot a_i^T z (``anchor_coef_at``), and the
-scalar lam + kappa_i from the gradient difference at the anchor pair,
-formed as ``grad_sample_delta`` forms it with c_i(z) from the first memo
-(``sample_scalar_at``).  Both methods read row i through
-:meth:`~vrgrad.losses.LossModel.row_dot` and
+lists of n floats, made with the operator and filled one entry at a time,
+the first time a sample is asked for: c_i(z) from the row dot a_i^T z
+(``anchor_coef_at``), and the scalar lam + kappa_i from the gradient
+difference at the anchor pair, formed as ``grad_sample_delta`` forms it
+with c_i(z) from the first memo (``sample_scalar_at``).  Both read row i
+through :meth:`~vrgrad.losses.LossModel.row_dot` and
 :meth:`~vrgrad.losses.LossModel.row_add`, as the per-sample oracles do, so
-each entry is the per-sample oracles' expression, which can differ from the
-matvec forms above in the last bits.  ``apply_sample`` takes its
-``bb_scalar`` scalar from the latter.  The dense step reads an entry from
-the list in place and calls the method only on a miss, an entry still NaN.
-A list entry reads as a Python float, which the step's scalar arithmetic
-takes faster than an array element; a ``cached_property`` memo would slow
-every later attribute read of the operator, the dense step's included.
+each is the per-sample oracles' expression, which can differ from the
+matvec forms above in the last bits.  ``apply_sample`` takes its ``bb_scalar`` scalar
+from the latter.  A list entry reads as a Python float, which the step's
+scalar arithmetic takes faster than an array element; a
+``cached_property`` memo would slow every later attribute read of the
+operator, the dense step's included.
 
 From the same data, ``sample_parts`` gives every A_i at once as n-vectors
 (p, q, h), A_i u = p_i u + q_i a_i + h_i (a_i o a_i o u) with o the
@@ -90,8 +88,8 @@ class CorrectionOperator:
         self.bb_scalar = bb_scalar    # floored; used by apply_mean
         # the dense step's memos: NaN marks an entry not yet filled, and a
         # NaN value is computed again on each call, to the same NaN
-        self.anchor_coef_memo = [math.nan] * model.n
-        self.sample_scalar_memo = [math.nan] * model.n
+        self._anchor_coef_memo = [math.nan] * model.n
+        self._sample_scalar_memo = [math.nan] * model.n
 
     # -- per-epoch data, computed on first use --------------------------------
 
@@ -132,7 +130,7 @@ class CorrectionOperator:
     def anchor_coef_at(self, i: int) -> float:
         """c_i(anchor) from the row dot a_i^T anchor, as
         ``grad_sample_delta(i, w, anchor)`` computes it."""
-        memo = self.anchor_coef_memo
+        memo = self._anchor_coef_memo
         c = memo[i]
         if math.isnan(c):
             c = memo[i] = self.model.margin_coef_at(i, self.model.row_dot(i, self.anchor))
@@ -143,7 +141,7 @@ class CorrectionOperator:
         s^T (grad f_i(anchor) - grad f_i(w_prev2)) / ||s||^2 with the
         difference formed as ``grad_sample_delta`` forms it, c_i(anchor)
         from :meth:`anchor_coef_at`; it is not floored."""
-        memo = self.sample_scalar_memo
+        memo = self._sample_scalar_memo
         k = memo[i]
         if math.isnan(k):
             model, pair = self.model, self.anchors

@@ -205,15 +205,15 @@ def schedule_for(method: str, step_param: float, n: int, lam: float,
     bootstrap eta0; the SVRG2BBS presets use it as c1 (M2 and M3 take
     c2 = c1 * lambda) with the bootstrap eta0 pinned to 1/L so every
     emitted step stays inside the theoretical BB bracket.  They raise
-    ValueError when L = 0, which holds when every row is empty and
-    lambda = 0.
+    ValueError when L = 0, that is when lambda is 0 and every row's
+    squared norm is 0.
     """
     if method == "SVRGBB":
         return stepsize.epoch_bb(step_param)
     if method.startswith("SVRG2BBS-"):
         if not smoothness > 0.0:
             raise ValueError(f"{method} pins its first step to 1/L, and L = 0: "
-                             "every row of the data is empty and lambda is 0")
+                             "lambda is 0 and every row's squared norm is 0")
         name = method.split("-", 1)[1]
         return stepsize.preset(name, n, c1=step_param, c2=step_param * lam,
                                eta0=1.0 / smoothness)

@@ -25,12 +25,13 @@ f_i(w) and grad f_i(w) alone serve only the tests, whose reference
 (``tests/oracle.py``) builds them from the row methods; each f_i is
 ``lam``-strongly convex.
 
-Row i of X is read in one place.  :meth:`LossModel.row_dot` gives a_i^T x
-and :meth:`LossModel.row_add` does out += c a_i in place; every per-sample
-oracle, and the affine and full-Hessian inner steps of
-:mod:`vrgrad.optimizer`, read it through them.  The dense and diagonal steps
-read X's values themselves, the dense one only on data whose every row is
-full, as row views of an n x d array.  Both methods find the row through
+:meth:`LossModel.row_dot` gives a_i^T x and :meth:`LossModel.row_add` does
+out += c a_i in place; every per-sample oracle, and the affine and
+full-Hessian inner steps of :mod:`vrgrad.optimizer`, read row i of X
+through them.  Two inner steps read X's values without them: the diagonal
+step, and the dense step, which serves data whose every row is full and
+takes row i as a view of X's values laid out as an n x d array.  Both
+methods find the row through
 :attr:`LossModel.row_bounds`, X's row pointers as Python ints.  A
 :class:`~vrgrad.data.SparseDataset` keeps sorted, unique, nonzero entries,
 so a full row (nnz_i = d) holds columns 0, ..., d-1 in order and is read

@@ -22,9 +22,8 @@ uniformly random one (option 2) to the next anchor.  Method names:
 An inner step takes one of five forms, each described on its class:
 
 * :class:`_DenseIterate`, for the ``none`` and ``bb_scalar`` corrections
-  when every row is full, w as a vector, O(d), by :func:`direction`'s
-  operations in its order into per-epoch buffers; its bits are the plain
-  formula's;
+  when every row is full, w as a vector through :func:`direction`, O(d);
+  its bits are the plain formula's;
 * :class:`_AffineIterate`, for the ``none`` and ``bb_scalar`` corrections
   when some row is short, O(nnz_i);
 * :class:`_DiagIterate`, for ``diag_hessian``, O(nnz_i), with per-column
@@ -38,13 +37,13 @@ An inner step takes one of five forms, each described on its class:
 
 The affine and full-Hessian steps read the drawn row through the model
 alone: one :meth:`LossModel.row_dot` and one :meth:`LossModel.row_add` a
-step, which read and add a full row (nnz_i = d) directly.  The dense and
-diagonal steps read the row's values themselves.  The dense step, on data
-whose every row is full, takes row i as a view of X's values laid out as
-an n x d array.  The diagonal step applies the row's values to u or, on
-data with short rows, to the row's columns of u, which it gathers with the
-per-column arrays of its catch-up and scatters back.  The Gram step reads
-no row: a_i.u is an entry of X u, which it keeps.
+step, which read and add a full row (nnz_i = d) directly.  The dense step
+hands :func:`direction` row i as a view of X's values laid out as an n x d
+array, which it reads and adds in place of them.  The diagonal step reads
+the row's values itself and applies them to u or, on data with short rows,
+to the row's columns of u, which it gathers with the per-column arrays
+of its catch-up and scatters back.  The Gram step reads no row: a_i.u is
+an entry of X u, which it keeps.
 
 One function, :func:`step_class`, picks an epoch's form: ``diag_hessian``
 takes the diagonal step, ``full_hessian`` the form :func:`hessian_form` picks
@@ -54,8 +53,7 @@ and the affine step otherwise.  All five agree up to rounding.
 
 A run diverges when an iterate is not finite or ||w||^2 exceeds the square of
 the guard 1e8 (1 + ||w0||).  The dense and full-Hessian steps form w and test
-it, the full-Hessian step by :func:`_within_guard` and the dense step by the
-same test inline.  The affine, diagonal and Gram steps estimate
+it (:func:`_within_guard`).  The affine, diagonal and Gram steps estimate
 ||w||^2 and follow one rule, :meth:`_RowIterate._guard`: the estimate decides
 when it is finite and below the guard less ``GUARD_SLACK``; otherwise w
 itself is tested.
@@ -179,7 +177,8 @@ class InnerSummary:
     curvature_fallbacks: int = 0
 
 
-def direction(model: LossModel, correction, w_curr: np.ndarray, i: int) -> np.ndarray:
+def direction(model: LossModel, correction, w_curr: np.ndarray, i: int,
+              rows: np.ndarray | None = None, out=None) -> np.ndarray:
     """The corrected stochastic direction v_t for sample i at ``w_curr``, in
     the epoch of ``correction``, whose anchor z and full gradient g it reads.
 
@@ -191,24 +190,35 @@ def direction(model: LossModel, correction, w_curr: np.ndarray, i: int) -> np.nd
 
     Its bits are the plain formula's, grad_sample_delta(i, w, z) + g
     + A u - A_i u with u = w - z, in that order.  u is formed once, the
-    drawn row is read once against w (:meth:`LossModel.row_dot`) and added
-    once into v (:meth:`LossModel.row_add`), and c_i(z) and the
-    ``bb_scalar`` A_i's scalar come from the correction, which computes
+    drawn row is read once against w and added once into v, and c_i(z) and
+    the ``bb_scalar`` A_i's scalar come from the correction, which computes
     each by the per-sample oracles' expression the first time sample i is
     drawn in the epoch.  ``full_hessian`` and ``diag_hessian`` apply A and
     A_i through ``apply_mean`` and ``apply_sample``.
 
-    No inner step calls it: it is the formula that :class:`_DenseIterate`
-    repeats operation for operation, without its allocations and calls.
+    The dense step passes ``rows``, X's values as an n x d array when every
+    row is full, so row i is ``rows[i]``; otherwise the row is read through
+    :meth:`LossModel.row_dot` and :meth:`LossModel.row_add`.  ``out`` is
+    three length-d arrays (u, v, t) that u, v and each term added to v are
+    written into, and v, the second, is returned; without it they are new.
     """
-    u = w_curr - correction.anchor
-    dc = model.margin_coef_at(i, model.row_dot(i, w_curr)) - correction.anchor_coef_at(i)
-    v = model.lam * u
-    model.row_add(i, dc, v)
+    u, v, t = out if out is not None else (np.empty(model.d) for _ in range(3))
+    np.subtract(w_curr, correction.anchor, out=u)
+    row = None if rows is None else rows[i]
+    a_w = model.row_dot(i, w_curr) if row is None else float(row.dot(w_curr))
+    dc = model.margin_coef_at(i, a_w) - correction.anchor_coef_at(i)
+    np.multiply(u, model.lam, out=v)
+    if row is None:
+        model.row_add(i, dc, v)
+    else:
+        np.multiply(row, dc, out=t)
+        v += t
     v += correction.g_anchor
     if correction.variant == "bb_scalar":
-        v += correction.bb_scalar * u
-        v -= correction.sample_scalar_at(i) * u
+        np.multiply(u, correction.bb_scalar, out=t)
+        v += t
+        np.multiply(u, correction.sample_scalar_at(i), out=t)
+        v -= t
     elif correction.variant != "none":
         v += correction.apply_mean(u)
         v -= correction.apply_sample(i, u)
@@ -217,7 +227,7 @@ def direction(model: LossModel, correction, w_curr: np.ndarray, i: int) -> np.nd
 
 def _within_guard(w: np.ndarray, limit: float) -> bool:
     """Whether w is finite and ||w||^2 <= limit."""
-    ww = float(w @ w)
+    ww = float(w.dot(w))    # the ndarray method skips matmul's dispatch
     # ||w||^2 is finite exactly when w is, unless the sum overflows
     return ww <= limit and (ww < math.inf or bool(np.isfinite(w).all()))
 
@@ -226,67 +236,30 @@ class _DenseIterate:
     """The inner iterate as a dense vector, for data whose every row is full
     (:attr:`LossModel.full_rows`); a step costs O(d).
 
-    Row i of X is then ``rows[i]``, a view of X's values as an n x d array,
-    read against w and added into v directly.  A step makes
-    :func:`direction`'s operations in its order, u = w - z, then
-    v = lam u + (c_i(w) - c_i(z)) a_i + g (+ A u - A_i u), then w -= eta v,
-    so its bits are the plain formula's.  u, v and the row term go into
-    per-epoch buffers, so a step allocates no O(d) array.  c_i(z) and the
-    ``bb_scalar`` A_i's scalar are read from the correction's memo lists,
-    and only a miss calls ``anchor_coef_at`` or ``sample_scalar_at``.  The
-    ``full_hessian`` and ``diag_hessian`` terms go through ``apply_mean``
-    and ``apply_sample``, as in :func:`direction`, though :func:`step_class`
-    gives those epochs their own steps.  The guard is :func:`_within_guard`'s
-    test on w, inline.
+    A step calls :func:`direction` with row i as a view of X's values laid
+    out as an n x d array, and with per-epoch buffers, so its bits are the
+    plain formula's and it allocates no O(d) array.
     """
 
     def __init__(self, model, correction, w_anchor, g_anchor):
         if not model.full_rows:
             raise ValueError("the dense step needs every row full (nnz_i = d)")
-        self.correction = correction
-        self.margin_coef_at, self.lam = model.margin_coef_at, model.lam
+        self.model, self.correction = model, correction
         # canonical CSR: a full row holds columns 0, ..., d-1 in order
         self.rows = model.dataset.features.data.reshape(model.n, model.d)
-        self.z, self.g = correction.anchor, correction.g_anchor
-        self.z_coefs = correction.anchor_coef_memo
-        self.variant = correction.variant
-        if self.variant == "bb_scalar":
-            self.bb_scalar, self.scalars = correction.bb_scalar, correction.sample_scalar_memo
+        self.buffers = tuple(np.empty(model.d) for _ in range(3))
         self.w = w_anchor.copy()
-        self.u, self.v, self.row_term = (np.empty(model.d) for _ in range(3))
 
     def current(self) -> np.ndarray:
         return self.w.copy()
 
     def step(self, i: int, eta: float, limit: float) -> bool:
         """w -= eta * v_t(i); False when w is non-finite or ||w||^2 > limit."""
-        w, u, v, row_term = self.w, self.u, self.v, self.row_term
-        row = self.rows[i]
-        np.subtract(w, self.z, out=u)
-        c_z = self.z_coefs[i]
-        if c_z != c_z:          # NaN: not yet filled
-            c_z = self.correction.anchor_coef_at(i)
-        dc = self.margin_coef_at(i, float(row.dot(w))) - c_z
-        np.multiply(u, self.lam, out=v)
-        np.multiply(row, dc, out=row_term)
-        v += row_term
-        v += self.g
-        variant = self.variant
-        if variant == "bb_scalar":
-            k = self.scalars[i]
-            if k != k:
-                k = self.correction.sample_scalar_at(i)
-            np.multiply(u, self.bb_scalar, out=row_term)
-            v += row_term
-            np.multiply(u, k, out=row_term)
-            v -= row_term
-        elif variant != "none":
-            v += self.correction.apply_mean(u)
-            v -= self.correction.apply_sample(i, u)
+        w = self.w
+        v = direction(self.model, self.correction, w, i, self.rows, self.buffers)
         v *= eta
         w -= v
-        ww = float(w.dot(w))    # the ndarray method skips matmul's dispatch
-        return ww <= limit and (ww < math.inf or bool(np.isfinite(w).all()))
+        return _within_guard(w, limit)
 
 
 class _RowIterate:

@@ -406,7 +406,7 @@ def test_svrg2bbs_with_every_row_empty_and_lambda_0_is_an_error(tmp_path, capsys
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == ("error: SVRG2BBS-M2 pins its first step to 1/L, and L = 0: "
-                   "every row of the data is empty and lambda is 0\n")
+                   "lambda is 0 and every row's squared norm is 0\n")
     assert not (tmp_path / "out").exists()
 
 
