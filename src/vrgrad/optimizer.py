@@ -178,7 +178,8 @@ class InnerSummary:
 
 
 def direction(model: LossModel, correction, w_curr: np.ndarray, i: int,
-              rows: np.ndarray | None = None, out=None) -> np.ndarray:
+              rows: np.ndarray | None = None,
+              out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """The corrected stochastic direction v_t for sample i at ``w_curr``, in
     the epoch of ``correction``, whose anchor z and full gradient g it reads.
 
