@@ -12,8 +12,8 @@ from .data import (LabelError, LibsvmParseError, SparseDataset, parse_libsvm,
                    synth_binary, write_libsvm)
 from .losses import LossModel
 from .optimizer import (METHODS, DivergenceError, EpochRecord, RunConfig,
-                        direction, expected_grad_evals, measure_variance,
-                        optimize, run_epoch)
+                        expected_grad_evals, measure_variance, optimize,
+                        run_epoch)
 from .reference import ReferenceSolution, cached_reference, solve_reference
 from .stepsize import (CurvatureError, EpochAnchors, StepSizeSchedule,
                        constant, epoch_bb, generalized_bb, preset, step)
@@ -28,8 +28,8 @@ __all__ = [
     "LabelError", "LibsvmParseError", "SparseDataset", "parse_libsvm",
     "synth_binary", "write_libsvm",
     "LossModel", "METHODS", "DivergenceError", "EpochRecord", "RunConfig",
-    "direction", "expected_grad_evals", "measure_variance", "optimize",
-    "run_epoch", "ReferenceSolution", "cached_reference", "solve_reference",
+    "expected_grad_evals", "measure_variance", "optimize", "run_epoch",
+    "ReferenceSolution", "cached_reference", "solve_reference",
     "CurvatureError", "EpochAnchors", "StepSizeSchedule", "constant",
     "epoch_bb", "generalized_bb", "preset", "step",
     "ProblemConstants", "RateEstimate", "alpha_bb_diag", "alpha_full_hessian",

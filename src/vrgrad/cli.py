@@ -57,6 +57,9 @@ def _parse_synth(text: str) -> tuple:
     return (int(parts[0]), int(parts[1]), int(parts[2]), *map(float, parts[3:]))
 
 
+_parse_synth.__name__ = "n,d,seed[,separability]"     # argparse's "invalid ... value"
+
+
 def _parse_switch(text: str) -> bool:
     word = text.strip().lower()
     if word not in ("1", "true", "yes", "0", "false", "no"):
@@ -67,6 +70,9 @@ def _parse_switch(text: str) -> bool:
 def _parse_m(text: str) -> int | None:
     """Inner length: '2n' (or empty) is None, else an integer."""
     return None if text.strip() in ("2n", "") else int(text)
+
+
+_parse_m.__name__ = "integer or '2n'"     # argparse's "invalid ... value"
 
 
 def read_spec_file(path) -> dict:

@@ -26,13 +26,14 @@ f_i(w) and grad f_i(w) alone serve only the tests, whose reference
 ``lam``-strongly convex.
 
 :meth:`LossModel.row_dot` gives a_i^T x and :meth:`LossModel.row_add` does
-out += c a_i in place; every per-sample oracle, and the affine and
-full-Hessian inner steps of :mod:`vrgrad.optimizer`, read row i of X
-through them.  Two inner steps read X's values without them: the diagonal
-step, and the dense step, which serves data whose every row is full and
-takes row i as a view of X's values laid out as an n x d array.  Both
-methods find the row through
-:attr:`LossModel.row_bounds`, X's row pointers as Python ints.  A
+out += c a_i in place; both find the row through
+:attr:`LossModel.row_bounds`, X's row pointers as Python ints.  Every
+per-sample oracle, and the affine and full-Hessian inner steps of
+:mod:`vrgrad.optimizer`, read row i of X through them.  Two other inner
+steps read X's values without them: the diagonal step, and the dense
+step, which serves only data whose every row is full and whose kernel
+:func:`~vrgrad.optimizer.direction` reads row i of X's values laid out as
+an n x d array.  The Gram step reads no row.  A
 :class:`~vrgrad.data.SparseDataset` keeps sorted, unique, nonzero entries,
 so a full row (nnz_i = d) holds columns 0, ..., d-1 in order and is read
 and added directly; a shorter one is gathered with ``take`` and scattered

@@ -22,8 +22,8 @@ uniformly random one (option 2) to the next anchor.  Method names:
 An inner step takes one of five forms, each described on its class:
 
 * :class:`_DenseIterate`, for the ``none`` and ``bb_scalar`` corrections
-  when every row is full, w as a vector through :func:`direction`, O(d);
-  its bits are the plain formula's;
+  when every row is full, w as a vector, O(d); its kernel
+  :func:`direction` serves it alone, and its bits are the plain formula's;
 * :class:`_AffineIterate`, for the ``none`` and ``bb_scalar`` corrections
   when some row is short, O(nnz_i);
 * :class:`_DiagIterate`, for ``diag_hessian``, O(nnz_i), with per-column
@@ -38,12 +38,12 @@ An inner step takes one of five forms, each described on its class:
 The affine and full-Hessian steps read the drawn row through the model
 alone: one :meth:`LossModel.row_dot` and one :meth:`LossModel.row_add` a
 step, which read and add a full row (nnz_i = d) directly.  The dense step
-hands :func:`direction` row i as a view of X's values laid out as an n x d
-array, which it reads and adds in place of them.  The diagonal step reads
-the row's values itself and applies them to u or, on data with short rows,
-to the row's columns of u, which it gathers with the per-column arrays
-of its catch-up and scatters back.  The Gram step reads no row: a_i.u is
-an entry of X u, which it keeps.
+reads no row through the model: it hands :func:`direction` X's values laid
+out as an n x d array, whose row i it reads and adds.  The diagonal step
+reads the row's values itself and applies them to u or, on data with short
+rows, to the row's columns of u, which it gathers with the per-column
+arrays of its catch-up and scatters back.  The Gram step reads no row:
+a_i.u is an entry of X u, which it keeps.
 
 One function, :func:`step_class`, picks an epoch's form: ``diag_hessian``
 takes the diagonal step, ``full_hessian`` the form :func:`hessian_form` picks
@@ -178,51 +178,38 @@ class InnerSummary:
 
 
 def direction(model: LossModel, correction, w_curr: np.ndarray, i: int,
-              rows: np.ndarray | None = None,
-              out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """The corrected stochastic direction v_t for sample i at ``w_curr``, in
-    the epoch of ``correction``, whose anchor z and full gradient g it reads.
+              rows: np.ndarray, out: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """The dense step's v_t for sample i at ``w_curr``, in a ``none`` or
+    ``bb_scalar`` epoch of ``correction``, whose anchor z and gradient g it
+    reads; called once a step, with the correction second, so that
+    ``bench/spans.py`` can wrap it by name and count the steps by it.
 
-    With the zero correction this is the plain variance-reduced gradient
-    grad f_i(w) - grad f_i(z) + g; the correction adds (A - A_i)(w - z).
-    E_i[v_t] = grad F(w_curr), except that ``bb_scalar`` floors its mean
-    scalar only, which adds (bb_scalar - bb_raw)(w_curr - z) when the floor
-    is active.
+    ``rows`` is X's values as an n x d array (every row is full), and
+    ``out`` three length-d arrays (u, v, t) that u, v and each term added to
+    v are written into; v is returned.
 
     Its bits are the plain formula's, grad_sample_delta(i, w, z) + g
-    + A u - A_i u with u = w - z, in that order.  u is formed once, the
-    drawn row is read once against w and added once into v, and c_i(z) and
-    the ``bb_scalar`` A_i's scalar come from the correction, which computes
+    + A u - A_i u with u = w - z, in that order.  u is formed once, row i
+    is read once against w and added once into v, and c_i(z) and the
+    ``bb_scalar`` A_i's scalar come from the correction, which computes
     each by the per-sample oracles' expression the first time sample i is
-    drawn in the epoch.  ``full_hessian`` and ``diag_hessian`` apply A and
-    A_i through ``apply_mean`` and ``apply_sample``.
-
-    The dense step passes ``rows``, X's values as an n x d array when every
-    row is full, so row i is ``rows[i]``; otherwise the row is read through
-    :meth:`LossModel.row_dot` and :meth:`LossModel.row_add`.  ``out`` is
-    three length-d arrays (u, v, t) that u, v and each term added to v are
-    written into, and v, the second, is returned; without it they are new.
+    drawn in the epoch.  E_i[v_t] = grad F(w_curr), except that
+    ``bb_scalar`` floors its mean scalar only, which adds
+    (bb_scalar - bb_raw)(w_curr - z) when the floor is active.
     """
-    u, v, t = out if out is not None else (np.empty(model.d) for _ in range(3))
+    u, v, t = out
     np.subtract(w_curr, correction.anchor, out=u)
-    row = None if rows is None else rows[i]
-    a_w = model.row_dot(i, w_curr) if row is None else float(row.dot(w_curr))
-    dc = model.margin_coef_at(i, a_w) - correction.anchor_coef_at(i)
+    row = rows[i]
+    dc = model.margin_coef_at(i, float(row.dot(w_curr))) - correction.anchor_coef_at(i)
     np.multiply(u, model.lam, out=v)
-    if row is None:
-        model.row_add(i, dc, v)
-    else:
-        np.multiply(row, dc, out=t)
-        v += t
+    np.multiply(row, dc, out=t)
+    v += t
     v += correction.g_anchor
     if correction.variant == "bb_scalar":
         np.multiply(u, correction.bb_scalar, out=t)
         v += t
         np.multiply(u, correction.sample_scalar_at(i), out=t)
         v -= t
-    elif correction.variant != "none":
-        v += correction.apply_mean(u)
-        v -= correction.apply_sample(i, u)
     return v
 
 
@@ -234,17 +221,20 @@ def _within_guard(w: np.ndarray, limit: float) -> bool:
 
 
 class _DenseIterate:
-    """The inner iterate as a dense vector, for data whose every row is full
-    (:attr:`LossModel.full_rows`); a step costs O(d).
+    """The inner iterate of a ``none`` or ``bb_scalar`` epoch as a dense
+    vector, for data whose every row is full (:attr:`LossModel.full_rows`);
+    a step costs O(d).
 
-    A step calls :func:`direction` with row i as a view of X's values laid
-    out as an n x d array, and with per-epoch buffers, so its bits are the
-    plain formula's and it allocates no O(d) array.
+    A step calls its kernel :func:`direction` with X's values as an n x d
+    array and per-epoch buffers: its bits are the plain formula's and it
+    allocates no O(d) array.  :func:`step_class` sends it no other epoch.
     """
 
     def __init__(self, model, correction, w_anchor, g_anchor):
         if not model.full_rows:
             raise ValueError("the dense step needs every row full (nnz_i = d)")
+        if correction.variant not in ("none", "bb_scalar"):
+            raise ValueError(f"the dense step takes no {correction.variant} epoch")
         self.model, self.correction = model, correction
         # canonical CSR: a full row holds columns 0, ..., d-1 in order
         self.rows = model.dataset.features.data.reshape(model.n, model.d)
@@ -422,10 +412,10 @@ class _DiagIterate(_RowIterate):
         # every r_j > 0: a catch-up takes r^k - 1 as expm1(k log r), which
         # keeps its precision however close r_j is to 1.  Otherwise every
         # step brings all columns up, so k <= 1 and r^k - 1 = -k eta D.
-        self.log_r = np.log1p(-self.E) if E.max() < 1.0 else None
+        self.log_r = np.log1p(-self.E) if E.max(initial=0.0) < 1.0 else None
         # a step on row i multiplies u_j by 1 - eta D_j + eta h_i a_ij^2
         self.row_coef = 1.0 - self.E[self.indices] + eta * self.h_sq
-        self.move_scale = (float(self.E.max()), eta * math.sqrt(self.gg))
+        self.move_scale = (float(self.E.max(initial=0.0)), eta * math.sqrt(self.gg))
         self._reset_bound()
 
     @staticmethod
@@ -631,8 +621,8 @@ class _GramIterate(_RowIterate):
 
 def step_class(model: LossModel, correction) -> type:
     """The inner-step form of the epoch of ``correction``, chosen here alone
-    (module docstring); ``none`` and ``bb_scalar`` take the dense step when
-    every row is full and the affine step otherwise."""
+    (module docstring); ``none`` and ``bb_scalar`` alone take the dense step,
+    when every row is full, and the affine step otherwise."""
     if correction.variant == "diag_hessian":
         return _DiagIterate
     if correction.variant == "full_hessian":

@@ -10,8 +10,10 @@ the full-Hessian or the Gram step, as ``hessian_form`` picks, for every
 with ``step_class``, the one selector, patched to ``PlainIterate`` of
 :mod:`oracle`: the plain formula for v_t on a dense w.
 
-The dense step serves data whose every row is full, and its bit-for-bit
-tests run on such data.  It reads c_i(anchor) and the BB per-sample scalar
+The dense step serves the ``none`` and ``bb_scalar`` epochs of data whose
+every row is full, and its bit-for-bit tests run on such data: a run
+through it, and its kernel ``direction`` called with the row view and
+buffers it hands it.  It reads c_i(anchor) and the BB per-sample scalar
 from the epoch's correction, which computes each once per sample.
 ``PlainIterate`` computes both on every step, as the plain formula does;
 the two must give the same bits.
@@ -28,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vrgrad.optimizer as optimizer
-from vrgrad.correction import VARIANTS, DegenerateAnchorError, build_correction
+from vrgrad.correction import DegenerateAnchorError, build_correction
 from vrgrad.data import SparseDataset, synth_binary
 from vrgrad.harness import schedule_for
 from vrgrad.losses import KINDS, LossModel
@@ -861,13 +863,21 @@ def test_affine_runs_are_seeded(n, d, data_seed, seed, method, kind, anchor_opti
 
 
 def dense_runs(monkeypatch, model, config, w0=None):
-    """The run through the dense step and through ``PlainIterate``: for each,
+    """The run with its ``none`` and ``bb_scalar`` epochs through the dense
+    step, then through ``PlainIterate``; in both, the Hessian epochs of
+    SVRG2 and SVRG2D take the form ``step_class`` picks.  For each,
     (final iterate, records, divergence (epoch, step) or None)."""
     w0 = np.zeros(model.d) if w0 is None else w0
+    real_step_class = optimizer.step_class
     out = []
     for iterate_cls in (optimizer._DenseIterate, PlainIterate):
+        def pick(model, correction, iterate_cls=iterate_cls):
+            if correction.variant in ("none", "bb_scalar"):
+                return iterate_cls
+            return real_step_class(model, correction)
+
         with monkeypatch.context() as patch:
-            patch.setattr(optimizer, "step_class", lambda *a: iterate_cls)
+            patch.setattr(optimizer, "step_class", pick)
             try:
                 w, records = optimize(model, config, w0)
                 out.append((w, records, None))
@@ -894,18 +904,15 @@ def assert_same_bits(monkeypatch, model, config, w0=None):
     return diverged
 
 
-DENSE_STEP_METHODS = ("SVRG", "SVRGBB", "SVRG2BB", "SVRG2BBS-M1", "SVRG2BBS-M2",
-                      "SVRG2BBS-M3", "SVRG2", "SVRG2D")
-
-
 @pytest.mark.parametrize("lam", [0.0, 1e-3])
 @pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
 @pytest.mark.parametrize("anchor_option", [1, 2])
-@pytest.mark.parametrize("method", DENSE_STEP_METHODS)
+@pytest.mark.parametrize("method", METHODS)
 def test_dense_step_is_the_plain_formula_bit_for_bit(monkeypatch, method, anchor_option,
                                                      kind, lam):
-    # dense rows (d^2 < nnz) and wider full rows (d^2 > nnz); every epoch
-    # takes the dense step, the corrected epochs of SVRG2 and SVRG2D included
+    # dense rows (d^2 < nnz) and wider full rows (d^2 > nnz); every none and
+    # bb_scalar epoch takes the dense step, the first epoch of SVRG2 and
+    # SVRG2D included
     for dataset in (dense_rows(), synth_binary(60, 80, seed=11, separability=0.8)):
         model = LossModel(dataset, lam, kind)
         config = config_for(method, model, anchor_option=anchor_option, variance_mode="last")
@@ -926,7 +933,7 @@ def test_dense_step_bits_with_empty_rows(monkeypatch, kind):
         optimizer._DenseIterate(model, corr, corr.anchor, corr.g_anchor)
     full = LossModel(full_rows_of(dataset), 1e-2, kind)
     assert full.n == 26 and full.full_rows
-    for method in DENSE_STEP_METHODS:
+    for method in METHODS:
         assert_same_run(monkeypatch, model,
                         config_for(method, model, anchor_option=2, variance_mode="last"))
         config = config_for(method, full, anchor_option=2, variance_mode="last")
@@ -991,7 +998,7 @@ def full_rows_of(dataset):
 
 @pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
 @pytest.mark.parametrize("anchor_option", [1, 2])
-@pytest.mark.parametrize("method", DENSE_STEP_METHODS)
+@pytest.mark.parametrize("method", METHODS)
 def test_dense_step_bits_with_full_short_and_empty_rows(monkeypatch, method, anchor_option,
                                                         kind):
     # a full row is read and added without a gather or scatter, a short one
@@ -1012,10 +1019,15 @@ def test_dense_step_bits_with_full_short_and_empty_rows(monkeypatch, method, anc
 
 
 def test_dense_step_refuses_a_short_row():
-    model = LossModel(STEP_DATA["79 of 80 once"](), 1e-2)
-    corr = epoch_of("none", model)
-    with pytest.raises(ValueError, match="every row full"):
-        optimizer._DenseIterate(model, corr, corr.anchor, corr.g_anchor)
+    # and, on full rows, a Hessian epoch, which step_class never sends it
+    for rows, variant, message in (("79 of 80 once", "none", "every row full"),
+                                   ("80 of 80", "full_hessian", "no full_hessian epoch"),
+                                   ("80 of 80", "diag_hessian", "no diag_hessian epoch")):
+        model = LossModel(STEP_DATA[rows](), 1e-2)
+        corr = epoch_of(variant, model)
+        assert corr.variant == variant
+        with pytest.raises(ValueError, match=message):
+            optimizer._DenseIterate(model, corr, corr.anchor, corr.g_anchor)
 
 
 @pytest.mark.parametrize("variant", ["none", "bb_scalar"])
@@ -1065,26 +1077,24 @@ def test_hess_and_diag_steps_with_full_short_and_empty_rows(monkeypatch, method,
 
 
 @settings(max_examples=80, deadline=None)
-@given(d=st.integers(1, 12), lengths=st.lists(st.sampled_from(["full", "short", "empty"]),
-                                              min_size=1, max_size=8),
-       seed=st.integers(0, 2**16), lam=st.sampled_from([0.0, 1e-3]),
-       kind=st.sampled_from(KINDS), variant=st.sampled_from(VARIANTS))
-def test_direction_is_the_plain_formula_bit_for_bit(d, lengths, seed, lam, kind, variant):
-    # canonical CSR rows: full (nnz_i = d), short (0 < nnz_i < d where d > 1)
-    # and empty, from a dense matrix; each sample twice, the second time
-    # from the correction's per-sample memos
+@given(n=st.integers(1, 8), d=st.integers(1, 12), seed=st.integers(0, 2**16),
+       lam=st.sampled_from([0.0, 1e-3]), kind=st.sampled_from(KINDS),
+       variant=st.sampled_from(["none", "bb_scalar"]))
+def test_direction_is_the_plain_formula_bit_for_bit(n, d, seed, lam, kind, variant):
+    # the dense step's kernel on what it serves: full rows, the row view and
+    # buffers the step hands it, and a none or bb_scalar epoch; each sample
+    # twice, the second time from the correction's per-sample memos
     rng = np.random.default_rng(seed)
-    X = np.zeros((len(lengths), d))
-    for i, length in enumerate(lengths):
-        k = d if length == "full" else 0 if length == "empty" or d == 1 else int(rng.integers(1, d))
-        X[i, rng.choice(d, k, replace=False)] = rng.uniform(0.5, 2.0, k) * rng.choice([-1, 1], k)
-    model = LossModel(SparseDataset.from_dense(X, rng.choice([-1.0, 1.0], len(lengths))),
-                      lam, kind)
+    X = rng.uniform(0.5, 2.0, (n, d)) * rng.choice([-1, 1], (n, d))
+    model = LossModel(SparseDataset.from_dense(X, rng.choice([-1.0, 1.0], n)), lam, kind)
+    assert model.full_rows
+    rows = model.dataset.features.data.reshape(n, d)
+    buffers = tuple(np.empty(d) for _ in range(3))
     z_prev, z, w = rng.standard_normal((3, d))
     corr = build_correction(variant, model, z, z_prev)
     assert corr.variant == variant
-    for i in [*range(model.n)] * 2:
-        assert direction(model, corr, w, i).tobytes() \
+    for i in [*range(n)] * 2:
+        assert direction(model, corr, w, i, rows, buffers).tobytes() \
             == plain_direction(model, corr, w, i).tobytes()
 
 

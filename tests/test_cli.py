@@ -113,13 +113,17 @@ def test_list_values_drop_blanks_and_empty_items(tmp_path, key, text, field, wan
 
 
 @pytest.mark.parametrize("flag, text", [("--lambda", "1e-2,x"), ("--grid", "0.1,,1e"),
-                                        ("--seeds", "0, 1.5")])
+                                        ("--seeds", "0, 1.5"), ("--m", "abc"),
+                                        ("--synth", "x,2,3")])
 def test_a_bad_list_item_is_a_usage_error_naming_its_flag(tmp_path, capsys, flag, text):
+    # the message names the flag and the value's form, not a private converter
     out = tmp_path / "results"
     with pytest.raises(SystemExit) as err:
         main(["run", "--synth", "20,3,0", flag, text, "--out", str(out)])
     assert err.value.code == 2
-    assert f"argument {flag}: invalid" in capsys.readouterr().err
+    stderr = capsys.readouterr().err
+    assert f"argument {flag}: invalid" in stderr
+    assert "_parse" not in stderr
     assert not out.exists()
 
 
@@ -408,6 +412,17 @@ def test_svrg2bbs_with_every_row_empty_and_lambda_0_is_an_error(tmp_path, capsys
     assert err == ("error: SVRG2BBS-M2 pins its first step to 1/L, and L = 0: "
                    "lambda is 0 and every row's squared norm is 0\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("method", optimizer.METHODS)
+def test_every_method_runs_on_data_without_a_feature(tmp_path, method):
+    # d = 0: before, SVRG2D took the max of an empty array and exited 1
+    data = tmp_path / "no_features.svm"
+    data.write_text("+1\n-1\n+1\n")
+    argv = ["run", "--data", str(data), "--methods", method, "--lambda", "1e-2",
+            "--grid", "0.1", "--epochs", "2", "--out", str(tmp_path / "out"),
+            "--cache-dir", str(tmp_path / "cache")]
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize("content, messages", [

@@ -12,6 +12,8 @@ from vrgrad.optimizer import (METHODS, DivergenceError, RunConfig, _within_guard
 from vrgrad.reference import solve_reference
 from vrgrad.stepsize import EpochAnchors, constant, epoch_bb, preset
 
+from oracle import plain_direction
+
 
 @pytest.fixture(scope="module")
 def small():
@@ -38,14 +40,18 @@ def test_direction_at_anchor_is_full_gradient_exactly(small):
     for variant in ("none", "full_hessian", "diag_hessian", "bb_scalar"):
         corr = build_correction(variant, model, w, w - 0.1 * g)
         for i in (0, 17, 49):
-            np.testing.assert_array_equal(direction(model, corr, w, i), g)
+            np.testing.assert_array_equal(plain_direction(model, corr, w, i), g)
 
 
 def test_direction_none_matches_independent_svrg_oracle(small):
-    # naive dense re-implementation of the uncorrected direction
+    # naive dense re-implementation of the uncorrected direction, against
+    # the dense step's kernel on full rows, with its row view and buffers
     model, _ = small
+    assert model.full_rows
     X = model.dataset.features.toarray()
     b = model.dataset.labels
+    rows = model.dataset.features.data.reshape(model.n, model.d)
+    buffers = tuple(np.empty(model.d) for _ in range(3))
 
     def naive_svrg_direction(w, w_anchor, g_anchor, i):
         def grad_i(w):
@@ -61,7 +67,7 @@ def test_direction_none_matches_independent_svrg_oracle(small):
         g_anchor = model.grad_full(w_anchor)
         corr = build_correction("none", model, w_anchor, g_curr=g_anchor)
         i = int(rng.integers(model.n))
-        got = direction(model, corr, w, i)
+        got = direction(model, corr, w, i, rows, buffers)
         want = naive_svrg_direction(w, w_anchor, g_anchor, i)
         np.testing.assert_allclose(got, want, atol=1e-14)
 
@@ -74,7 +80,7 @@ def test_direction_unbiased_for_every_variant(small):
             w_anchor, w_prev = _anchor_pair(model, rng)
             corr = build_correction(variant, model, w_anchor, w_prev)
             w = w_anchor + 0.3 * rng.standard_normal(model.d)
-            mean = np.mean([direction(model, corr, w, i)
+            mean = np.mean([plain_direction(model, corr, w, i)
                             for i in range(model.n)], axis=0)
             np.testing.assert_allclose(mean, model.grad_full(w), atol=1e-10,
                                        err_msg=variant)
@@ -166,7 +172,7 @@ def test_option2_replay_oracle(small):
     for t in range(m):
         if t == t_star:
             snapshot = w.copy()
-        w = w - 0.2 * direction(model, corr, w, int(idx[t]))
+        w = w - 0.2 * plain_direction(model, corr, w, int(idx[t]))
     np.testing.assert_array_equal(w_end, snapshot)
 
 
@@ -183,7 +189,7 @@ def test_option1_returns_last_iterate(small):
     corr = build_correction("none", model, w0)
     w = w0.copy()
     for t in range(m):
-        w = w - 0.2 * direction(model, corr, w, int(idx[t]))
+        w = w - 0.2 * plain_direction(model, corr, w, int(idx[t]))
     np.testing.assert_array_equal(w_end, w)
 
 
@@ -384,7 +390,7 @@ def test_variance_matches_independent_enumeration(small):
     for variant in ("none", "bb_scalar", "diag_hessian", "full_hessian"):
         corr = build_correction(variant, model, w_anchor, w_prev)
         naive = np.mean([
-            float(np.sum((direction(model, corr, w, i) - g_full) ** 2))
+            float(np.sum((plain_direction(model, corr, w, i) - g_full) ** 2))
             for i in range(model.n)
         ])
         got = measure_variance(model, corr, w)

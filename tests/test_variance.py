@@ -4,8 +4,8 @@ per-sample loops as oracles.
 ``CorrectionOperator.sample_residuals``, which ``measure_variance`` and
 ``estimate_alpha_empirical`` call, expands each squared residual norm into
 a few sparse matvecs.  The oracles here form every per-sample residual as a
-dense vector, from ``direction``, ``grad_sample_delta`` and
-``apply_sample``, and sum its squares.
+dense vector, from the plain formula for v_t (``oracle.plain_direction``),
+``grad_sample_delta`` and ``apply_sample``, and sum its squares.
 
 The two agree to 1e-9 relative.  Where the exact value is below the
 expansion's rounding floor (a residual that cancels to about 0), they agree
@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 from vrgrad.correction import VARIANTS, build_correction
 from vrgrad.data import SparseDataset
 from vrgrad.losses import KINDS, LossModel
-from vrgrad.optimizer import direction, measure_variance
+from vrgrad.optimizer import measure_variance
 from vrgrad.theory import estimate_alpha_empirical
 
-from oracle import grad_sample
+from oracle import grad_sample, plain_direction
 
 RTOL, FLOOR = 1e-9, 1e-12
 
@@ -43,7 +43,7 @@ def loop_variance(model, corr, w):
     g_full, a_mean = model.grad_full(w), corr.apply_mean(u)
     values, parts = [], []
     for i in range(model.n):
-        v = direction(model, corr, w, i)
+        v = plain_direction(model, corr, w, i)
         values.append(_sqnorm(v - g_full))
         parts.append(sum(_sqnorm(t) for t in (
             grad_sample(model, i, w), grad_sample(model, i, corr.anchor),
@@ -139,7 +139,7 @@ def test_alpha_matches_the_loop(problem):
 def test_mean_direction_is_the_gradient_plus_the_floor_bias(problem):
     model, corr, w = problem
     u = w - corr.anchor
-    mean = np.mean([direction(model, corr, w, i)
+    mean = np.mean([plain_direction(model, corr, w, i)
                     for i in range(model.n)], axis=0)
     bias = corr.bb_scalar - corr.bb_raw if corr.variant == "bb_scalar" else 0.0
     want = model.grad_full(w) + bias * u
@@ -156,7 +156,7 @@ def test_floored_bb_scalar_biases_the_mean_direction():
     assert corr.bb_raw == 0.0
     assert corr.bb_scalar == pytest.approx(4e-8)
     w = np.array([0.5])
-    mean = np.mean([direction(model, corr, w, i)
+    mean = np.mean([plain_direction(model, corr, w, i)
                     for i in range(model.n)], axis=0)
     np.testing.assert_allclose(mean - model.grad_full(w), 4e-8 * (w - corr.anchor),
                                rtol=1e-8)
