@@ -35,15 +35,18 @@ An inner step takes one of five forms, each described on its class:
   (sum_j nnz_j^2 < nnz + d, nnz_j the nonzeros of column j), O(n) and one
   product with K = X X^T.
 
-The affine and full-Hessian steps read the drawn row through the model
-alone: one :meth:`LossModel.row_dot` and one :meth:`LossModel.row_add` a
-step, which read and add a full row (nnz_i = d) directly.  The dense step
-reads no row through the model: it hands :func:`direction` X's values laid
-out as an n x d array, whose row i it reads and adds.  The diagonal step
-reads the row's values itself and applies them to u or, on data with short
-rows, to the row's columns of u, which it gathers with the per-column
-arrays of its catch-up and scatters back.  The Gram step reads no row:
-a_i.u is an entry of X u, which it keeps.
+The full-Hessian step reads the drawn row through the model alone: one
+:meth:`LossModel.row_dot` and one :meth:`LossModel.row_add` a step, which
+read and add a full row (nnz_i = d) directly.  The dense step reads no row
+through the model: it hands :func:`direction` X's values laid out as an
+n x d array, whose row i it reads and adds.  The affine and diagonal steps
+take row i's columns and values as slices of X's CSR arrays and gather each
+vector they read on the columns once a step: the affine step y, which one
+``put`` writes back; the diagonal step, on data with short rows, u and the
+steps each column was last written at, its per-column epoch constants
+being kept per nonzero and sliced.  Both make the row methods' products
+and sums in their order.  The Gram step reads no row: a_i.u is an entry of
+X u, which it keeps.
 
 One function, :func:`step_class`, picks an epoch's form: ``diag_hessian``
 takes the diagonal step, ``full_hessian`` the form :func:`hessian_form` picks
@@ -254,10 +257,10 @@ class _DenseIterate:
 
 
 class _RowIterate:
-    """The epoch data of a step form that reads the drawn row alone: the
-    model's :meth:`~LossModel.row_dot` and :meth:`~LossModel.row_add`, the
-    anchor z and its full gradient g, z.z, z.g and g.g, and X @ z and c_i(z)
-    as Python floats, for scalar arithmetic.
+    """The epoch data of a step form that reads the drawn row alone: X's
+    row bounds, column indices and values, the anchor z and its full
+    gradient g, z.z, z.g and g.g, and X @ z and c_i(z) as Python floats, for
+    scalar arithmetic.
 
     A form that estimates ||w||^2 (or a bound on it) instead of forming w
     tests the divergence guard by one rule, :meth:`_guard`: the estimate
@@ -270,7 +273,8 @@ class _RowIterate:
     GUARD_SLACK = 1e-3
 
     def __init__(self, model, correction, w_anchor, g_anchor):
-        self.row_dot, self.row_add = model.row_dot, model.row_add
+        X = model.dataset.features
+        self.bounds, self.indices, self.data = model.row_bounds, X.indices, X.data
         self.margin_coef_at = model.margin_coef_at
         self.z, self.g = w_anchor, g_anchor
         self.zz = float(w_anchor @ w_anchor)
@@ -295,6 +299,12 @@ class _AffineIterate(_RowIterate):
     a step rescales sigma and rho and writes y only on the row's support,
     takes margins from the epoch's ``X @ z`` and ``X @ g``, and estimates
     ||w||^2 for the divergence guard from running sums of y.y, y.z and y.g.
+
+    A step reads row i's columns and values as slices of X's CSR arrays,
+    gathers y on the columns once, takes a_i.y from the gathered values and
+    scatters the row term back with one ``put``: the values, products and
+    sums of :meth:`LossModel.row_dot` and :meth:`LossModel.row_add`, in their
+    order, so the same bits.
     """
 
     # sigma is folded into y when |sigma| leaves this range (or gamma = 0)
@@ -313,7 +323,11 @@ class _AffineIterate(_RowIterate):
         self.yy = self.yz = self.yg = 0.0       # y.y, y.z, y.g
 
     def current(self) -> np.ndarray:
-        return self.z + self.sigma * self.y + self.rho * self.g
+        # z + sigma y + rho g in one buffer; z + sigma y = sigma y + z exactly
+        w = np.multiply(self.y, self.sigma)
+        w += self.z
+        w += self.rho * self.g
+        return w
 
     def _fold(self) -> None:
         y = self.y
@@ -324,7 +338,10 @@ class _AffineIterate(_RowIterate):
     def step(self, i: int, eta: float, limit: float) -> bool:
         """w -= eta * v_t(i); False when w is non-finite or ||w||^2 > limit."""
         y = self.y
-        ay = self.row_dot(i, y)
+        lo, hi = self.bounds[i], self.bounds[i + 1]
+        cols, vals = self.indices[lo:hi], self.data[lo:hi]
+        yc = y.take(cols)
+        ay = float(vals.dot(yc))
         z_dot, g_dot = self.z_dots[i], self.g_dots[i]
         dc = self.margin_coef_at(i, z_dot + self.sigma * ay + self.rho * g_dot) \
             - self.z_coefs[i]
@@ -334,11 +351,12 @@ class _AffineIterate(_RowIterate):
         self.rho = gamma * self.rho - eta
         if not self.SIGMA_RANGE[0] <= abs(self.sigma) <= self.SIGMA_RANGE[1]:
             ay *= self.sigma
+            yc *= self.sigma    # the gathered columns of the folded y
             self._fold()
         sigma, rho = self.sigma, self.rho
         if dc != 0.0:
             alpha = -eta * dc / sigma
-            self.row_add(i, alpha, y)
+            y.put(cols, yc + alpha * vals)
             self.yy += alpha * (2.0 * ay + alpha * self.row_sq[i])
             self.yz += alpha * z_dot
             self.yg += alpha * g_dot
@@ -361,15 +379,17 @@ class _DiagIterate(_RowIterate):
     by -eta g_j per step instead.
 
     When some row is short (``lazy``), each column is brought up to date
-    only when a step reads it: a step gathers the row's columns, brings
-    them up from the step each was last written at, moves them and
+    only when a step reads it: a step gathers the row's columns of u and
+    the step each was last written at, brings them up, moves them and
     scatters them back, and the end of the epoch and the option-2 snapshot
-    bring up all d columns.  When every row is full
-    (:attr:`LossModel.full_rows`), every step writes every column, so no
-    column waits and the step moves the whole of u in place.  Both take the
-    margin from ``X @ z`` + a_i.u and apply one update.  A full row in data
-    with short rows still needs its catch-up, so the choice is the
-    dataset's, not the row's.
+    bring up all d columns.  What it reads of the epoch's per-column
+    arrays (eta g, u*, log r and the drift) is copied once per nonzero of X
+    when the step size is set, so a step slices its row's entries.  When
+    every row is full (:attr:`LossModel.full_rows`), every step writes every
+    column, so no column waits and the step moves the whole of u in place,
+    and no per-nonzero copy is made.  Both take the margin from ``X @ z``
+    + a_i.u and apply one update.  A full row in data with short rows still
+    needs its catch-up, so the choice is the dataset's, not the row's.
 
     When every eta D_j < 1, r^k - 1 is expm1(k log1p(-eta D_j)), which keeps
     its precision when |u*_j| is far larger than |u_j|, and the divergence
@@ -384,13 +404,11 @@ class _DiagIterate(_RowIterate):
 
     def __init__(self, model, correction, w_anchor, g_anchor):
         super().__init__(model, correction, w_anchor, g_anchor)
-        # the one step form that reads rows itself (module docstring)
-        X = model.dataset.features
-        self.bounds, self.indices, self.data = model.row_bounds, X.indices, X.data
         self.lazy = not model.full_rows
         self.diag = correction.diag_mean
         # h_i a_ij^2 for every nonzero a_ij
-        self.h_sq = np.repeat(correction.curvature_coefs, np.diff(X.indptr)) * self.data ** 2
+        row_nnz = np.diff(model.dataset.features.indptr)
+        self.h_sq = np.repeat(correction.curvature_coefs, row_nnz) * self.data ** 2
         self.znorm = math.sqrt(self.zz)
         self.u = np.zeros(model.d)      # u_j as of step stamp_j
         self.stamp = np.zeros(model.d)  # read only when lazy
@@ -415,6 +433,13 @@ class _DiagIterate(_RowIterate):
         self.log_r = np.log1p(-self.E) if E.max(initial=0.0) < 1.0 else None
         # a step on row i multiplies u_j by 1 - eta D_j + eta h_i a_ij^2
         self.row_coef = 1.0 - self.E[self.indices] + eta * self.h_sq
+        if self.lazy:
+            # what a step reads of each per-column array, per nonzero: a step
+            # slices its row's entries instead of gathering them
+            self.row_eta_g = self.eta_g[self.indices]
+            if self.log_r is not None:
+                self.row_ustar, self.row_log_r = self.ustar[self.indices], self.log_r[self.indices]
+                self.row_drift = None if self.drift is None else self.drift[self.indices]
         self.move_scale = (float(self.E.max(initial=0.0)), eta * math.sqrt(self.gg))
         self._reset_bound()
 
@@ -459,15 +484,15 @@ class _DiagIterate(_RowIterate):
         u = u_old           # with no bound, the exact test brought all columns up
         if self.lazy and self.log_r is not None:
             k = self.t - self.stamp.take(cols)
-            u = self._caught_up(u_old, k, np.expm1(k * self.log_r.take(cols)),
-                                self.ustar.take(cols),
-                                None if self.drift is None else self.drift.take(cols))
+            u = self._caught_up(u_old, k, np.expm1(k * self.row_log_r[lo:hi]),
+                                self.row_ustar[lo:hi],
+                                None if self.row_drift is None else self.row_drift[lo:hi])
         vals = self.data[lo:hi]
         dc = self.margin_coef_at(i, self.z_dots[i] + float(vals.dot(u))) - self.z_coefs[i]
         # u <- (1 - eta D) o u - eta g - eta dc a_i + eta h_i (a_i o a_i o u),
         # in place on u or on the row's gathered columns
         u *= self.row_coef[lo:hi]
-        u -= self.eta_g.take(cols) if self.lazy else self.eta_g
+        u -= self.row_eta_g[lo:hi] if self.lazy else self.eta_g
         u -= (eta * dc) * vals
         self.t += 1
         if self.lazy:
@@ -522,6 +547,7 @@ class _HessIterate(_RowIterate):
 
     def __init__(self, model, correction, w_anchor, g_anchor):
         super().__init__(model, correction, w_anchor, g_anchor)
+        self.row_dot, self.row_add = model.row_dot, model.row_add
         coefs = correction.curvature_coefs
         self.h = coefs.tolist()
         # hess_vec(u, out=v) writes H u into v

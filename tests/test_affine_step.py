@@ -8,7 +8,10 @@ the full-Hessian or the Gram step, as ``hessian_form`` picks, for every
 ``full_hessian`` epoch.  On data whose every row is full, the ``none`` and
 ``bb_scalar`` epochs take the dense step.  The reference is the same run
 with ``step_class``, the one selector, patched to ``PlainIterate`` of
-:mod:`oracle`: the plain formula for v_t on a dense w.
+:mod:`oracle`: the plain formula for v_t on a dense w.  The affine step,
+which gathers y on the row's columns once, is also checked step by step,
+byte for byte, against the same step written with the model's row
+methods.
 
 The dense step serves the ``none`` and ``bb_scalar`` epochs of data whose
 every row is full, and its bit-for-bit tests run on such data: a run
@@ -26,7 +29,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vrgrad.optimizer as optimizer
@@ -267,6 +270,115 @@ def test_forced_folds_on_every_method(monkeypatch, data):
     for method in ("SVRG", "SVRG2BB", "SVRG2BBS-M1"):
         assert_same_run(monkeypatch, model, config_for(method, model, anchor_option=2))
     assert len(folds) > 100
+
+
+class RowMethodAffine(optimizer._AffineIterate):
+    """The affine step written with :meth:`LossModel.row_dot` and
+    :meth:`LossModel.row_add`: y gathered once to read a_i.y and again to
+    add the row term, after any fold."""
+
+    def __init__(self, model, *args):
+        super().__init__(model, *args)
+        self.row_dot, self.row_add = model.row_dot, model.row_add
+
+    def step(self, i, eta, limit):
+        y = self.y
+        ay = self.row_dot(i, y)
+        z_dot, g_dot = self.z_dots[i], self.g_dots[i]
+        dc = self.margin_coef_at(i, z_dot + self.sigma * ay + self.rho * g_dot) \
+            - self.z_coefs[i]
+        gamma = 1.0 - eta * self.k[i]
+        self.sigma *= gamma
+        self.rho = gamma * self.rho - eta
+        if not self.SIGMA_RANGE[0] <= abs(self.sigma) <= self.SIGMA_RANGE[1]:
+            ay *= self.sigma
+            self._fold()
+        sigma, rho = self.sigma, self.rho
+        if dc != 0.0:
+            alpha = -eta * dc / sigma
+            self.row_add(i, alpha, y)
+            self.yy += alpha * (2.0 * ay + alpha * self.row_sq[i])
+            self.yz += alpha * z_dot
+            self.yg += alpha * g_dot
+        ww = (self.zz + sigma * sigma * self.yy + rho * rho * self.gg
+              + 2.0 * (sigma * self.yz + rho * self.zg + sigma * rho * self.yg))
+        return self._guard(ww, limit)
+
+
+def affine_state(iterate):
+    """y's bytes, and sigma, rho, y.y, y.z and y.g as hex."""
+    return (iterate.y.tobytes(),) + tuple(
+        float(getattr(iterate, name)).hex() for name in ("sigma", "rho", "yy", "yz", "yg"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 10), d=st.integers(2, 16), data_seed=st.integers(0, 2**16),
+       rows=st.lists(st.sampled_from(["short", "full", "empty"]), min_size=2, max_size=10),
+       kind=st.sampled_from(KINDS), variant=st.sampled_from(["none", "bb_scalar"]),
+       eta=st.sampled_from([0.1, 0.5, 1.0]), fold=st.booleans(),
+       draws=st.lists(st.integers(0, 2**16), min_size=1, max_size=40))
+@example(n=3, d=6, data_seed=1, rows=["short", "full", "empty"], kind="logistic",
+         variant="none", eta=0.5, fold=True, draws=[0, 1, 2, 0, 1])
+def test_affine_step_reads_and_writes_the_row_as_the_row_methods_do(n, d, data_seed, rows,
+                                                                   kind, variant, eta, fold,
+                                                                   draws):
+    # one gather of y serves the row read and the row write; after a fold it
+    # is rescaled with y.  Each step leaves the state of the step written
+    # with the model's row methods, byte for byte
+    rows = (rows * n)[:n]
+    full = {i for i, r in enumerate(rows) if r == "full"}
+    empty = {i for i, r in enumerate(rows) if r == "empty"}
+    model = LossModel(sparse_dataset(n, d, (d + 1) // 2, data_seed, empty, full), 1e-2, kind)
+    rng = np.random.default_rng(data_seed)
+    z = rng.standard_normal(d)
+    corr = build_correction(variant, model, z, z + 0.5 * rng.standard_normal(d))
+    assert corr.variant == variant
+    fast, ref = (cls(model, corr, corr.anchor, corr.g_anchor)
+                 for cls in (optimizer._AffineIterate, RowMethodAffine))
+    if fold:
+        # every step folds but one whose gamma is 1
+        fast.SIGMA_RANGE = ref.SIGMA_RANGE = (1.0, 1.0)
+    for draw in draws:
+        i = draw % n
+        assert fast.step(i, eta, 1e300) == ref.step(i, eta, 1e300)
+        assert affine_state(fast) == affine_state(ref), i
+        assert fast.sigma == 1.0 or not fold
+    assert fast.current().tobytes() == ref.current().tobytes()
+
+
+def count_row_calls(monkeypatch):
+    """The names of the model's row methods, one per call from now on."""
+    calls = []
+    for name in ("row_dot", "row_add"):
+        real = getattr(LossModel, name)
+
+        def counted(self, *args, real=real, name=name):
+            calls.append(name)
+            return real(self, *args)
+
+        monkeypatch.setattr(LossModel, name, counted)
+    return calls
+
+
+def test_sparse_steps_make_no_row_method_call(monkeypatch, data):
+    # the affine and the lazy diagonal step slice X's arrays and gather each
+    # vector's support themselves; the full-Hessian step, the counter's
+    # control, reads every row through the model
+    model = LossModel(data, 1e-2)
+    assert not model.full_rows      # the diagonal step takes its lazy path
+    calls = count_row_calls(monkeypatch)
+    m = 2 * model.n
+    for variant, form, method in (("none", optimizer._AffineIterate, "SVRG"),
+                                  ("diag_hessian", optimizer._DiagIterate, "SVRG2D"),
+                                  ("full_hessian", optimizer._HessIterate, "SVRG2")):
+        corr = epoch_correction(model, variant=variant)
+        assert step_class(model, corr) is form
+        del calls[:]
+        summary = optimizer.run_epoch(model, config_for(method, model), corr, corr.anchors, 1,
+                                      corr.anchor, corr.g_anchor, np.random.default_rng(0), m,
+                                      1e12)
+        assert np.isfinite(summary.final_iterate).all()
+        assert len(calls) == (2 * m if variant == "full_hessian" else 0), method
 
 
 @pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
