@@ -15,30 +15,22 @@ From the second epoch on every operator carries that anchor pair as
 The BB scalar is floored at delta > 0 as a non-convexity remedy; the floor
 applies to the mean scalar only, never to the per-sample scalars.
 
-An operator is one epoch's data.  Besides the pair it holds the vectors
-that the inner steps of :mod:`vrgrad.optimizer` read, each computed at
-most once per epoch, on first use: the anchor products ``X @ z`` and
-``X @ g_anchor``, the anchor's margin coefficients c_i(z)
-(grad f_i(z) = c_i(z) a_i + lam z), the full-Hessian curvature
+An operator is one epoch's data, immutable once built.  Its ``apply_*``
+are the reference products: ``apply_sample`` forms A_i u from the
+per-sample oracles of :class:`~vrgrad.losses.LossModel` on every call --
+the ``bb_scalar`` scalar as s^T (grad f_i(z) - grad f_i(z_prev)) / ||s||^2
+from ``grad_sample_delta`` -- and ``apply_mean`` from the epoch's vectors.
+Those vectors serve the inner steps of :mod:`vrgrad.optimizer` and the
+variance, each computed at most once per epoch, on first use: the anchor
+products ``X @ z`` and ``X @ g_anchor``, the anchor's margin coefficients
+c_i(z) (grad f_i(z) = c_i(z) a_i + lam z), the full-Hessian curvature
 coefficients, the mean diagonal D (``diag_mean``), and for ``bb_scalar``
 the per-sample scalars
 
     kappa_i = (c_i(z) - c_i(z_prev)) (a_i^T s) / ||s||^2,
 
-so that A_i = (lam + kappa_i) I.  The dense step's two memos are Python
-lists of n floats, made with the operator and filled one entry at a time,
-the first time a sample is asked for: c_i(z) from the row dot a_i^T z
-(``anchor_coef_at``), and the scalar lam + kappa_i from the gradient
-difference at the anchor pair, formed as ``grad_sample_delta`` forms it
-with c_i(z) from the first memo (``sample_scalar_at``).  Both read row i
-through :meth:`~vrgrad.losses.LossModel.row_dot` and
-:meth:`~vrgrad.losses.LossModel.row_add`, as the per-sample oracles do, so
-each is the per-sample oracles' expression, which can differ from the
-matvec forms above in the last bits.  ``apply_sample`` takes its ``bb_scalar`` scalar
-from the latter.  A list entry reads as a Python float, which the step's
-scalar arithmetic takes faster than an array element; a
-``cached_property`` memo would slow every later attribute read of the
-operator, the dense step's included.
+so that A_i = (lam + kappa_i) I.  Formed by matvecs, they can differ from
+the per-sample oracles' values in the last bits.
 
 From the same data, ``sample_parts`` gives every A_i at once as n-vectors
 (p, q, h), A_i u = p_i u + q_i a_i + h_i (a_i o a_i o u) with o the
@@ -50,7 +42,6 @@ per-sample squared residual norm in a few sparse matvecs.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 
 import numpy as np
@@ -72,9 +63,10 @@ def default_delta_floor(model: LossModel) -> float:
 
 class CorrectionOperator:
     """Immutable (A, A_i) pair anchored at a snapshot point, with the
-    epoch's per-sample data.
+    epoch's vectors.
 
-    Built via :func:`build_correction`; ``apply_*`` are pure.
+    Built via :func:`build_correction`; ``apply_*`` are pure, and no
+    attribute is set after construction but the ``cached_property`` vectors.
     """
 
     def __init__(self, variant, model, anchor, g_anchor, *, anchors=None,
@@ -86,10 +78,6 @@ class CorrectionOperator:
         self.anchors = anchors        # EpochAnchors, None in the first epoch
         self.bb_raw = bb_raw          # unfloored secant ratio
         self.bb_scalar = bb_scalar    # floored; used by apply_mean
-        # the dense step's memos: NaN marks an entry not yet filled, and a
-        # NaN value is computed again on each call, to the same NaN
-        self._anchor_coef_memo = [math.nan] * model.n
-        self._sample_scalar_memo = [math.nan] * model.n
 
     # -- per-epoch data, computed on first use --------------------------------
 
@@ -124,32 +112,6 @@ class CorrectionOperator:
         X, pair = self.model.dataset.features, self.anchors
         change = self.anchor_coefs - self.model.margin_coefs(X @ pair.w_prev2)
         return change * (X @ pair.s) / pair.secant[0]
-
-    # -- the dense step's per-sample data, each entry on first use ------------
-
-    def anchor_coef_at(self, i: int) -> float:
-        """c_i(anchor) from the row dot a_i^T anchor, as
-        ``grad_sample_delta(i, w, anchor)`` computes it."""
-        memo = self._anchor_coef_memo
-        c = memo[i]
-        if math.isnan(c):
-            c = memo[i] = self.model.margin_coef_at(i, self.model.row_dot(i, self.anchor))
-        return c
-
-    def sample_scalar_at(self, i: int) -> float:
-        """The scalar of A_i = (lam + kappa_i) I (``bb_scalar`` only), as
-        s^T (grad f_i(anchor) - grad f_i(w_prev2)) / ||s||^2 with the
-        difference formed as ``grad_sample_delta`` forms it, c_i(anchor)
-        from :meth:`anchor_coef_at`; it is not floored."""
-        memo = self._sample_scalar_memo
-        k = memo[i]
-        if math.isnan(k):
-            model, pair = self.model, self.anchors
-            dc = self.anchor_coef_at(i) - model.margin_coef_at(i, model.row_dot(i, pair.w_prev2))
-            diff = model.lam * pair.s       # s = anchor - w_prev2
-            model.row_add(i, dc, diff)
-            k = memo[i] = float(pair.s @ diff) / pair.secant[0]
-        return k
 
     def sample_parts(self, u_dots: np.ndarray):
         """(p, q, h) with A_i u = p_i u + q_i a_i + h_i (a_i o a_i o u) for
@@ -189,7 +151,9 @@ class CorrectionOperator:
             return self.model.hess_vec_sample(i, self.anchor, u)
         if self.variant == "diag_hessian":
             return self.model.hess_diag_sample(i, self.anchor) * u
-        return self.sample_scalar_at(i) * u
+        pair = self.anchors
+        diff = self.model.grad_sample_delta(i, self.anchor, pair.w_prev2)
+        return float(pair.s @ diff) / pair.secant[0] * u
 
     def apply_mean(self, u: np.ndarray) -> np.ndarray:
         """A @ u."""

@@ -27,23 +27,14 @@ f_i(w) and grad f_i(w) alone serve only the tests, whose reference
 
 :meth:`LossModel.row_dot` gives a_i^T x and :meth:`LossModel.row_add` does
 out += c a_i in place; both find the row through
-:attr:`LossModel.row_bounds`, X's row pointers as Python ints.  Every
-per-sample oracle, and the full-Hessian inner step of
-:mod:`vrgrad.optimizer`, read row i of X through them.  Three other inner
-steps read X's values without them: the affine and diagonal steps, which
-slice row i's columns and values from X's arrays and gather each vector
-on the columns once a step, with the products and sums of ``row_dot`` and
-``row_add``; and the dense step, which serves only data whose every row is
-full and whose kernel :func:`~vrgrad.optimizer.direction` reads row i of
-X's values laid out as an n x d array.  The Gram step reads no row.  A
+:attr:`LossModel.row_bounds`, X's row pointers as Python ints, and every
+per-sample oracle reads row i of X through them.  A
 :class:`~vrgrad.data.SparseDataset` keeps sorted, unique, nonzero entries,
 so a full row (nnz_i = d) holds columns 0, ..., d-1 in order and is read
 and added directly; a shorter one is gathered with ``take`` and scattered
 with ``put``.  Both ways make the same products and sums in the same order,
 so they give the same bits.  Whether every row is full (nnz = n d) is
-:attr:`LossModel.full_rows`, decided once, with the model; the optimizer
-reads it to pick the inner step of the ``none`` and ``bb_scalar`` epochs and
-to tell whether the diagonal step catches columns up.
+:attr:`LossModel.full_rows`, decided once, with the model.
 
 A model builds X^T once, with the model: X^T of a CSR matrix is a CSC view
 that shares X's arrays.  The element-wise powers X^2, X^3 and X^4

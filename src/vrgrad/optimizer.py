@@ -22,8 +22,9 @@ uniformly random one (option 2) to the next anchor.  Method names:
 An inner step takes one of five forms, each described on its class:
 
 * :class:`_DenseIterate`, for the ``none`` and ``bb_scalar`` corrections
-  when every row is full, w as a vector, O(d); its kernel
-  :func:`direction` serves it alone, and its bits are the plain formula's;
+  when every row is full, w as a vector, O(d); it keeps the epoch's
+  per-sample memos, its kernel :func:`direction` serves it alone, and its
+  bits are the plain formula's;
 * :class:`_AffineIterate`, for the ``none`` and ``bb_scalar`` corrections
   when some row is short, O(nnz_i);
 * :class:`_DiagIterate`, for ``diag_hessian``, O(nnz_i), with per-column
@@ -181,29 +182,31 @@ class InnerSummary:
 
 
 def direction(model: LossModel, correction, w_curr: np.ndarray, i: int,
-              rows: np.ndarray, out: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+              rows: np.ndarray, memos: tuple[list, list],
+              out: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     """The dense step's v_t for sample i at ``w_curr``, in a ``none`` or
     ``bb_scalar`` epoch of ``correction``, whose anchor z and gradient g it
     reads; called once a step, with the correction second, so that
     ``bench/spans.py`` can wrap it by name and count the steps by it.
 
-    ``rows`` is X's values as an n x d array (every row is full), and
-    ``out`` three length-d arrays (u, v, t) that u, v and each term added to
-    v are written into; v is returned.
+    ``rows`` is X's values as an n x d array (every row is full), ``memos``
+    the lists of c_i(z) and of the ``bb_scalar`` A_i's scalar, whose entries
+    i it reads, and ``out`` three length-d arrays (u, v, t) that u, v and
+    each term added to v are written into; v is returned.
 
     Its bits are the plain formula's, grad_sample_delta(i, w, z) + g
-    + A u - A_i u with u = w - z, in that order.  u is formed once, row i
-    is read once against w and added once into v, and c_i(z) and the
-    ``bb_scalar`` A_i's scalar come from the correction, which computes
-    each by the per-sample oracles' expression the first time sample i is
-    drawn in the epoch.  E_i[v_t] = grad F(w_curr), except that
-    ``bb_scalar`` floors its mean scalar only, which adds
-    (bb_scalar - bb_raw)(w_curr - z) when the floor is active.
+    + A u - A_i u with u = w - z, in that order, when the memos hold the
+    per-sample oracles' bits (:meth:`_DenseIterate._remember`).  u is formed
+    once, and row i is read once against w and added once into v.
+    E_i[v_t] = grad F(w_curr), except that ``bb_scalar`` floors its mean
+    scalar only, which adds (bb_scalar - bb_raw)(w_curr - z) when the floor
+    is active.
     """
     u, v, t = out
+    z_coefs, scalars = memos
     np.subtract(w_curr, correction.anchor, out=u)
     row = rows[i]
-    dc = model.margin_coef_at(i, float(row.dot(w_curr))) - correction.anchor_coef_at(i)
+    dc = model.margin_coef_at(i, float(row.dot(w_curr))) - z_coefs[i]
     np.multiply(u, model.lam, out=v)
     np.multiply(row, dc, out=t)
     v += t
@@ -211,7 +214,7 @@ def direction(model: LossModel, correction, w_curr: np.ndarray, i: int,
     if correction.variant == "bb_scalar":
         np.multiply(u, correction.bb_scalar, out=t)
         v += t
-        np.multiply(u, correction.sample_scalar_at(i), out=t)
+        np.multiply(u, scalars[i], out=t)
         v -= t
     return v
 
@@ -229,8 +232,12 @@ class _DenseIterate:
     a step costs O(d).
 
     A step calls its kernel :func:`direction` with X's values as an n x d
-    array and per-epoch buffers: its bits are the plain formula's and it
-    allocates no O(d) array.  :func:`step_class` sends it no other epoch.
+    array, the epoch's per-sample memos and per-epoch buffers: its bits are
+    the plain formula's and it allocates no O(d) array.  The memos hold
+    c_i(z) and the ``bb_scalar`` A_i's scalar lam + kappa_i as Python floats,
+    which the step's scalar arithmetic takes faster than array elements;
+    each entry is filled the first time its sample is drawn in the epoch
+    (:meth:`_remember`).  :func:`step_class` sends it no other epoch.
     """
 
     def __init__(self, model, correction, w_anchor, g_anchor):
@@ -242,7 +249,23 @@ class _DenseIterate:
         # canonical CSR: a full row holds columns 0, ..., d-1 in order
         self.rows = model.dataset.features.data.reshape(model.n, model.d)
         self.buffers = tuple(np.empty(model.d) for _ in range(3))
+        # c_i(z) and the bb_scalar A_i's scalar; None until sample i is drawn
+        self.memos = ([None] * model.n, [None] * model.n)
         self.w = w_anchor.copy()
+
+    def _remember(self, i: int) -> None:
+        """Fill sample i's memos by the per-sample oracles' expressions:
+        c_i(z) from the row dot, as ``grad_sample_delta(i, w, z)`` forms it,
+        and for ``bb_scalar`` s^T (grad f_i(z) - grad f_i(z_prev)) / ||s||^2,
+        the difference formed as ``grad_sample_delta`` forms it (so the same
+        bits as ``apply_sample``'s scalar); the scalar is not floored."""
+        model, corr = self.model, self.correction
+        c = self.memos[0][i] = model.margin_coef_at(i, model.row_dot(i, corr.anchor))
+        if corr.variant == "bb_scalar":
+            pair = corr.anchors
+            diff = model.lam * pair.s       # s = z - z_prev
+            model.row_add(i, c - model.margin_coef_at(i, model.row_dot(i, pair.w_prev2)), diff)
+            self.memos[1][i] = float(pair.s @ diff) / pair.secant[0]
 
     def current(self) -> np.ndarray:
         return self.w.copy()
@@ -250,7 +273,9 @@ class _DenseIterate:
     def step(self, i: int, eta: float, limit: float) -> bool:
         """w -= eta * v_t(i); False when w is non-finite or ||w||^2 > limit."""
         w = self.w
-        v = direction(self.model, self.correction, w, i, self.rows, self.buffers)
+        if self.memos[0][i] is None:
+            self._remember(i)
+        v = direction(self.model, self.correction, w, i, self.rows, self.memos, self.buffers)
         v *= eta
         w -= v
         return _within_guard(w, limit)
@@ -695,7 +720,8 @@ def run_epoch(model: LossModel, config: RunConfig, correction,
 
     w = iterate.current()
     next_anchor = snapshot if option2_t is not None else w
-    return InnerSummary(final_iterate=w, next_anchor=next_anchor.copy(),
+    # current() returns a fresh array, which nothing else holds
+    return InnerSummary(final_iterate=w, next_anchor=next_anchor,
                         last_step=eta, grad_evals=m * _STEP_GRAD_EVALS[correction.variant],
                         curvature_fallbacks=fallbacks)
 

@@ -15,11 +15,11 @@ methods.
 
 The dense step serves the ``none`` and ``bb_scalar`` epochs of data whose
 every row is full, and its bit-for-bit tests run on such data: a run
-through it, and its kernel ``direction`` called with the row view and
-buffers it hands it.  It reads c_i(anchor) and the BB per-sample scalar
-from the epoch's correction, which computes each once per sample.
-``PlainIterate`` computes both on every step, as the plain formula does;
-the two must give the same bits.
+through it, and its kernel ``direction`` called with the row view, memos
+and buffers it hands it.  It keeps c_i(anchor) and the BB per-sample
+scalar in its own per-epoch memos, each entry filled once per sample and
+the correction left as built.  ``PlainIterate`` computes both on every
+step, as the plain formula does; the two must give the same bits.
 """
 
 import gc
@@ -1194,8 +1194,9 @@ def test_hess_and_diag_steps_with_full_short_and_empty_rows(monkeypatch, method,
        variant=st.sampled_from(["none", "bb_scalar"]))
 def test_direction_is_the_plain_formula_bit_for_bit(n, d, seed, lam, kind, variant):
     # the dense step's kernel on what it serves: full rows, the row view and
-    # buffers the step hands it, and a none or bb_scalar epoch; each sample
-    # twice, the second time from the correction's per-sample memos
+    # buffers the step hands it, and a none or bb_scalar epoch, with memos
+    # that hold the per-sample oracles' c_i(z) and scalar; each sample twice,
+    # the second time into buffers that hold the first call's values
     rng = np.random.default_rng(seed)
     X = rng.uniform(0.5, 2.0, (n, d)) * rng.choice([-1, 1], (n, d))
     model = LossModel(SparseDataset.from_dense(X, rng.choice([-1.0, 1.0], n)), lam, kind)
@@ -1205,8 +1206,12 @@ def test_direction_is_the_plain_formula_bit_for_bit(n, d, seed, lam, kind, varia
     z_prev, z, w = rng.standard_normal((3, d))
     corr = build_correction(variant, model, z, z_prev)
     assert corr.variant == variant
+    pair = corr.anchors
+    memos = ([coef(model, i, z) for i in range(n)],
+             [float(pair.s @ grad_delta(model, i, z, z_prev)) / pair.secant[0]
+              for i in range(n)])
     for i in [*range(n)] * 2:
-        assert direction(model, corr, w, i, rows, buffers).tobytes() \
+        assert direction(model, corr, w, i, rows, memos, buffers).tobytes() \
             == plain_direction(model, corr, w, i).tobytes()
 
 
@@ -1241,20 +1246,80 @@ def test_row_steps_with_a_few_full_rows(monkeypatch, rows, method, kind):
 
 
 @settings(max_examples=50, deadline=None)
-@given(n=st.integers(1, 12), d=st.integers(1, 20), density=st.floats(0.05, 1.0),
-       data_seed=st.integers(0, 2**16), lam=st.sampled_from([0.0, 1e-3]),
-       kind=st.sampled_from(["logistic", "squared_hinge"]),
+@given(n=st.integers(1, 12), d=st.integers(1, 20), data_seed=st.integers(0, 2**16),
+       lam=st.sampled_from([0.0, 1e-3]), kind=st.sampled_from(["logistic", "squared_hinge"]),
+       variant=st.sampled_from(["none", "bb_scalar"]),
        draws=st.lists(st.integers(0, 2**16), min_size=1, max_size=30))
-def test_memoized_per_sample_values_are_the_on_demand_ones(n, d, density, data_seed, lam,
-                                                          kind, draws):
-    model = LossModel(sparse_dataset(n, d, max(1, round(density * d)), data_seed), lam, kind)
+def test_memoized_per_sample_values_are_the_on_demand_ones(n, d, data_seed, lam, kind,
+                                                          variant, draws):
+    # the dense step's memos on the full rows it serves: after the steps,
+    # the drawn samples' entries, and only theirs, hold the per-sample
+    # oracles' values; the scalar only in a bb_scalar epoch
+    model = LossModel(sparse_dataset(n, d, d, data_seed), lam, kind)
+    assert model.full_rows
     rng = np.random.default_rng(data_seed)
     z = rng.standard_normal(d)
     z_prev = z + 0.5 * rng.standard_normal(d)
-    corr = build_correction("bb_scalar", model, z, z_prev)
+    corr = build_correction(variant, model, z, z_prev)
+    iterate = optimizer._DenseIterate(model, corr, z, corr.g_anchor)
+    drawn = [draw % n for draw in draws]
+    for i in drawn:
+        iterate.step(i, 1e-3, math.inf)
+    z_coefs, scalars = iterate.memos
     pair = corr.anchors
-    for draw in draws:
-        i = draw % n
-        scalar = float(pair.s @ grad_delta(model, i, z, z_prev)) / pair.secant[0]
-        assert float(corr.anchor_coef_at(i)).hex() == float(coef(model, i, z)).hex()
-        assert float(corr.sample_scalar_at(i)).hex() == float(scalar).hex()
+    for i in range(n):
+        if i not in drawn:
+            assert z_coefs[i] is None and scalars[i] is None
+            continue
+        assert float(z_coefs[i]).hex() == float(coef(model, i, z)).hex()
+        if variant == "none":
+            assert scalars[i] is None
+        else:
+            scalar = float(pair.s @ grad_delta(model, i, z, z_prev)) / pair.secant[0]
+            assert float(scalars[i]).hex() == float(scalar).hex()
+
+
+def correction_state(corr):
+    """Every attribute of ``corr``: arrays by their bytes, the rest by
+    identity and repr."""
+    return {key: value.tobytes() if isinstance(value, np.ndarray) else (id(value), repr(value))
+            for key, value in vars(corr).items()}
+
+
+@pytest.mark.parametrize("anchor_option", [1, 2])
+@pytest.mark.parametrize("method", ["SVRG", "SVRG2BB"])
+def test_a_dense_epoch_leaves_the_correction_as_built(method, anchor_option):
+    model = LossModel(STEP_DATA["80 of 80"](), 1e-2)
+    config = config_for(method, model, anchor_option=anchor_option)
+    corr = epoch_of(optimizer._FORMS[method][0], model)
+    assert step_class(model, corr) is optimizer._DenseIterate
+    before = correction_state(corr)
+    optimizer.run_epoch(model, config, corr, corr.anchors, 1, corr.anchor, corr.g_anchor,
+                        np.random.default_rng(0), 2 * model.n, 1e8)
+    assert correction_state(corr) == before
+
+
+# rows and variant -> the step form they take
+CURRENT_FORMS = [("dense", "none", "_DenseIterate"), ("short", "bb_scalar", "_AffineIterate"),
+                 ("short", "diag_hessian", "_DiagIterate"),
+                 ("dense", "diag_hessian", "_DiagIterate"),
+                 ("short", "full_hessian", "_HessIterate"),
+                 ("dense", "full_hessian", "_FormedHessIterate"),
+                 ("wide", "full_hessian", "_GramIterate")]
+
+
+@pytest.mark.parametrize("rows, variant, form", CURRENT_FORMS)
+def test_current_returns_an_array_the_iterate_does_not_hold(rows, variant, form):
+    # run_epoch hands current()'s result on as the next anchor uncopied
+    model = LossModel(STEP_DATA[rows](), 1e-2)
+    corr = epoch_of(variant, model)
+    iterate = step_class(model, corr)(model, corr, corr.anchor, corr.g_anchor)
+    assert type(iterate).__name__ == form
+    anchor = corr.anchor.tobytes()
+    for i in range(3):
+        assert iterate.step(i, 0.1, math.inf)
+    w = iterate.current()
+    before = w.tobytes()
+    w.fill(np.nan)
+    assert iterate.current().tobytes() == before
+    assert corr.anchor.tobytes() == anchor

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from vrgrad.correction import (VARIANTS, DegenerateAnchorError, build_correction,
                                default_delta_floor)
-from vrgrad.data import synth_binary
-from vrgrad.losses import LossModel
+from vrgrad.data import SparseDataset, synth_binary
+from vrgrad.losses import KINDS, LossModel
 from vrgrad.stepsize import CurvatureError
 
-from oracle import grad_sample
+from oracle import grad_delta, grad_sample
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +171,25 @@ def test_bb_sample_scalars_give_the_per_sample_operator(model, anchors):
     for i in range(model.n):
         np.testing.assert_allclose(op.apply_sample(i, u),
                                    (model.lam + op.sample_scalars[i]) * u, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("rows", ["short", "full"])
+def test_bb_apply_sample_is_the_secant_of_the_gradient_difference_bit_for_bit(rows, kind):
+    # A_i u = s^T (grad f_i(z) - grad f_i(z_prev)) / ||s||^2 u, the
+    # difference formed by the plain per-sample formula
+    rng = np.random.default_rng(24)
+    X = rng.standard_normal((30, 8))
+    if rows == "short":
+        X[rng.random(X.shape) < 0.5] = 0.0
+    model = LossModel(SparseDataset.from_dense(X, rng.choice([-1.0, 1.0], 30)), 1e-2, kind)
+    assert model.full_rows == (rows == "full")
+    z_prev, z, u = rng.standard_normal((3, 8))
+    op = build_correction("bb_scalar", model, z, z_prev)
+    pair = op.anchors
+    for i in range(model.n):
+        scalar = float(pair.s @ grad_delta(model, i, z, z_prev)) / pair.secant[0]
+        assert op.apply_sample(i, u).tobytes() == (scalar * u).tobytes()
 
 
 def test_full_hessian_mean_uses_the_epoch_coefficients(model, anchors):

@@ -6,8 +6,8 @@ import pytest
 from vrgrad.correction import build_correction
 from vrgrad.data import synth_binary
 from vrgrad.losses import LossModel
-from vrgrad.optimizer import (METHODS, DivergenceError, RunConfig, _within_guard,
-                              direction, expected_grad_evals, measure_variance,
+from vrgrad.optimizer import (METHODS, DivergenceError, RunConfig, _DenseIterate,
+                              _within_guard, direction, expected_grad_evals, measure_variance,
                               optimize, run_epoch)
 from vrgrad.reference import solve_reference
 from vrgrad.stepsize import EpochAnchors, constant, epoch_bb, preset
@@ -45,13 +45,12 @@ def test_direction_at_anchor_is_full_gradient_exactly(small):
 
 def test_direction_none_matches_independent_svrg_oracle(small):
     # naive dense re-implementation of the uncorrected direction, against
-    # the dense step's kernel on full rows, with its row view and buffers
+    # the dense step's kernel on full rows, with its row view, memos and
+    # buffers
     model, _ = small
     assert model.full_rows
     X = model.dataset.features.toarray()
     b = model.dataset.labels
-    rows = model.dataset.features.data.reshape(model.n, model.d)
-    buffers = tuple(np.empty(model.d) for _ in range(3))
 
     def naive_svrg_direction(w, w_anchor, g_anchor, i):
         def grad_i(w):
@@ -67,7 +66,9 @@ def test_direction_none_matches_independent_svrg_oracle(small):
         g_anchor = model.grad_full(w_anchor)
         corr = build_correction("none", model, w_anchor, g_curr=g_anchor)
         i = int(rng.integers(model.n))
-        got = direction(model, corr, w, i, rows, buffers)
+        dense = _DenseIterate(model, corr, w_anchor, g_anchor)
+        dense._remember(i)
+        got = direction(model, corr, w, i, dense.rows, dense.memos, dense.buffers)
         want = naive_svrg_direction(w, w_anchor, g_anchor, i)
         np.testing.assert_allclose(got, want, atol=1e-14)
 
