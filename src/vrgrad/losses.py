@@ -36,14 +36,19 @@ with ``put``.  Both ways make the same products and sums in the same order,
 so they give the same bits.  Whether every row is full (nnz = n d) is
 :attr:`LossModel.full_rows`, decided once, with the model.
 
-A model builds X^T once, with the model: X^T of a CSR matrix is a CSC view
-that shares X's arrays.  The element-wise powers X^2, X^3 and X^4
+A model builds two views of X once, with the model, and copies nothing:
+X^T, a CSC view that shares X's CSR arrays, and, when every row is full,
+:attr:`LossModel.rows`, X's values as an n x d array, whose rows the dense
+step reads and whose blocks :meth:`LossModel.mean_hessian_from` sums.  The
+copies the size of X or more are the element-wise powers X^2, X^3 and X^4
 (:meth:`LossModel.power`), which the diagonal variance reads, and the Gram
-matrix K = X X^T (:attr:`LossModel.gram`), which only the Gram step reads,
-are copies the size of X or more; each is formed the first time it is read
-and kept for the model's life, as is the view (X^2)^T that only
-:meth:`LossModel.mean_hess_diag` reads.  The products give the bits they
-gave when each was built on every call.
+matrix K = X X^T (:attr:`LossModel.gram`), which only the Gram step reads;
+each is formed the first time it is read and kept for the model's life, as
+is the view (X^2)^T that only :meth:`LossModel.mean_hess_diag` reads.  The
+products give the bits they gave when each was built on every call.  No
+dense copy of X is made: on data with a short row,
+:meth:`LossModel.mean_hessian_from` makes one block of rows dense at a
+time.
 """
 
 from __future__ import annotations
@@ -98,7 +103,8 @@ def loss_kind(name: str) -> str:
 class LossModel:
     """Immutable loss model; every oracle is pure given (model, w)."""
 
-    # rows of X made dense at a time by :meth:`mean_hessian_from`
+    # rows of X summed at a time by :meth:`mean_hessian_from`: made dense
+    # when some row is short, sliced from :attr:`rows` when every row is full
     HESSIAN_BLOCK_ROWS = 128
 
     def __init__(self, dataset: SparseDataset, lam: float, kind: str = "logistic"):
@@ -118,8 +124,11 @@ class LossModel:
         self._b = dataset.labels.tolist()
         X = dataset.features
         self.row_bounds = X.indptr.tolist()
-        # every row full (nnz_i = d); a SparseDataset stores no zero entry
+        # every row full (nnz_i = d); a SparseDataset stores no zero entry.
+        # Then X's values are X as an n x d array, a view: canonical CSR
+        # holds a full row's columns 0, ..., d-1 in order
         self.full_rows = X.nnz == dataset.n * dataset.d
+        self.rows = X.data.reshape(dataset.n, dataset.d) if self.full_rows else None
         self._indices, self._data = X.indices, X.data
         self.XT = X.T
         # formed on first read.  Not functools.cached_property: it writes
@@ -254,13 +263,16 @@ class LossModel:
     def mean_hessian_from(self, coefs: np.ndarray) -> np.ndarray:
         """The mean Hessian X^T diag(coefs) X / n + lam I as a dense d x d
         array, from the point's :meth:`curvature_at`.  It is summed over
-        blocks of ``HESSIAN_BLOCK_ROWS`` rows, each made dense in turn, so
-        the only dense copy of X is one block's."""
-        X, rows = self.dataset.features, self.HESSIAN_BLOCK_ROWS
+        blocks of ``HESSIAN_BLOCK_ROWS`` rows.  When every row is full, a
+        block is a view of :attr:`rows` and no dense copy of X is made;
+        otherwise each block is made dense in turn, so the only dense copy
+        of X is one block's.  Both give a block the same values and layout,
+        so H the same bits."""
+        X, step = self.dataset.features, self.HESSIAN_BLOCK_ROWS
         H = np.zeros((self.d, self.d))
-        for lo in range(0, self.n, rows):
-            block = X[lo:lo + rows].toarray()
-            H += block.T @ (coefs[lo:lo + rows, None] * block)
+        for lo in range(0, self.n, step):
+            block = X[lo:lo + step].toarray() if self.rows is None else self.rows[lo:lo + step]
+            H += block.T @ (coefs[lo:lo + step, None] * block)
         H /= self.n
         H.flat[::self.d + 1] += self.lam
         return H

@@ -31,7 +31,8 @@ An inner step takes one of five forms, each described on its class:
   catch-up when some row is short;
 * :class:`_HessIterate`, for ``full_hessian``, one row dot and one H u by
   the matrix-free product, or, in :class:`_FormedHessIterate`, by a matvec
-  with H formed (d^2 < nnz);
+  with H formed once per epoch (d^2 < nnz), from blocks of the model's view
+  of X when every row is full and from dense copies of them otherwise;
 * :class:`_GramIterate`, for ``full_hessian`` on wide sparse data
   (sum_j nnz_j^2 < nnz + d, nnz_j the nonzeros of column j), O(n) and one
   product with K = X X^T.
@@ -39,15 +40,15 @@ An inner step takes one of five forms, each described on its class:
 The full-Hessian step reads the drawn row through the model alone: one
 :meth:`LossModel.row_dot` and one :meth:`LossModel.row_add` a step, which
 read and add a full row (nnz_i = d) directly.  The dense step reads no row
-through the model: it hands :func:`direction` X's values laid out as an
-n x d array, whose row i it reads and adds.  The affine and diagonal steps
-take row i's columns and values as slices of X's CSR arrays and gather each
-vector they read on the columns once a step: the affine step y, which one
-``put`` writes back; the diagonal step, on data with short rows, u and the
-steps each column was last written at, its per-column epoch constants
-being kept per nonzero and sliced.  Both make the row methods' products
-and sums in their order.  The Gram step reads no row: a_i.u is an entry of
-X u, which it keeps.
+through the model: it hands :func:`direction` the model's view of X as an
+n x d array, :attr:`LossModel.rows`, whose row i it reads and adds.  The
+affine and diagonal steps take row i's columns and values as slices of X's
+CSR arrays and gather each vector they read on the columns once a step: the
+affine step y, which one ``put`` writes back; the diagonal step, on data
+with short rows, u and the steps each column was last written at, its
+per-column epoch constants being kept per nonzero and sliced.  Both make
+the row methods' products and sums in their order.  The Gram step reads no
+row: a_i.u is an entry of X u, which it keeps.
 
 One function, :func:`step_class`, picks an epoch's form: ``diag_hessian``
 takes the diagonal step, ``full_hessian`` the form :func:`hessian_form` picks
@@ -231,13 +232,14 @@ class _DenseIterate:
     vector, for data whose every row is full (:attr:`LossModel.full_rows`);
     a step costs O(d).
 
-    A step calls its kernel :func:`direction` with X's values as an n x d
-    array, the epoch's per-sample memos and per-epoch buffers: its bits are
-    the plain formula's and it allocates no O(d) array.  The memos hold
-    c_i(z) and the ``bb_scalar`` A_i's scalar lam + kappa_i as Python floats,
-    which the step's scalar arithmetic takes faster than array elements;
-    each entry is filled the first time its sample is drawn in the epoch
-    (:meth:`_remember`).  :func:`step_class` sends it no other epoch.
+    A step calls its kernel :func:`direction` with the model's view of X as
+    an n x d array (:attr:`LossModel.rows`), the epoch's per-sample memos
+    and per-epoch buffers: its bits are the plain formula's and it allocates
+    no O(d) array.  The memos hold c_i(z) and the ``bb_scalar`` A_i's scalar
+    lam + kappa_i as Python floats, which the step's scalar arithmetic takes
+    faster than array elements; each entry is filled the first time its
+    sample is drawn in the epoch (:meth:`_remember`).  :func:`step_class`
+    sends it no other epoch.
     """
 
     def __init__(self, model, correction, w_anchor, g_anchor):
@@ -246,8 +248,7 @@ class _DenseIterate:
         if correction.variant not in ("none", "bb_scalar"):
             raise ValueError(f"the dense step takes no {correction.variant} epoch")
         self.model, self.correction = model, correction
-        # canonical CSR: a full row holds columns 0, ..., d-1 in order
-        self.rows = model.dataset.features.data.reshape(model.n, model.d)
+        self.rows = model.rows
         self.buffers = tuple(np.empty(model.d) for _ in range(3))
         # c_i(z) and the bb_scalar A_i's scalar; None until sample i is drawn
         self.memos = ([None] * model.n, [None] * model.n)
@@ -284,8 +285,8 @@ class _DenseIterate:
 class _RowIterate:
     """The epoch data of a step form that reads the drawn row alone: X's
     row bounds, column indices and values, the anchor z and its full
-    gradient g, z.z, z.g and g.g, and X @ z and c_i(z) as Python floats, for
-    scalar arithmetic.
+    gradient g, and X @ z and c_i(z) as Python floats, for scalar
+    arithmetic.
 
     A form that estimates ||w||^2 (or a bound on it) instead of forming w
     tests the divergence guard by one rule, :meth:`_guard`: the estimate
@@ -302,9 +303,6 @@ class _RowIterate:
         self.bounds, self.indices, self.data = model.row_bounds, X.indices, X.data
         self.margin_coef_at = model.margin_coef_at
         self.z, self.g = w_anchor, g_anchor
-        self.zz = float(w_anchor @ w_anchor)
-        self.zg = float(w_anchor @ g_anchor)
-        self.gg = float(g_anchor @ g_anchor)
         self.z_dots = correction.anchor_dots.tolist()
         self.z_coefs = correction.anchor_coefs.tolist()
 
@@ -337,6 +335,8 @@ class _AffineIterate(_RowIterate):
 
     def __init__(self, model, correction, w_anchor, g_anchor):
         super().__init__(model, correction, w_anchor, g_anchor)
+        z, g = w_anchor, g_anchor
+        self.zz, self.zg, self.gg = float(z @ z), float(z @ g), float(g @ g)
         self.g_dots = correction.grad_dots.tolist()
         self.row_sq = model.row_sq_norms.tolist()
         if correction.variant == "bb_scalar":
@@ -434,7 +434,8 @@ class _DiagIterate(_RowIterate):
         # h_i a_ij^2 for every nonzero a_ij
         row_nnz = np.diff(model.dataset.features.indptr)
         self.h_sq = np.repeat(correction.curvature_coefs, row_nnz) * self.data ** 2
-        self.znorm = math.sqrt(self.zz)
+        self.znorm = math.sqrt(float(w_anchor @ w_anchor))
+        self.gnorm = math.sqrt(float(g_anchor @ g_anchor))
         self.u = np.zeros(model.d)      # u_j as of step stamp_j
         self.stamp = np.zeros(model.d)  # read only when lazy
         self.t = 0                      # steps taken
@@ -465,7 +466,7 @@ class _DiagIterate(_RowIterate):
             if self.log_r is not None:
                 self.row_ustar, self.row_log_r = self.ustar[self.indices], self.log_r[self.indices]
                 self.row_drift = None if self.drift is None else self.drift[self.indices]
-        self.move_scale = (float(self.E.max(initial=0.0)), eta * math.sqrt(self.gg))
+        self.move_scale = (float(self.E.max(initial=0.0)), eta * self.gnorm)
         self._reset_bound()
 
     @staticmethod
@@ -602,7 +603,8 @@ class _HessIterate(_RowIterate):
 
 class _FormedHessIterate(_HessIterate):
     """:class:`_HessIterate` with H formed once per epoch as a dense d x d
-    array, summed over blocks of rows, so that H u is one matvec."""
+    array, summed over blocks of rows (:meth:`LossModel.mean_hessian_from`),
+    so that H u is one matvec."""
 
     def __init__(self, model, correction, w_anchor, g_anchor):
         super().__init__(model, correction, w_anchor, g_anchor)
@@ -632,6 +634,8 @@ class _GramIterate(_RowIterate):
 
     def __init__(self, model, correction, w_anchor, g_anchor):
         super().__init__(model, correction, w_anchor, g_anchor)
+        z, g = w_anchor, g_anchor
+        self.zz, self.zg, self.gg = float(z @ z), float(z @ g), float(g @ g)
         self.XT, self.K, self.lam = model.XT, model.gram, model.lam
         self.h = correction.curvature_coefs.tolist()
         self.h_n = correction.curvature_coefs / model.n

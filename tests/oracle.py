@@ -15,6 +15,11 @@ A_i's scalar is formed from that difference at the anchor pair.
 :func:`grad_sample` and :func:`value_sample` are f_i's gradient and value,
 read through the model's :meth:`~vrgrad.losses.LossModel.row_dot` and
 :meth:`~vrgrad.losses.LossModel.row_add`.
+
+:func:`mean_hessian` forms the mean Hessian from blocks of rows that scipy
+makes dense, whatever the rows; the model's
+:meth:`~vrgrad.losses.LossModel.mean_hessian_from` slices its blocks from
+a view of X when every row is full, and must give the same bits.
 """
 
 import numpy as np
@@ -88,3 +93,16 @@ def value_sample(model, i, w):
     """f_i(w), including this sample's share of the regularizer."""
     margin = model.dataset.labels[i] * model.row_dot(i, w)
     return float(_LINKS[model.kind].phi(margin)) + 0.5 * model.lam * float(w @ w)
+
+
+def mean_hessian(model, coefs):
+    """X^T diag(coefs) X / n + lam I, summed over blocks of
+    ``model.HESSIAN_BLOCK_ROWS`` rows, each made dense by ``toarray``."""
+    X, step = model.dataset.features, model.HESSIAN_BLOCK_ROWS
+    H = np.zeros((model.d, model.d))
+    for lo in range(0, model.n, step):
+        block = X[lo:lo + step].toarray()
+        H += block.T @ (coefs[lo:lo + step, None] * block)
+    H /= model.n
+    H.flat[::model.d + 1] += model.lam
+    return H

@@ -41,7 +41,7 @@ from vrgrad.optimizer import (METHODS, DivergenceError, RunConfig, direction, he
                               optimize, step_class)
 from vrgrad.stepsize import CurvatureError, EpochAnchors, constant
 
-from oracle import PlainIterate, coef, grad_delta, plain_direction
+from oracle import PlainIterate, coef, grad_delta, mean_hessian, plain_direction
 
 RTOL = 1e-10
 
@@ -910,9 +910,12 @@ def test_gram_step_tracks_the_matrix_free_step(n, d, density, data_seed, empty_r
 
 @pytest.mark.parametrize("block_rows", [1, 7, 40, 1000])
 def test_mean_hessian_is_formed_block_by_block(monkeypatch, block_rows):
-    model = LossModel(dense_rows(), 1e-2)
-    X = model.dataset.features
-    coefs = model.curvature_at(np.linspace(-1.0, 1.0, model.d))
+    # 40 rows of 8 columns, d^2 < nnz: with 6 nonzeros a row each block is
+    # made dense in turn; with every row full each is a view of the model's
+    # rows, and nothing is made dense
+    short = LossModel(sparse_dataset(40, 8, 6, seed=3), 1e-2)
+    full = LossModel(dense_rows(), 1e-2)
+    assert short.rows is None and np.shares_memory(full.rows, full.dataset.features.data)
     made_dense = []
     real_toarray = sp.csr_matrix.toarray
 
@@ -920,15 +923,54 @@ def test_mean_hessian_is_formed_block_by_block(monkeypatch, block_rows):
         made_dense.append(self.shape)
         return real_toarray(self, *args, **kwargs)
 
-    monkeypatch.setattr(sp.csr_matrix, "toarray", toarray)
-    monkeypatch.setattr(LossModel, "HESSIAN_BLOCK_ROWS", block_rows)
-    H = model.mean_hessian_from(coefs)
-    monkeypatch.undo()
-    dense = X.toarray()
-    want = dense.T @ (coefs[:, None] * dense) / model.n + model.lam * np.eye(model.d)
-    np.testing.assert_allclose(H, want, rtol=1e-13, atol=1e-15)
-    rows = [shape[0] for shape in made_dense]
-    assert sum(rows) == model.n and max(rows) == min(block_rows, model.n)
+    for model in (short, full):
+        coefs = model.curvature_at(np.linspace(-1.0, 1.0, model.d))
+        made_dense.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(sp.csr_matrix, "toarray", toarray)
+            patch.setattr(LossModel, "HESSIAN_BLOCK_ROWS", block_rows)
+            H = model.mean_hessian_from(coefs)
+        dense = model.dataset.features.toarray()
+        want = dense.T @ (coefs[:, None] * dense) / model.n + model.lam * np.eye(model.d)
+        np.testing.assert_allclose(H, want, rtol=1e-13, atol=1e-15)
+        rows = [shape[0] for shape in made_dense]
+        if model is short:
+            assert sum(rows) == model.n and max(rows) == min(block_rows, model.n)
+        else:
+            assert rows == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 300), d=st.integers(1, 30), data_seed=st.integers(0, 2**16),
+       block_rows=st.integers(1, 400), lam=st.sampled_from([0.0, 1e-3]),
+       kind=st.sampled_from(["logistic", "squared_hinge"]))
+def test_formed_hessian_on_full_rows_is_the_dense_blocks_bit_for_bit(n, d, data_seed,
+                                                                      block_rows, lam, kind):
+    # blocks sliced from the model's view of X against blocks made dense
+    model = LossModel(synth_binary(n, d, data_seed), lam, kind)
+    assert model.rows is not None
+    model.HESSIAN_BLOCK_ROWS = block_rows
+    coefs = model.curvature_at(np.random.default_rng(data_seed).standard_normal(d))
+    assert model.mean_hessian_from(coefs).tobytes() == mean_hessian(model, coefs).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+@pytest.mark.parametrize("anchor_option", [1, 2])
+def test_svrg2_run_on_full_rows_is_the_dense_blocks_run_bit_for_bit(monkeypatch, kind,
+                                                                    anchor_option):
+    # 300 full rows: H is summed over blocks of 128, 128 and 44 rows
+    model = LossModel(synth_binary(300, 10, seed=3, separability=0.8), 1e-3, kind)
+    config = config_for("SVRG2", model, epochs=4, anchor_option=anchor_option,
+                        variance_mode="last")
+    built = hess_iterates(monkeypatch)
+    runs = []
+    for hessian in (LossModel.mean_hessian_from, mean_hessian):
+        with monkeypatch.context() as patch:
+            patch.setattr(LossModel, "mean_hessian_from", hessian)
+            w, records = optimize(model, config, np.zeros(model.d))
+        runs.append((w.tobytes(), [record_bits(r) for r in records]))
+    assert len(built) == 6 and all(form_of(it) == "formed" for it in built)
+    assert runs[0] == runs[1] and len(runs[0][1]) == 4
 
 
 @settings(max_examples=50, deadline=None)

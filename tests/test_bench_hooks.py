@@ -1,30 +1,41 @@
 """The names and argument positions through which the benchmark's tracer,
-``bench/spans.py``, reaches into the package.
+``bench/spans.py``, reaches into the package, and the code paths its
+workloads (``bench/workloads.py``) take.
 
 The tracer wraps functions and methods by name, where their callers look
 them up, and reads some of their arguments by position.  A rename or a
 reordered signature in ``src/`` runs the package as before, yet leaves the
 traced spans empty or mislabelled, so these checks run with the package's
-own tests.
+own tests.  Likewise a change to the rule that picks a step form can move a
+workload off the path its timings are meant to cover.
 """
 
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
 from vrgrad import optimizer
+from vrgrad.harness import load_dataset
+from vrgrad.losses import LossModel
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench(name):
+    """The module ``bench/<name>.py``, loaded from its file as ``bench_<name>``
+    (registered first: a dataclass looks its module up while it is built)."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_bench("spans")
 
 
 def parameters(fn):
@@ -48,3 +59,14 @@ def test_the_arguments_the_tracer_reads_by_position():
     run_epoch = parameters(optimizer.run_epoch)
     assert (run_epoch[1], run_epoch[4], run_epoch[8]) == ("config", "epoch", "m")
     assert parameters(optimizer.schedule_step) == ["schedule", "anchors", "epoch", "t", "m"]
+
+
+@pytest.mark.parametrize("name", ["dense-lowd", "hinge-grid"])
+def test_the_full_row_workloads_form_h_from_the_models_view(tmp_path, name):
+    # their Gaussian rows are full on every seed, and d^2 < nnz: the
+    # corrected SVRG2 epochs of their ttg runs build H from model.rows
+    workload = load_bench("workloads").WORKLOADS[name]
+    model = LossModel(load_dataset(workload.spec(0, tmp_path)), workload.lambdas[0],
+                      workload.model)
+    assert model.rows is not None
+    assert optimizer.hessian_form(model) == "formed"
