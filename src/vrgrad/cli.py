@@ -9,7 +9,9 @@ iterates diverge is not an error: ``run`` records it as diverged and exits
 ``run``'s cache directory, from --cache-dir or the VRGRAD_CACHE_DIR env
 var, holds reference solutions and parsed LIBSVM files, both keyed by
 content: a run on the same data solves and parses nothing again, and its
-results are the same.
+results are the same.  An empty value counts as not given, and with
+neither value nothing is cached (``VRGRAD_CACHE_DIR=`` and ``--cache-dir
+""`` do not cache in the working directory).
 
 Config files for ``run --spec`` are flat ``key = value`` text; list values
 are comma-separated, and a key that is not a ``run`` flag is a usage error.

@@ -19,7 +19,6 @@ and seed list.
 
 from __future__ import annotations
 
-import contextlib
 import io
 import json
 from dataclasses import dataclass, field, fields
@@ -35,8 +34,8 @@ from .data import SparseDataset, parse_libsvm, synth_binary
 from .losses import KINDS, LossModel, loss_kind
 from .optimizer import (METHODS, DivergenceError, EpochRecord, RunConfig, check_run_options,
                         optimize)
-from .reference import (DEFAULT_TOL, cached_reference, data_cache_path, load_dataset_entry,
-                        resolve_cache_dir, save_dataset_entry)
+from .reference import (DEFAULT_TOL, cached_entry, cached_reference, data_cache_path,
+                        load_dataset_entry, resolve_cache_dir, save_dataset_entry)
 from .stepsize import StepSizeSchedule
 
 DEFAULT_GRID = (1e0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
@@ -177,24 +176,23 @@ def _read_libsvm(path, cache_dir) -> SparseDataset:
             raw = fh.read()
     except OSError as err:
         raise DataSourceError(f"cannot read {path}: {err}") from err
+
+    def parse() -> SparseDataset:
+        try:
+            # decoded as open(path, "r") decodes: the locale's encoding,
+            # universal newlines, and an undecodable byte raising where its
+            # chunk is read.  A parse succeeds only on ASCII text, which the
+            # ASCII-compatible encodings a locale names all decode alike, so
+            # the bytes alone key the entry
+            ds = parse_libsvm(io.TextIOWrapper(io.BytesIO(raw)))
+        except UnicodeDecodeError as err:
+            raise DataSourceError(f"cannot read {path}: {err}") from err
+        if ds.n == 0:
+            raise DataSourceError(f"{path} holds no sample")
+        return ds
+
     entry = None if cache_dir is None else data_cache_path(cache_dir, raw)
-    if entry is not None and entry.exists():
-        with contextlib.suppress(ValueError):   # a damaged entry is a miss
-            return load_dataset_entry(entry)
-    try:
-        # decoded as open(path, "r") decodes: the locale's encoding, universal
-        # newlines, and an undecodable byte raising where its chunk is read.
-        # A parse succeeds only on ASCII text, which the ASCII-compatible
-        # encodings a locale names all decode alike, so the bytes alone key
-        # the entry
-        ds = parse_libsvm(io.TextIOWrapper(io.BytesIO(raw)))
-    except UnicodeDecodeError as err:
-        raise DataSourceError(f"cannot read {path}: {err}") from err
-    if ds.n == 0:
-        raise DataSourceError(f"{path} holds no sample")
-    if entry is not None:
-        save_dataset_entry(entry, ds)
-    return ds
+    return cached_entry(entry, load_dataset_entry, parse, save_dataset_entry)
 
 
 def schedule_for(method: str, step_param: float, n: int, lam: float,

@@ -104,7 +104,8 @@ class LossModel:
     """Immutable loss model; every oracle is pure given (model, w)."""
 
     # rows of X summed at a time by :meth:`mean_hessian_from`: made dense
-    # when some row is short, sliced from :attr:`rows` when every row is full
+    # when some row is short, sliced from :attr:`rows` when every row is
+    # full.  The dense step builds its BB scalars over blocks of as many rows
     HESSIAN_BLOCK_ROWS = 128
 
     def __init__(self, dataset: SparseDataset, lam: float, kind: str = "logistic"):

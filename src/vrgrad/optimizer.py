@@ -22,9 +22,9 @@ uniformly random one (option 2) to the next anchor.  Method names:
 An inner step takes one of five forms, each described on its class:
 
 * :class:`_DenseIterate`, for the ``none`` and ``bb_scalar`` corrections
-  when every row is full, w as a vector, O(d); it keeps the epoch's
-  per-sample memos, its kernel :func:`direction` serves it alone, and its
-  bits are the plain formula's;
+  when every row is full, w as a vector, O(d); it builds the epoch's
+  per-sample values when it is made, its kernel :func:`direction` serves it
+  alone, and its bits are the plain formula's;
 * :class:`_AffineIterate`, for the ``none`` and ``bb_scalar`` corrections
   when some row is short, O(nnz_i);
 * :class:`_DiagIterate`, for ``diag_hessian``, O(nnz_i), with per-column
@@ -197,8 +197,8 @@ def direction(model: LossModel, correction, w_curr: np.ndarray, i: int,
 
     Its bits are the plain formula's, grad_sample_delta(i, w, z) + g
     + A u - A_i u with u = w - z, in that order, when the memos hold the
-    per-sample oracles' bits (:meth:`_DenseIterate._remember`).  u is formed
-    once, and row i is read once against w and added once into v.
+    per-sample oracles' bits, as :class:`_DenseIterate` builds them.  u is
+    formed once, and row i is read once against w and added once into v.
     E_i[v_t] = grad F(w_curr), except that ``bb_scalar`` floors its mean
     scalar only, which adds (bb_scalar - bb_raw)(w_curr - z) when the floor
     is active.
@@ -236,10 +236,12 @@ class _DenseIterate:
     an n x d array (:attr:`LossModel.rows`), the epoch's per-sample memos
     and per-epoch buffers: its bits are the plain formula's and it allocates
     no O(d) array.  The memos hold c_i(z) and the ``bb_scalar`` A_i's scalar
-    lam + kappa_i as Python floats, which the step's scalar arithmetic takes
-    faster than array elements; each entry is filled the first time its
-    sample is drawn in the epoch (:meth:`_remember`).  :func:`step_class`
-    sends it no other epoch.
+    lam + kappa_i, unfloored, as Python floats, which the step's scalar
+    arithmetic takes faster than array elements.  Both are built for every
+    sample when the step is made, vectorized and with the per-sample
+    oracles' bits; the scalars in blocks of ``HESSIAN_BLOCK_ROWS`` rows, so
+    no temporary exceeds one block.  :func:`step_class` sends it no other
+    epoch.
     """
 
     def __init__(self, model, correction, w_anchor, g_anchor):
@@ -248,25 +250,21 @@ class _DenseIterate:
         if correction.variant not in ("none", "bb_scalar"):
             raise ValueError(f"the dense step takes no {correction.variant} epoch")
         self.model, self.correction = model, correction
-        self.rows = model.rows
+        rows = self.rows = model.rows
         self.buffers = tuple(np.empty(model.d) for _ in range(3))
-        # c_i(z) and the bb_scalar A_i's scalar; None until sample i is drawn
-        self.memos = ([None] * model.n, [None] * model.n)
+        # the per-sample oracles' bits: np.vecdot takes each row's dot with
+        # ndarray.dot's loop, and a block of diffs rounds as lam * s, then
+        # row_add's out += c * a_i
+        z_coefs = model.margin_coefs(np.vecdot(rows, correction.anchor))
+        scalars = []
+        if correction.variant == "bb_scalar":
+            pair, step = correction.anchors, model.HESSIAN_BLOCK_ROWS
+            change = z_coefs - model.margin_coefs(np.vecdot(rows, pair.w_prev2))
+            for lo in range(0, model.n, step):
+                diffs = model.lam * pair.s + change[lo:lo + step, None] * rows[lo:lo + step]
+                scalars += (np.vecdot(diffs, pair.s) / pair.secant[0]).tolist()
+        self.memos = (z_coefs.tolist(), scalars)
         self.w = w_anchor.copy()
-
-    def _remember(self, i: int) -> None:
-        """Fill sample i's memos by the per-sample oracles' expressions:
-        c_i(z) from the row dot, as ``grad_sample_delta(i, w, z)`` forms it,
-        and for ``bb_scalar`` s^T (grad f_i(z) - grad f_i(z_prev)) / ||s||^2,
-        the difference formed as ``grad_sample_delta`` forms it (so the same
-        bits as ``apply_sample``'s scalar); the scalar is not floored."""
-        model, corr = self.model, self.correction
-        c = self.memos[0][i] = model.margin_coef_at(i, model.row_dot(i, corr.anchor))
-        if corr.variant == "bb_scalar":
-            pair = corr.anchors
-            diff = model.lam * pair.s       # s = z - z_prev
-            model.row_add(i, c - model.margin_coef_at(i, model.row_dot(i, pair.w_prev2)), diff)
-            self.memos[1][i] = float(pair.s @ diff) / pair.secant[0]
 
     def current(self) -> np.ndarray:
         return self.w.copy()
@@ -274,8 +272,6 @@ class _DenseIterate:
     def step(self, i: int, eta: float, limit: float) -> bool:
         """w -= eta * v_t(i); False when w is non-finite or ||w||^2 > limit."""
         w = self.w
-        if self.memos[0][i] is None:
-            self._remember(i)
         v = direction(self.model, self.correction, w, i, self.rows, self.memos, self.buffers)
         v *= eta
         w -= v
@@ -760,7 +756,7 @@ def optimize(model: LossModel, config: RunConfig, w0: np.ndarray,
     evaluations and are not included in ``grad_evals``.  This accounting is
     the paper's and counts more than the oracle work done: no step form
     recomputes grad f_i(anchor) or the BB per-sample scalar on every step.
-    The dense step computes each once per sample drawn in the epoch; the
+    The dense step builds each for every sample when the epoch starts; the
     other forms read them from the epoch's sparse matvecs.
 
     Divergence aborts the run with the completed epochs' records attached

@@ -125,8 +125,26 @@ CACHE_ENV_VAR = "VRGRAD_CACHE_DIR"
 
 
 def resolve_cache_dir(cache_dir):
-    """``cache_dir``, else the ``VRGRAD_CACHE_DIR`` env var, else None."""
-    return cache_dir if cache_dir is not None else os.environ.get(CACHE_ENV_VAR)
+    """``cache_dir``, else the ``VRGRAD_CACHE_DIR`` env var, else None, an
+    empty one counting as not given: ``""`` is no cache, not the working
+    directory that ``Path("")`` names."""
+    return cache_dir or os.environ.get(CACHE_ENV_VAR) or None
+
+
+def cached_entry(path, load, make, save, accept=lambda value: True):
+    """The lookup rule of both kinds of entry: ``load(path)`` when it loads
+    and ``accept`` takes it, else ``make()``, saved to ``path`` only when
+    ``accept`` takes it.  A damaged entry (``load`` raises ValueError) is a
+    miss; a ``path`` of None caches nothing."""
+    if path is not None and path.exists():
+        with contextlib.suppress(ValueError):   # a damaged entry is a miss
+            value = load(path)
+            if accept(value):
+                return value
+    value = make()
+    if path is not None and accept(value):
+        save(path, value)
+    return value
 
 
 def _save_entry(path, magic: bytes, header: dict, arrays) -> None:
@@ -264,15 +282,7 @@ def cached_reference(model: LossModel, tol: float = DEFAULT_TOL,
     converged, counts as a miss: it is solved again and overwritten.
     """
     cache_dir = resolve_cache_dir(cache_dir)
-    if cache_dir is None:
-        return solve_reference(model, tol=tol)
-    path = cache_path(cache_dir, model.dataset, model.kind, float(model.lam), float(tol))
-    if path.exists():
-        with contextlib.suppress(ValueError):   # a damaged entry is a miss
-            sol = load_reference(path)
-            if sol.converged:
-                return sol
-    sol = solve_reference(model, tol=tol)
-    if sol.converged:
-        save_reference(path, sol)
-    return sol
+    path = None if cache_dir is None else cache_path(
+        cache_dir, model.dataset, model.kind, float(model.lam), float(tol))
+    return cached_entry(path, load_reference, lambda: solve_reference(model, tol=tol),
+                        save_reference, lambda sol: sol.converged)

@@ -34,6 +34,8 @@ def _nice_linear_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     v = first
     while v <= hi + 1e-12 * step:
         ticks.append(0.0 if abs(v) < step * 1e-9 else v)
+        if v + step == v:   # the step rounds away at v: no further tick
+            break
         v += step
     return ticks
 
@@ -65,7 +67,8 @@ def line_chart(series, title: str, xlabel: str, ylabel: str) -> str | None:
     y_lo = min(p[1] for _, pts in clean for p in pts)
     y_hi = max(p[1] for _, pts in clean for p in pts)
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        # a width that x_lo + width does not round away
+        x_hi = x_lo + max(1.0, math.ulp(x_lo))
     e_lo = math.floor(math.log10(y_lo))
     e_hi = math.ceil(math.log10(y_hi))
     if e_hi == e_lo:
@@ -77,8 +80,10 @@ def line_chart(series, title: str, xlabel: str, ylabel: str) -> str | None:
     def sx(x):
         return _ML + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(y):
-        return _MT + (e_hi - math.log10(y)) / (e_hi - e_lo) * plot_h
+    # y by its log10, so that no decade is formed as 10.0 ** e, which
+    # underflows to 0 or overflows at the ends of the float range
+    def sy(log_y):
+        return _MT + (e_hi - log_y) / (e_hi - e_lo) * plot_h
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -107,7 +112,7 @@ def line_chart(series, title: str, xlabel: str, ylabel: str) -> str | None:
     # y decade ticks (thin gridlines)
     decade_step = max(1, (e_hi - e_lo) // 8)
     for e in range(e_lo, e_hi + 1, decade_step):
-        py = sy(10.0 ** e)
+        py = sy(e)
         out.append(f'<line x1="{_ML}" y1="{_fmt(py)}" x2="{_ML + plot_w}" y2="{_fmt(py)}" '
                    f'stroke="#ddd" stroke-width="0.5"/>')
         out.append(f'<text x="{_ML - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
@@ -119,7 +124,7 @@ def line_chart(series, title: str, xlabel: str, ylabel: str) -> str | None:
     # series
     for k, (label, pts) in enumerate(clean):
         color = PALETTE[k % len(PALETTE)]
-        coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts)
+        coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(math.log10(y)))}" for x, y in pts)
         out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"/>')
         ly = _MT + 16 + 18 * k

@@ -17,9 +17,9 @@ The dense step serves the ``none`` and ``bb_scalar`` epochs of data whose
 every row is full, and its bit-for-bit tests run on such data: a run
 through it, and its kernel ``direction`` called with the row view, memos
 and buffers it hands it.  It keeps c_i(anchor) and the BB per-sample
-scalar in its own per-epoch memos, each entry filled once per sample and
-the correction left as built.  ``PlainIterate`` computes both on every
-step, as the plain formula does; the two must give the same bits.
+scalar in its own per-epoch memos, every entry built when the step is
+made, and leaves the correction as built.  ``PlainIterate`` computes both
+on every step, as the plain formula does; the two must give the same bits.
 """
 
 import gc
@@ -1186,15 +1186,14 @@ def test_dense_step_refuses_a_short_row():
 
 @pytest.mark.parametrize("variant", ["none", "bb_scalar"])
 def test_dense_step_allocates_no_vector(variant):
-    # once every sample has filled the memos, a step writes into the
-    # per-epoch buffers: the peak above the starting level stays below one
-    # O(d) array.  An upper bound holds whether or not a collection runs
+    # the per-sample values are built with the step, so from its first
+    # step on a step writes into the per-epoch buffers: the peak above the
+    # starting level stays below one O(d) array.  An upper bound holds
+    # whether or not a collection runs
     model = LossModel(synth_binary(50, 400, seed=2, separability=0.8), 1e-3)
     corr = epoch_of(variant, model)
     iterate = optimizer._DenseIterate(model, corr, corr.anchor, corr.g_anchor)
     limit = 1e16
-    for i in range(model.n):
-        assert iterate.step(i, 1e-3, limit)
     idx = np.random.default_rng(0).integers(model.n, size=200).tolist()
     gc.disable()
     try:
@@ -1290,35 +1289,30 @@ def test_row_steps_with_a_few_full_rows(monkeypatch, rows, method, kind):
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(1, 12), d=st.integers(1, 20), data_seed=st.integers(0, 2**16),
        lam=st.sampled_from([0.0, 1e-3]), kind=st.sampled_from(["logistic", "squared_hinge"]),
-       variant=st.sampled_from(["none", "bb_scalar"]),
-       draws=st.lists(st.integers(0, 2**16), min_size=1, max_size=30))
+       variant=st.sampled_from(["none", "bb_scalar"]), block_rows=st.integers(1, 5))
+@example(n=12, d=7, data_seed=0, lam=1e-3, kind="logistic", variant="bb_scalar", block_rows=5)
 def test_memoized_per_sample_values_are_the_on_demand_ones(n, d, data_seed, lam, kind,
-                                                          variant, draws):
-    # the dense step's memos on the full rows it serves: after the steps,
-    # the drawn samples' entries, and only theirs, hold the per-sample
-    # oracles' values; the scalar only in a bb_scalar epoch
+                                                          variant, block_rows):
+    # the dense step's per-sample values on the full rows it serves, right
+    # after construction and before any step: every sample's entry holds the
+    # per-sample oracles' values; the scalar, built in blocks of block_rows
+    # rows (several blocks and a short last one), only in a bb_scalar epoch
     model = LossModel(sparse_dataset(n, d, d, data_seed), lam, kind)
     assert model.full_rows
+    model.HESSIAN_BLOCK_ROWS = block_rows
     rng = np.random.default_rng(data_seed)
     z = rng.standard_normal(d)
     z_prev = z + 0.5 * rng.standard_normal(d)
     corr = build_correction(variant, model, z, z_prev)
-    iterate = optimizer._DenseIterate(model, corr, z, corr.g_anchor)
-    drawn = [draw % n for draw in draws]
-    for i in drawn:
-        iterate.step(i, 1e-3, math.inf)
-    z_coefs, scalars = iterate.memos
+    z_coefs, scalars = optimizer._DenseIterate(model, corr, z, corr.g_anchor).memos
+    assert [float(c).hex() for c in z_coefs] == [float(coef(model, i, z)).hex() for i in range(n)]
+    if variant == "none":
+        assert scalars == []
+        return
     pair = corr.anchors
-    for i in range(n):
-        if i not in drawn:
-            assert z_coefs[i] is None and scalars[i] is None
-            continue
-        assert float(z_coefs[i]).hex() == float(coef(model, i, z)).hex()
-        if variant == "none":
-            assert scalars[i] is None
-        else:
-            scalar = float(pair.s @ grad_delta(model, i, z, z_prev)) / pair.secant[0]
-            assert float(scalars[i]).hex() == float(scalar).hex()
+    assert [float(k).hex() for k in scalars] == [
+        (float(pair.s @ grad_delta(model, i, z, z_prev)) / pair.secant[0]).hex()
+        for i in range(n)]
 
 
 def correction_state(corr):

@@ -695,6 +695,25 @@ def test_run_metadata_names_its_data(tmp_path, source):
         == [("SVRG", 0.1, seed, 1) for seed in seeds]
 
 
+@pytest.mark.parametrize("route", ["env", "flag"])
+def test_an_empty_cache_dir_caches_nothing(tmp_path, monkeypatch, route):
+    # "" is no cache, not the working directory that Path("") names: a run
+    # on a data file, which would cache its parse and its reference, leaves
+    # only its output directory and the file
+    monkeypatch.chdir(tmp_path)
+    Path("small.svm").write_text(write_libsvm(synth_binary(20, 3, 0)))
+    argv = ["run", "--data", "small.svm", "--lambda", "1e-2", "--grid", "0.1",
+            "--epochs", "1", "--out", "r"]
+    if route == "env":
+        monkeypatch.setenv(CACHE_ENV_VAR, "")
+    else:
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        argv += ["--cache-dir", ""]
+    assert main(argv) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["r", "small.svm"]
+    assert load_table(tmp_path / "r").rows
+
+
 def _wide_rows() -> str:
     """125 rows over d = 1000, three nonzeros each."""
     return "".join(f"{1 if i % 3 else -1:+d} {i}:0.{i % 9 + 1} {i + 1}:-0.{i % 7 + 1} {8 * i}:1\n"

@@ -67,7 +67,6 @@ def test_direction_none_matches_independent_svrg_oracle(small):
         corr = build_correction("none", model, w_anchor, g_curr=g_anchor)
         i = int(rng.integers(model.n))
         dense = _DenseIterate(model, corr, w_anchor, g_anchor)
-        dense._remember(i)
         got = direction(model, corr, w, i, dense.rows, dense.memos, dense.buffers)
         want = naive_svrg_direction(w, w_anchor, g_anchor, i)
         np.testing.assert_allclose(got, want, atol=1e-14)
